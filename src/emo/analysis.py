@@ -94,6 +94,10 @@ class CostReport:
     def act_elems(self) -> int:
         return self._sum("act_elems")
 
+    @property
+    def other_adds(self) -> int:
+        return self._sum("other_adds")
+
     def by_category(self) -> dict[str, dict[str, float]]:
         out = {}
         for cat in CATEGORIES:

@@ -120,6 +120,17 @@ def add(a, b):
     return Var(y, [p for p in (a, b) if is_var(p)], vjp)
 
 
+def residual_add(a, b):
+    """`add` for a skip connection, metered as `other_adds` like count_costs.
+
+    Plain `add` is left unmetered: the attention key-bias add is not part of
+    the static counts.
+    """
+    y = add(a, b)
+    ops._meter(other_adds=np.size(val(y)))
+    return y
+
+
 def scale(x, c: float):
     y = val(x) * c
     if not is_var(x):

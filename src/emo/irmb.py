@@ -157,24 +157,30 @@ class IRMBConfig:
             slots["norm_dw"] = (self.conv_norm, self.mid)
         return slots
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Leaf name -> shape of every parameter: conv weights and biases, then norms."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        for name, spec in self.conv_specs().items():
+            shapes[f"{name}.w"] = spec.weight_shape()
+            shapes[f"{name}.b"] = (spec.out_channels,)
+        for slot, (kind, width) in self.norm_slots().items():
+            leaves = ("g", "b", "mean", "var") if kind == "batchnorm" else ("g", "b")
+            shapes.update({f"{slot}.{leaf}": (width,) for leaf in leaves})
+        return shapes
+
 
 def irmb_init_params(cfg: IRMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
     dt = dtype_of(precision)
+    specs = cfg.conv_specs()
     params: dict[str, np.ndarray] = {}
-
-    def put(name, arr):
-        params[prefix + name] = np.ascontiguousarray(np.asarray(arr).astype(dt, copy=False))
-
-    for name, spec in cfg.conv_specs().items():
-        fan_in = (spec.in_channels // spec.groups) * spec.kernel ** 2
-        put(f"{name}.w", rng.normal(prefix + f"{name}.w", spec.weight_shape(), std=fan_in ** -0.5, precision=precision))
-        put(f"{name}.b", np.zeros(spec.out_channels))
-    for slot, (kind, width) in cfg.norm_slots().items():
-        put(f"{slot}.g", np.ones(width))
-        put(f"{slot}.b", np.zeros(width))
-        if kind == "batchnorm":
-            put(f"{slot}.mean", np.zeros(width))
-            put(f"{slot}.var", np.ones(width))
+    for leaf, shape in cfg.param_shapes().items():
+        slot, kind = leaf.rsplit(".", 1)
+        if kind == "w":
+            spec = specs[slot]
+            fan_in = (spec.in_channels // spec.groups) * spec.kernel ** 2
+            params[prefix + leaf] = rng.normal(prefix + leaf, shape, std=fan_in ** -0.5, precision=precision)
+        else:
+            params[prefix + leaf] = np.full(shape, 1.0 if kind in ("g", "var") else 0.0, dtype=dt)
     return params
 
 
@@ -248,13 +254,13 @@ def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
         t = T.conv2d(v, params[prefix + "dw.w"], specs["dw"], params[prefix + "dw.b"])
         t = _norm(t, cfg.conv_norm, params, prefix + "norm_dw")
         t = T.activate(t, cfg.conv_act)
-        v = T.add(v, t) if cfg.stride == 1 else t
+        v = T.residual_add(v, t) if cfg.stride == 1 else t
 
     if cfg.enable_attn and not cfg.attn_first:
         v = _attention_mix_mid(u, v, cfg, params, prefix)
 
     y = T.conv2d(v, params[prefix + "shrink.w"], specs["shrink"], params[prefix + "shrink.b"])
-    return T.add(x, y) if keep_residual else y
+    return T.residual_add(x, y) if keep_residual else y
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +278,20 @@ class EquivalenceReport:
 
 def random_block_params(cfg: IRMBConfig, seed: int, precision: str = "f64",
                         prefix: str = "") -> dict[str, np.ndarray]:
-    """Generic random weights for every leaf (biases and norms included)."""
+    """Generic random weights for every leaf (biases and norms included).
+
+    The leaves are those of `irmb_init_params`, in the same order; each is
+    drawn from its own named stream, N(0, 0.5^2) except the batchnorm
+    variances, which are uniform in [0.5, 1.5).
+    """
     rng = Rng(seed)
-    params = irmb_init_params(cfg, rng, prefix, precision)
     out = {}
-    for name, arr in params.items():
-        if name.endswith(".var"):
-            out[name] = (0.5 + rng.uniform(name, arr.shape, 0.0, 1.0, precision)).astype(arr.dtype)
+    for leaf, shape in cfg.param_shapes().items():
+        name = prefix + leaf
+        if leaf.endswith(".var"):
+            out[name] = 0.5 + rng.uniform(name, shape, 0.0, 1.0, precision)
         else:
-            out[name] = rng.normal(name, arr.shape, std=0.5, precision=precision)
+            out[name] = rng.normal(name, shape, std=0.5, precision=precision)
     return out
 
 

@@ -200,7 +200,7 @@ def _dw_with_skip(xe, cfg: MMBConfig, params, prefix):
     t = T.conv2d(xe, params[prefix + "dw.w"], spec, params[prefix + "dw.b"])
     t = _norm(t, cfg.operator_norm, params, prefix, "norm_op")
     t = T.activate(t, cfg.operator_act)
-    return T.add(xe, t)
+    return T.residual_add(xe, t)
 
 
 def mmb_forward(x, cfg: MMBConfig, params, prefix: str = ""):
@@ -229,4 +229,4 @@ def mmb_forward(x, cfg: MMBConfig, params, prefix: str = ""):
         raise AssertionError(cfg.operator)
 
     xs = T.conv2d(xf, params[prefix + "shrink.w"], specs["shrink"], params[prefix + "shrink.b"])
-    return T.add(x, xs)
+    return T.residual_add(x, xs)

@@ -9,6 +9,16 @@ In 32-bit mode all dot products accumulate in 64-bit (operands are upcast
 for the contraction and the result is cast back), so f32 results track the
 f64 oracle closely.
 
+Convolution is tap-decomposed: the input is upcast and padded once, and each
+of the k*k kernel taps contracts its shifted, strided slice of that input
+with the tap's weights (a per-channel multiply for depth-wise convs, a
+grouped matmul over the channels otherwise), accumulating into the output in
+row-major tap order. No k*k-times-larger patch tensor is ever built, and a
+1x1 conv is a single matmul. Depth-wise outputs are summed in exactly the
+order of the plain-loop oracle (tap by tap, starting from the first
+product), so in f64 they equal it bit for bit. The VJP walks the same taps,
+scattering each tap's input cotangent back onto its slice.
+
 A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
 element-wise work (bias adds, normalization, activation, softmax) of the
@@ -22,7 +32,6 @@ import contextvars
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .tensor import Tensor
@@ -132,6 +141,28 @@ class ConvSpec:
         return n + (self.out_channels if self.bias else 0)
 
 
+def _taps(spec: ConvSpec, ho: int, wo: int):
+    """Yield (i, j, window) for every kernel tap in row-major order.
+
+    `window` indexes the strided (N, C, Ho, Wo) slice of the padded input
+    that tap (i, j) multiplies.
+    """
+    s = spec.stride
+    for i in range(spec.kernel):
+        for j in range(spec.kernel):
+            yield i, j, (slice(None), slice(None), slice(i, i + s * ho, s), slice(j, j + s * wo, s))
+
+
+def _padded64(x: np.ndarray, p: int) -> np.ndarray:
+    """x upcast to f64 and zero-padded by p on each spatial side, in one copy."""
+    if not p:
+        return x.astype(np.float64, copy=False)
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p : p + h, p : p + w] = x
+    return xp
+
+
 def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     """Grouped 2-D cross-correlation with zero padding.
 
@@ -145,58 +176,62 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
         raise ValueError(f"weights shaped {w.shape}, spec expects {spec.weight_shape()}")
     if (b is None) == spec.bias:
         raise ValueError("bias presence must match spec.bias")
-    k, s, p, g = spec.kernel, spec.stride, spec.padding, spec.groups
+    g = spec.groups
     ho, wo = spec.out_hw(h, wdt)
-    out_dtype = x.dtype
-    acc = np.float64  # 64-bit accumulation in both precisions
-
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    # patches: (N, C_in, Ho, Wo, k, k)
-    patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
     cig, cog = spec.in_channels // g, spec.out_channels // g
-    # (N, g, Ho*Wo, cig*k*k) x (g, cig*k*k, cog) -> (N, g, Ho*Wo, cog)
-    pm = patches.reshape(n, g, cig, ho, wo, k, k).transpose(0, 1, 3, 4, 2, 5, 6)
-    pm = pm.reshape(n, g, ho * wo, cig * k * k).astype(acc, copy=False)
-    wm = w.reshape(g, cog, cig * k * k).transpose(0, 2, 1).astype(acc, copy=False)
-    y = np.matmul(pm, wm)  # (N, g, Ho*Wo, cog)
-    y = y.transpose(0, 1, 3, 2).reshape(n, spec.out_channels, ho, wo)
+    xp = _padded64(x, spec.padding)
+    w64 = w.astype(np.float64, copy=False)
+
+    def tap(i, j, win, out=None):
+        if spec.depthwise:
+            return np.multiply(xp[win], w64[:, 0, i, j].reshape(1, c, 1, 1), out=out)
+        return np.matmul(w64[:, :, i, j].reshape(g, cog, cig), xp[win].reshape(n, g, cig, ho * wo), out=out)
+
+    # the first tap's product starts the sum, as in the loop oracle; no zero buffer
+    taps = _taps(spec, ho, wo)
+    y = tap(*next(taps))
+    tmp = None
+    for t in taps:
+        tmp = tap(*t, out=tmp)
+        y += tmp
+    y = y.reshape(n, spec.out_channels, ho, wo)
     _meter(macs=spec.macs(h, wdt, batch=n))
     if b is not None:
-        y = y + np.asarray(b, dtype=acc).reshape(1, -1, 1, 1)
+        y += np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1)
         _meter(bias_adds=n * spec.out_channels * ho * wo)
-    return y.astype(out_dtype, copy=False)
+    return y.astype(x.dtype, copy=False)
 
 
 def conv2d_vjp(g_out, x, w, spec: ConvSpec):
     """Gradients of sum(g_out * conv2d(x, w, spec, b)) w.r.t. (x, w, b)."""
     g_out, x, w = _arr(g_out), _arr(x), _arr(w)
     n, c, h, wdt = x.shape
-    k, s, p, grp = spec.kernel, spec.stride, spec.padding, spec.groups
+    p, grp = spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wdt)
     if g_out.shape != (n, spec.out_channels, ho, wo):
         raise ValueError(f"upstream shaped {g_out.shape}, expected {(n, spec.out_channels, ho, wo)}")
-    acc = np.float64
     cig, cog = spec.in_channels // grp, spec.out_channels // grp
 
     gb = g_out.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False) if spec.bias else None
 
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    pg = patches.reshape(n, grp, cig, ho, wo, k, k).astype(acc, copy=False)
-    gg = g_out.reshape(n, grp, cog, ho, wo).astype(acc, copy=False)
-    gw = np.einsum("ngchwij,ngohw->gocij", pg, gg, optimize=True)
-    gw = gw.reshape(spec.weight_shape()).astype(x.dtype, copy=False)
-
-    wg = w.reshape(grp, cog, cig, k, k).astype(acc, copy=False)
-    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p), dtype=acc)
-    gxv = gxp.reshape(n, grp, cig, h + 2 * p, wdt + 2 * p)
-    for i in range(k):
-        for j in range(k):
-            # contribution of kernel tap (i, j): scatter over strided slabs
-            contrib = np.einsum("ngohw,goc->ngchw", gg, wg[:, :, :, i, j], optimize=True)
-            gxv[:, :, :, i : i + s * ho : s, j : j + s * wo : s] += contrib
+    xp = _padded64(x, p)
+    g64 = g_out.astype(np.float64, copy=False)
+    w64 = w.astype(np.float64, copy=False)
+    gxp = np.zeros(xp.shape)
+    gw = np.empty(spec.weight_shape())
+    gm = g64.reshape(n, grp, cog, ho * wo)
+    for i, j, win in _taps(spec, ho, wo):
+        # tap (i, j) read the slab xp[win]: scatter its cotangent back there
+        if spec.depthwise:
+            gxp[win] += g64 * w64[:, 0, i, j].reshape(1, c, 1, 1)
+            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g64, xp[win])
+        else:
+            wt = w64[:, :, i, j].reshape(grp, cog, cig)
+            gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
+            xt = xp[win].reshape(n, grp, cig, ho * wo)
+            gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
     gx = gxp[:, :, p : p + h, p : p + wdt] if p else gxp
-    return gx.astype(x.dtype, copy=False), gw, gb
+    return gx.astype(x.dtype, copy=False), gw.astype(x.dtype, copy=False), gb
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +355,17 @@ def layernorm_channels_vjp(g, x, gamma, beta, eps: float = 1e-5):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) without overflow: exp only ever sees -|x|.
+
+    Bit-identical to evaluating 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) for x < 0, in either precision.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x < 0, e, 1.0)
+    e += 1.0
+    out /= e
     return out
 
 

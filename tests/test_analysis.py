@@ -226,6 +226,7 @@ def test_executed_work_matches_static_count_across_block_matrix():
         assert m.bias_adds == rep.bias_adds, key
         assert m.norm_elems == rep.norm_elems, key
         assert m.act_elems == rep.act_elems, key
+        assert m.other_adds == rep.other_adds, key
         checked += 1
     assert checked >= 100
 

@@ -3,6 +3,7 @@ import pytest
 
 from emo import (
     IRMBConfig,
+    PRESETS,
     Rng,
     count_costs,
     default_heads,
@@ -10,6 +11,7 @@ from emo import (
     ew_mhsa,
     irmb_forward,
     irmb_init_params,
+    preset,
     random_block_params,
     window_merge,
     window_partition,
@@ -258,3 +260,28 @@ def test_reversed_operator_order_runs():
     # reversed order computes a different function from the default order
     y2 = irmb_forward(rand_x(8, (4, 4)), cfg.__class__(**{**cfg.__dict__, "attn_first": True}), params)
     assert np.abs(y - y2).max() > 1e-8
+
+
+def _init_then_redraw(cfg, seed, precision, prefix):
+    """Reference: initialize every leaf, then redraw each from its named stream."""
+    rng = Rng(seed)
+    out = {}
+    for name, arr in irmb_init_params(cfg, rng, prefix, precision).items():
+        if name.endswith(".var"):
+            out[name] = (0.5 + rng.uniform(name, arr.shape, 0.0, 1.0, precision)).astype(arr.dtype)
+        else:
+            out[name] = rng.normal(name, arr.shape, std=0.5, precision=precision)
+    return out
+
+
+def test_random_block_params_bit_identical_to_init_then_redraw():
+    # streams are keyed by name, so skipping the initial draw changes nothing
+    configs = {cfg for name in sorted(PRESETS) for _b, _s, cfg in preset(name).block_configs()}
+    for cfg in configs:
+        for precision in ("f32", "f64"):
+            got = random_block_params(cfg, seed=17, precision=precision, prefix="blk.")
+            want = _init_then_redraw(cfg, 17, precision, "blk.")
+            assert list(got) == list(want), cfg
+            for leaf, arr in want.items():
+                assert got[leaf].dtype == arr.dtype and got[leaf].shape == arr.shape, leaf
+                assert got[leaf].tobytes() == arr.tobytes(), leaf

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from emo import MMBConfig, Rng, count_costs, mmb_forward, mmb_init_params, mmb_instantiate
+from emo import MMBConfig, Rng, cost_meter, count_costs, mmb_forward, mmb_init_params, mmb_instantiate
 from emo import ops
+from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 
 
@@ -160,6 +161,16 @@ def test_executed_work_matches_static_count():
         assert m.bias_adds == rep.bias_adds, cfg.operator
         assert m.norm_elems == rep.norm_elems, cfg.operator
         assert m.act_elems == rep.act_elems, cfg.operator
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_metered_residual_adds_match_static_count(operator):
+    # 5x5 under 2x2 windows: the attention operators run padded windows
+    cfg = MMBConfig(8, 2.0, operator=operator, window=2, heads=2, pre_norm="layernorm",
+                    operator_norm="batchnorm", operator_act="silu")
+    with cost_meter() as m:
+        mmb_forward(rand_x(cfg, hw=(5, 5)), cfg, build(cfg))
+    assert m.other_adds == count_costs(cfg, 5).other_adds
 
 
 def test_normalize_and_activate_dispatchers():

@@ -114,6 +114,15 @@ def test_forward_trace_matches_static_count_every_preset_at_224(name):
     assert meter.flops == rep.flops
 
 
+@pytest.mark.parametrize("name, resolution", [(n, 224) for n in sorted(PRESETS)] + [("emo-1m", 160)])
+def test_metered_residual_adds_match_static_count(name, resolution):
+    # at 160, stages 3 and 4 are 10x10 and 5x5, so their 7x7 windows are padded
+    model = build_emo(name, seed=0, precision="f32")
+    with cost_meter() as meter:
+        emo_forward(model, np.zeros((2, 3, resolution, resolution), dtype=np.float32))
+    assert meter.other_adds == 2 * count_costs(preset(name), resolution).other_adds
+
+
 def test_lambda_dim_mismatch_names_the_stage():
     with pytest.raises(ValueError, match="stage 2"):
         EMOVariantConfig("bad", (1, 1, 1, 1), (8, 9, 16, 16), (2.0, 2.5, 2.0, 2.0))

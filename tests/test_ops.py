@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +86,35 @@ def test_conv_matches_loop_oracle(spec):
     got = ops.conv2d(x, w, spec, b)
     want = _conv_reference(x, w, spec, b)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k, s, p", list(itertools.product((3, 5), (1, 2), (0, 1, 2))))
+def test_depthwise_conv_bit_identical_to_loop_oracle(k, s, p):
+    # taps accumulate in the oracle's order, so f64 results agree exactly
+    spec = ConvSpec(4, 4, kernel=k, stride=s, padding=p, groups=4)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 4, 9, 8))
+    w = rng.normal(size=spec.weight_shape())
+    b = rng.normal(size=4)
+    assert np.array_equal(ops.conv2d(x, w, spec, b), _conv_reference(x, w, spec, b))
+
+
+def test_depthwise_conv_peak_memory_stays_near_padded_input():
+    # the tap-decomposed kernel holds the padded f64 input, the f64 output and
+    # one tap temporary; a k*k-times-larger patch tensor would blow this bound
+    spec = ConvSpec(64, 64, kernel=3, padding=1, groups=64)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(1, 64, 56, 56)).astype(np.float32)
+    w = rng.normal(size=spec.weight_shape()).astype(np.float32)
+    b = np.zeros(64, dtype=np.float32)
+    padded_f64_bytes = 64 * 58 * 58 * 8
+    tracemalloc.start()
+    try:
+        ops.conv2d(x, w, spec, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * padded_f64_bytes, peak / padded_f64_bytes
 
 
 def test_conv_shape_errors():
@@ -242,6 +273,25 @@ def test_gelu_matches_independent_erf():
     assert abs(got - 0.8413447) < 1e-7
 
 
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_two_branch_formula(dtype):
+    special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0]
+    noise = np.random.default_rng(12).normal(size=4096) * 12
+    x = np.concatenate([special, noise]).astype(dtype)
+    got = ops._sigmoid(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # VJPs
 
@@ -253,6 +303,33 @@ def test_conv_vjp_identity_kernel_passes_upstream_through():
     g = np.random.default_rng(1).normal(size=(1, c, 5, 5))
     gx, _, _ = ops.conv2d_vjp(g, x, identity_dw_kernel(c), spec)
     np.testing.assert_allclose(gx, g, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ConvSpec(4, 4, kernel=3, stride=1, padding=1, groups=4),
+    ConvSpec(4, 4, kernel=5, stride=2, padding=2, groups=4, bias=False),
+    ConvSpec(4, 6, kernel=1),
+    ConvSpec(4, 6, kernel=1, groups=2),
+    ConvSpec(3, 4, kernel=3, stride=2, padding=1),
+])
+def test_conv_vjp_is_the_adjoint_of_the_loop_oracle(spec):
+    # conv is linear in x and in w: <gx, v> = <g, conv(v, w)>, <gw, u> = <g, conv(x, u)>
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, spec.in_channels, 7, 6))
+    w = rng.normal(size=spec.weight_shape())
+    ho, wo = spec.out_hw(7, 6)
+    g = rng.normal(size=(2, spec.out_channels, ho, wo))
+    gx, gw, gb = ops.conv2d_vjp(g, x, w, spec)
+    for _ in range(3):
+        v, u = rng.normal(size=x.shape), rng.normal(size=w.shape)
+        want_x = float((g * _conv_reference(v, w, spec)).sum())
+        want_w = float((g * _conv_reference(x, u, spec)).sum())
+        assert abs(float((gx * v).sum()) - want_x) <= 1e-11 * max(1.0, abs(want_x))
+        assert abs(float((gw * u).sum()) - want_w) <= 1e-11 * max(1.0, abs(want_w))
+    if spec.bias:
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+    else:
+        assert gb is None
 
 
 def test_matmul_vjp_bilinear_forms_exact():
@@ -311,5 +388,21 @@ def test_f32_conv_uses_f64_accumulation():
     x = np.array([1e8, 1.0, -1e8], dtype=np.float32).reshape(1, 3, 1, 1)
     w = np.ones((1, 3, 1, 1), dtype=np.float32)
     y = ops.conv2d(x, w, spec)
+    assert y.dtype == np.float32
+    assert y[0, 0, 0, 0] == 1.0
+
+    # depth-wise 3x3: the cancelling terms sit under three different taps
+    dw = ConvSpec(2, 2, kernel=3, groups=2, bias=False)
+    x = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    x[0, :, 0, :] = [1e8, 1.0, -1e8]
+    y = ops.conv2d(x, np.ones(dw.weight_shape(), dtype=np.float32), dw)
+    assert y.dtype == np.float32
+    assert y[0, 0, 0, 0] == 1.0 and y[0, 1, 0, 0] == 1.0
+
+    # dense 3x3: the terms sit under different taps and different channels
+    spec = ConvSpec(2, 1, kernel=3, bias=False)
+    x = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    x[0, 0, 0, 0], x[0, 1, 1, 1], x[0, 0, 2, 2] = 1e8, 1.0, -1e8
+    y = ops.conv2d(x, np.ones(spec.weight_shape(), dtype=np.float32), spec)
     assert y.dtype == np.float32
     assert y[0, 0, 0, 0] == 1.0
