@@ -3,8 +3,11 @@
 Blocks and models are written once against the traced wrappers below. Called
 with plain ndarrays they run the underlying primitive directly (no graph, no
 retained intermediates); called with at least one `Var` they record a node
-whose VJP closure routes cotangents to the Var parents. `backward` walks the
-graph in reverse topological order and accumulates gradients.
+(`_record`) whose VJP computes the cotangents of its Var parents only: a
+weight that is a plain array gets no gradient work. `backward` walks the
+graph in reverse topological order, accumulates gradients, and drops each
+interior cotangent as soon as its node's VJP has consumed it, so the dict it
+returns holds the leaves' cotangents only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class Var:
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value)
         self.parents = tuple(parents)
-        self.vjp = vjp  # callable(g) -> tuple of cotangents aligned with parents
+        self.vjp = vjp  # callable(g) -> sequence of cotangents aligned with parents
 
     @property
     def shape(self):
@@ -44,14 +47,13 @@ def is_var(x):
     return isinstance(x, Var)
 
 
-def _any_var(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
 def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
-    """Accumulate d(sum(seed * root))/d(leaf) for every Var in root's graph.
+    """Accumulate d(sum(seed * root))/d(leaf) for every leaf Var in root's graph.
 
-    Returns a dict keyed by id(var). Use `grad_of(grads, var)` to read it.
+    Returns a dict keyed by id(var) that holds leaves only (Vars built
+    directly, not by a wrapper); interior cotangents are freed as they are
+    used. Use `grad_of(grads, var)` to read it. The graph is not changed, so
+    a second call gives the same result.
     """
     if not isinstance(root, Var):
         raise TypeError("backward expects a Var root")
@@ -79,8 +81,12 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {id(root): seed.astype(root.value.dtype, copy=False)}
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
+        if node.vjp is None:
+            continue  # a leaf: its cotangent is the result
+        # every consumer of node ran before it, so its cotangent is complete
+        # and, once passed to the parents, needed no more
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None:
@@ -103,21 +109,30 @@ def _unbroadcast(g, shape):
     return ops._unbroadcast(np.asarray(g), tuple(shape))
 
 
-def add(a, b):
-    y = val(a) + val(b)
-    if not _any_var(a, b):
+def _record(y, inputs, vjp):
+    """Put y on the tape as a node over the Var entries of `inputs`.
+
+    Returns y bare when no input is a Var. Otherwise `vjp(g, need)` is
+    called with one flag per input, True where that input is a Var, and
+    returns one cotangent per input (None where the flag is False); only the
+    Var parents' cotangents are kept.
+    """
+    for p in inputs:  # the untraced path runs on every primitive call: keep it to this loop
+        if isinstance(p, Var):
+            break
+    else:
         return y
-    ash, bsh = np.shape(val(a)), np.shape(val(b))
+    need = tuple(isinstance(p, Var) for p in inputs)
+    parents = [p for p, n in zip(inputs, need) if n]
+    return Var(y, parents, lambda g: [pg for pg, n in zip(vjp(g, need), need) if n])
 
-    def vjp(g):
-        out = []
-        if is_var(a):
-            out.append(_unbroadcast(g, ash))
-        if is_var(b):
-            out.append(_unbroadcast(g, bsh))
-        return tuple(out)
 
-    return Var(y, [p for p in (a, b) if is_var(p)], vjp)
+def add(a, b):
+    # a needed input is a Var parent, so its shape is read from it at backward time
+    return _record(val(a) + val(b), (a, b), lambda g, need: (
+        _unbroadcast(g, a.shape) if need[0] else None,
+        _unbroadcast(g, b.shape) if need[1] else None,
+    ))
 
 
 def residual_add(a, b):
@@ -132,114 +147,48 @@ def residual_add(a, b):
 
 
 def scale(x, c: float):
-    y = val(x) * c
-    if not is_var(x):
-        return y
-    return Var(y, (x,), lambda g: (g * c,))
+    return _record(val(x) * c, (x,), lambda g, need: (g * c,))
 
 
 def matmul(a, b):
-    y = ops.matmul(val(a), val(b))
-    if not _any_var(a, b):
-        return y
     av, bv = val(a), val(b)
-
-    def vjp(g):
-        ga, gb = ops.matmul_vjp(g, av, bv)
-        out = []
-        if is_var(a):
-            out.append(ga)
-        if is_var(b):
-            out.append(gb)
-        return tuple(out)
-
-    return Var(y, [p for p in (a, b) if is_var(p)], vjp)
+    return _record(ops.matmul(av, bv), (a, b), lambda g, need: ops.matmul_vjp(g, av, bv, need=need))
 
 
 def conv2d(x, w, spec: ops.ConvSpec, b=None):
-    y = ops.conv2d(val(x), val(w), spec, None if b is None else val(b))
-    args = [x, w] + ([b] if b is not None else [])
-    if not _any_var(*args):
-        return y
     xv, wv = val(x), val(w)
-
-    def vjp(g):
-        gx, gw, gb = ops.conv2d_vjp(g, xv, wv, spec)
-        out = []
-        if is_var(x):
-            out.append(gx)
-        if is_var(w):
-            out.append(gw)
-        if b is not None and is_var(b):
-            out.append(gb)
-        return tuple(out)
-
-    return Var(y, [p for p in args if is_var(p)], vjp)
+    y = ops.conv2d(xv, wv, spec, None if b is None else val(b))
+    return _record(y, (x, w, b), lambda g, need: ops.conv2d_vjp(g, xv, wv, spec, need=need))
 
 
 def softmax_lastdim(x):
     y = ops.softmax_lastdim(val(x))
-    if not is_var(x):
-        return y
-    return Var(y, (x,), lambda g: (ops.softmax_lastdim_vjp(g, y),))
+    return _record(y, (x,), lambda g, need: (ops.softmax_lastdim_vjp(g, y),))
 
 
 def batchnorm_inference(x, gamma, beta, mean, var, eps=1e-5):
     # mean/var are inference buffers, never differentiated
     mean, var = val(mean), val(var)
-    y = ops.batchnorm_inference(val(x), val(gamma), val(beta), mean, var, eps)
-    if not _any_var(x, gamma, beta):
-        return y
     xv, gv, bv = val(x), val(gamma), val(beta)
-
-    def vjp(g):
-        gx, ggam, gbet = ops.batchnorm_inference_vjp(g, xv, gv, bv, mean, var, eps)
-        out = []
-        if is_var(x):
-            out.append(gx)
-        if is_var(gamma):
-            out.append(ggam)
-        if is_var(beta):
-            out.append(gbet)
-        return tuple(out)
-
-    return Var(y, [p for p in (x, gamma, beta) if is_var(p)], vjp)
+    y = ops.batchnorm_inference(xv, gv, bv, mean, var, eps)
+    return _record(y, (x, gamma, beta),
+                   lambda g, need: ops.batchnorm_inference_vjp(g, xv, gv, bv, mean, var, eps, need=need))
 
 
 def layernorm_channels(x, gamma, beta, eps=1e-5):
-    y = ops.layernorm_channels(val(x), val(gamma), val(beta), eps)
-    if not _any_var(x, gamma, beta):
-        return y
     xv, gv, bv = val(x), val(gamma), val(beta)
-
-    def vjp(g):
-        gx, ggam, gbet = ops.layernorm_channels_vjp(g, xv, gv, bv, eps)
-        out = []
-        if is_var(x):
-            out.append(gx)
-        if is_var(gamma):
-            out.append(ggam)
-        if is_var(beta):
-            out.append(gbet)
-        return tuple(out)
-
-    return Var(y, [p for p in (x, gamma, beta) if is_var(p)], vjp)
+    y = ops.layernorm_channels(xv, gv, bv, eps)
+    return _record(y, (x, gamma, beta), lambda g, need: ops.layernorm_channels_vjp(g, xv, gv, bv, eps, need=need))
 
 
 def silu(x):
-    y = ops.silu(val(x))
-    if not is_var(x):
-        return y
     xv = val(x)
-    return Var(y, (x,), lambda g: (ops.silu_vjp(g, xv),))
+    return _record(ops.silu(xv), (x,), lambda g, need: (ops.silu_vjp(g, xv),))
 
 
 def gelu(x):
-    y = ops.gelu(val(x))
-    if not is_var(x):
-        return y
     xv = val(x)
-    return Var(y, (x,), lambda g: (ops.gelu_vjp(g, xv),))
+    return _record(ops.gelu(xv), (x,), lambda g, need: (ops.gelu_vjp(g, xv),))
 
 
 def activate(x, kind):
@@ -254,19 +203,13 @@ def activate(x, kind):
 
 def reshape(x, shape):
     xv = val(x)
-    y = xv.reshape(shape)
-    if not is_var(x):
-        return y
     old = xv.shape
-    return Var(y, (x,), lambda g: (np.asarray(g).reshape(old),))
+    return _record(xv.reshape(shape), (x,), lambda g, need: (np.asarray(g).reshape(old),))
 
 
 def transpose(x, axes):
-    y = np.transpose(val(x), axes)
-    if not is_var(x):
-        return y
-    inverse = tuple(np.argsort(axes))
-    return Var(y, (x,), lambda g: (np.transpose(np.asarray(g), inverse),))
+    # the inverse permutation is worked out in the VJP, so untraced calls never pay for it
+    return _record(np.transpose(val(x), axes), (x,), lambda g, need: (np.transpose(np.asarray(g), np.argsort(axes)),))
 
 
 def pad_hw_bottom_right(x, pad_h: int, pad_w: int):
@@ -275,21 +218,17 @@ def pad_hw_bottom_right(x, pad_h: int, pad_w: int):
     if pad_h == 0 and pad_w == 0:
         return x
     y = np.pad(xv, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-    if not is_var(x):
-        return y
     h, w = xv.shape[2], xv.shape[3]
-    return Var(y, (x,), lambda g: (np.asarray(g)[:, :, :h, :w],))
+    return _record(y, (x,), lambda g, need: (np.asarray(g)[:, :, :h, :w],))
 
 
 def crop_hw(x, h: int, w: int):
     xv = val(x)
     if xv.shape[2] == h and xv.shape[3] == w:
         return x
-    y = xv[:, :, :h, :w]
-    if not is_var(x):
-        return y
     ph, pw = xv.shape[2] - h, xv.shape[3] - w
-    return Var(y, (x,), lambda g: (np.pad(np.asarray(g), ((0, 0), (0, 0), (0, ph), (0, pw))),))
+    return _record(xv[:, :, :h, :w], (x,),
+                   lambda g, need: (np.pad(np.asarray(g), ((0, 0), (0, 0), (0, ph), (0, pw))),))
 
 
 def mean_hw(x):
@@ -297,12 +236,10 @@ def mean_hw(x):
     xv = val(x)
     y = xv.mean(axis=(2, 3))
     ops._meter(other_adds=xv.size)
-    if not is_var(x):
-        return y
     n, c, h, w = xv.shape
 
-    def vjp(g):
+    def vjp(g, need):
         g = np.asarray(g).reshape(n, c, 1, 1)
         return (np.broadcast_to(g / (h * w), xv.shape).astype(xv.dtype, copy=False),)
 
-    return Var(y, (x,), vjp)
+    return _record(y, (x,), vjp)

@@ -146,11 +146,10 @@ def check_resolution(cfg: EMOVariantConfig, h: int, w: int) -> None:
         )
 
 
-def emo_forward(model: EMOModel, x, capture_stages: bool = False):
-    """Run the network; returns (N, num_classes) logits.
+def _trunk(model: EMOModel, x, last_stage: int, captured: dict | None = None):
+    """Validate x, then run the stem and the blocks of stages 1..last_stage.
 
-    With capture_stages=True, also returns {stage: feature map} taken at each
-    stage output.
+    Each stage's output map is stored in `captured` when one is given.
     """
     cfg = model.cfg
     if isinstance(x, T.Var):
@@ -167,11 +166,24 @@ def emo_forward(model: EMOModel, x, capture_stages: bool = False):
     v = T.batchnorm_inference(v, p["stem.bn.g"], p["stem.bn.b"], p["stem.bn.mean"], p["stem.bn.var"])
     v = T.silu(v)
 
-    captured: dict[int, np.ndarray] = {}
     for name, stage, bcfg in cfg.block_configs():
+        if stage > last_stage:
+            break
         v = irmb_forward(v, bcfg, p, prefix=name + ".")
-        if capture_stages:
+        if captured is not None:
             captured[stage] = T.val(v)  # blocks run in order; last one per stage wins
+    return v
+
+
+def emo_forward(model: EMOModel, x, capture_stages: bool = False):
+    """Run the network; returns (N, num_classes) logits.
+
+    With capture_stages=True, also returns {stage: feature map} taken at each
+    stage output.
+    """
+    cfg, p = model.cfg, model.params
+    captured: dict[int, np.ndarray] = {}
+    v = _trunk(model, x, 4, captured if capture_stages else None)
 
     pooled = T.mean_hw(v)  # (N, C4)
     n_items, c4 = T.val(pooled).shape
@@ -184,11 +196,10 @@ def emo_forward(model: EMOModel, x, capture_stages: bool = False):
 
 
 def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
-    """Feature map at the output of one stage (1-based)."""
+    """Feature map at the output of one stage (1-based); later stages do not run."""
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"stage must be 1..4, got {stage}")
-    _, captured = emo_forward(model, x, capture_stages=True)
-    return captured[stage]
+    return T.val(_trunk(model, x, stage))
 
 
 def save_model(model: EMOModel, path) -> None:

@@ -11,13 +11,19 @@ f64 oracle closely.
 
 Convolution is tap-decomposed: the input is upcast and padded once, and each
 of the k*k kernel taps contracts its shifted, strided slice of that input
-with the tap's weights (a per-channel multiply for depth-wise convs, a
-grouped matmul over the channels otherwise), accumulating into the output in
-row-major tap order. No k*k-times-larger patch tensor is ever built, and a
-1x1 conv is a single matmul. Depth-wise outputs are summed in exactly the
-order of the plain-loop oracle (tap by tap, starting from the first
-product), so in f64 they equal it bit for bit. The VJP walks the same taps,
-scattering each tap's input cotangent back onto its slice.
+with the tap's weights. A depth-wise conv multiplies each slice per channel
+and accumulates in row-major tap order, exactly the order of the plain-loop
+oracle (tap by tap, starting from the first product), so in f64 it equals
+that oracle bit for bit; it never builds a k*k-times-larger patch tensor.
+Any other conv is one grouped matmul: a 1x1 conv over the input itself, a
+dense k x k conv (the stem, whose input has few channels) over the k*k
+slices stacked into one matrix. The VJP walks the same taps, scattering
+each tap's input cotangent back onto its slice.
+
+The VJPs of primitives with several inputs take `need=`, one flag per
+differentiable input (all True by default). An unflagged gradient is
+returned as None and costs nothing, which is how the tape skips weight
+gradients when only the input is being differentiated.
 
 A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
@@ -163,6 +169,22 @@ def _padded64(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
+def _tap_matrix(xp: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
+    """The taps' slices of the padded input as one (N, G, k*k*C_in/G, Ho*Wo) matrix.
+
+    Row t * C_in/G + c holds channel c of tap t. A 1x1 conv's matrix is its
+    single slice, a view of the input when the conv is unstrided.
+    """
+    n, g, kk = xp.shape[0], spec.groups, spec.kernel ** 2
+    cig = spec.in_channels // g
+    if kk == 1:
+        return xp[:, :, :: spec.stride, :: spec.stride].reshape(n, g, cig, ho * wo)
+    cols = np.empty((n, g, kk, cig, ho, wo))
+    for t, (_, _, win) in enumerate(_taps(spec, ho, wo)):
+        cols[:, :, t] = xp[win].reshape(n, g, cig, ho, wo)
+    return cols.reshape(n, g, kk * cig, ho * wo)
+
+
 def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     """Grouped 2-D cross-correlation with zero padding.
 
@@ -182,18 +204,21 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     xp = _padded64(x, spec.padding)
     w64 = w.astype(np.float64, copy=False)
 
-    def tap(i, j, win, out=None):
-        if spec.depthwise:
+    if spec.depthwise:
+        def tap(i, j, win, out=None):
             return np.multiply(xp[win], w64[:, 0, i, j].reshape(1, c, 1, 1), out=out)
-        return np.matmul(w64[:, :, i, j].reshape(g, cog, cig), xp[win].reshape(n, g, cig, ho * wo), out=out)
 
-    # the first tap's product starts the sum, as in the loop oracle; no zero buffer
-    taps = _taps(spec, ho, wo)
-    y = tap(*next(taps))
-    tmp = None
-    for t in taps:
-        tmp = tap(*t, out=tmp)
-        y += tmp
+        # the first tap's product starts the sum, as in the loop oracle; no zero buffer
+        taps = _taps(spec, ho, wo)
+        y = tap(*next(taps))
+        tmp = None
+        for t in taps:
+            tmp = tap(*t, out=tmp)
+            y += tmp
+    else:
+        # (C_out, C_in/G, k, k) -> (G, C_out/G, k*k*C_in/G), columns ordered as _tap_matrix's rows
+        wm = w64.transpose(0, 2, 3, 1).reshape(g, cog, spec.kernel ** 2 * cig)
+        y = np.matmul(wm, _tap_matrix(xp, spec, ho, wo))
     y = y.reshape(n, spec.out_channels, ho, wo)
     _meter(macs=spec.macs(h, wdt, batch=n))
     if b is not None:
@@ -202,9 +227,15 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def conv2d_vjp(g_out, x, w, spec: ConvSpec):
-    """Gradients of sum(g_out * conv2d(x, w, spec, b)) w.r.t. (x, w, b)."""
+def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True)):
+    """Gradients of sum(g_out * conv2d(x, w, spec, b)) w.r.t. (x, w, b).
+
+    `need` flags which of (x, w, b) to differentiate. An unflagged gradient
+    is returned as None and none of its work is done: without w the input
+    is neither upcast nor padded. gb is None for a bias-free spec.
+    """
     g_out, x, w = _arr(g_out), _arr(x), _arr(w)
+    need_x, need_w, need_b = need
     n, c, h, wdt = x.shape
     p, grp = spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wdt)
@@ -212,26 +243,36 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec):
         raise ValueError(f"upstream shaped {g_out.shape}, expected {(n, spec.out_channels, ho, wo)}")
     cig, cog = spec.in_channels // grp, spec.out_channels // grp
 
-    gb = g_out.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False) if spec.bias else None
+    gb = g_out.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False) if spec.bias and need_b else None
 
-    xp = _padded64(x, p)
     g64 = g_out.astype(np.float64, copy=False)
     w64 = w.astype(np.float64, copy=False)
-    gxp = np.zeros(xp.shape)
-    gw = np.empty(spec.weight_shape())
+    xp = _padded64(x, p) if need_w else None
+    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if need_x else None
+    gw = np.empty(spec.weight_shape()) if need_w else None
     gm = g64.reshape(n, grp, cog, ho * wo)
+    tmp = None
     for i, j, win in _taps(spec, ho, wo):
         # tap (i, j) read the slab xp[win]: scatter its cotangent back there
         if spec.depthwise:
-            gxp[win] += g64 * w64[:, 0, i, j].reshape(1, c, 1, 1)
-            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g64, xp[win])
+            if need_x:
+                tmp = np.multiply(g64, w64[:, 0, i, j].reshape(1, c, 1, 1), out=tmp)
+                gxp[win] += tmp
+            if need_w:
+                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g64, xp[win])
         else:
-            wt = w64[:, :, i, j].reshape(grp, cog, cig)
-            gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
-            xt = xp[win].reshape(n, grp, cig, ho * wo)
-            gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
-    gx = gxp[:, :, p : p + h, p : p + wdt] if p else gxp
-    return gx.astype(x.dtype, copy=False), gw.astype(x.dtype, copy=False), gb
+            if need_x:
+                wt = w64[:, :, i, j].reshape(grp, cog, cig)
+                gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
+            if need_w:
+                xt = xp[win].reshape(n, grp, cig, ho * wo)
+                gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
+    gx = None
+    if need_x:
+        gx = (gxp[:, :, p : p + h, p : p + wdt] if p else gxp).astype(x.dtype, copy=False)
+    if need_w:
+        gw = gw.astype(x.dtype, copy=False)
+    return gx, gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +291,20 @@ def matmul(a, b) -> np.ndarray:
     return y.astype(out_dtype, copy=False)
 
 
-def matmul_vjp(g, a, b):
-    """grad_a = g @ b^T, grad_b = a^T @ g (broadcast batch dims reduced)."""
+def matmul_vjp(g, a, b, *, need=(True, True)):
+    """grad_a = g @ b^T, grad_b = a^T @ g (broadcast batch dims reduced).
+
+    `need` flags which of (a, b) to differentiate; the other is None.
+    """
     g, a, b = _arr(g), _arr(a), _arr(b)
-    ga = np.matmul(g.astype(np.float64, copy=False), np.swapaxes(b, -1, -2).astype(np.float64, copy=False))
-    gb = np.matmul(np.swapaxes(a, -1, -2).astype(np.float64, copy=False), g.astype(np.float64, copy=False))
-    ga = _unbroadcast(ga, a.shape).astype(a.dtype, copy=False)
-    gb = _unbroadcast(gb, b.shape).astype(b.dtype, copy=False)
+    g64 = g.astype(np.float64, copy=False)
+    ga = gb = None
+    if need[0]:
+        ga = np.matmul(g64, np.swapaxes(b, -1, -2).astype(np.float64, copy=False))
+        ga = _unbroadcast(ga, a.shape).astype(a.dtype, copy=False)
+    if need[1]:
+        gb = np.matmul(np.swapaxes(a, -1, -2).astype(np.float64, copy=False), g64)
+        gb = _unbroadcast(gb, b.shape).astype(b.dtype, copy=False)
     return ga, gb
 
 
@@ -312,15 +360,20 @@ def batchnorm_inference(x, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndar
     return (x * scale + shift).astype(x.dtype, copy=False)
 
 
-def batchnorm_inference_vjp(g, x, gamma, beta, mean, var, eps: float = 1e-5):
+def batchnorm_inference_vjp(g, x, gamma, beta, mean, var, eps: float = 1e-5, *, need=(True, True, True)):
+    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None."""
     g, x = _arr(g), _arr(x)
+    need_x, need_gamma, need_beta = need
     inv = 1.0 / np.sqrt(np.asarray(var) + eps)
-    scale = (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)
-    gx = g * scale
-    xhat = (x - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-    ggamma = (g * xhat).sum(axis=(0, 2, 3))
-    gbeta = g.sum(axis=(0, 2, 3))
-    return gx.astype(x.dtype, copy=False), ggamma.astype(x.dtype, copy=False), gbeta.astype(x.dtype, copy=False)
+    gx = ggamma = gbeta = None
+    if need_x:
+        gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(x.dtype, copy=False)
+    if need_gamma:
+        xhat = (x - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+        ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+    if need_beta:
+        gbeta = g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+    return gx, ggamma, gbeta
 
 
 def layernorm_channels(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
@@ -334,20 +387,26 @@ def layernorm_channels(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def layernorm_channels_vjp(g, x, gamma, beta, eps: float = 1e-5):
+def layernorm_channels_vjp(g, x, gamma, beta, eps: float = 1e-5, *, need=(True, True, True)):
+    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None."""
     g, x = _arr(g), _arr(x)
-    c = x.shape[1]
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    gam = np.asarray(gamma).reshape(1, -1, 1, 1)
-    gxhat = g * gam
-    # standard layernorm backward over the normalized axis
-    gx = inv * (gxhat - gxhat.mean(axis=1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
-    ggamma = (g * xhat).sum(axis=(0, 2, 3))
-    gbeta = g.sum(axis=(0, 2, 3))
-    return gx.astype(x.dtype, copy=False), ggamma.astype(x.dtype, copy=False), gbeta.astype(x.dtype, copy=False)
+    need_x, need_gamma, need_beta = need
+    gx = ggamma = gbeta = None
+    if need_x or need_gamma:
+        mu = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv
+    if need_x:
+        gxhat = g * np.asarray(gamma).reshape(1, -1, 1, 1)
+        # standard layernorm backward over the normalized axis
+        gx = inv * (gxhat - gxhat.mean(axis=1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
+        gx = gx.astype(x.dtype, copy=False)
+    if need_gamma:
+        ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+    if need_beta:
+        gbeta = g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+    return gx, ggamma, gbeta
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +422,10 @@ def _sigmoid(x):
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x < 0, e, 1.0)
+    # numerator max(x >= 0, e): 1 for x >= 0, e otherwise, exactly, since
+    # 0 <= e <= 1; unlike a masked select it has no branch to mispredict
+    out = np.greater_equal(x, 0, out=np.empty_like(e))
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out

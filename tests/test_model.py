@@ -157,6 +157,27 @@ def test_stage_features_shapes():
         assert f.shape == (1, c, r, r)
 
 
+def test_stage_features_equal_the_full_forward_capture():
+    model = build_emo(TINY, seed=1, precision="f64")
+    x = np.random.default_rng(3).normal(size=(2, 3, 64, 64))
+    _, captured = emo_forward(model, x, capture_stages=True)
+    for stage in (1, 2, 3, 4):
+        assert stage_features(model, x, stage).tobytes() == captured[stage].tobytes()
+
+
+def test_stage_features_stop_at_the_requested_stage():
+    model = build_emo(TINY, seed=1, precision="f64")
+    x = np.random.default_rng(3).normal(size=(1, 3, 64, 64))
+    with cost_meter() as full:
+        emo_forward(model, x)
+    with cost_meter() as first:
+        stage_features(model, x, 1)
+    assert 0 < first.macs < full.macs
+    with cost_meter() as last:
+        stage_features(model, x, 4)
+    assert first.macs < last.macs < full.macs  # the head never runs
+
+
 def test_weights_are_read_only():
     model = build_emo(TINY, seed=0)
     with pytest.raises(ValueError):

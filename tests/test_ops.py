@@ -284,12 +284,18 @@ def _two_branch_sigmoid(x):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_bit_identical_to_two_branch_formula(dtype):
-    special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0]
-    noise = np.random.default_rng(12).normal(size=4096) * 12
+    sub = np.finfo(dtype).smallest_subnormal
+    special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0,
+               np.inf, -np.inf, sub, -sub, 1e3 * sub, -1e3 * sub, np.nan, -np.nan]
+    noise = np.random.default_rng(12).normal(size=4096) * 12  # mixed signs
     x = np.concatenate([special, noise]).astype(dtype)
-    got = ops._sigmoid(x)
+    with np.errstate(invalid="ignore"):
+        got, want = ops._sigmoid(x), _two_branch_sigmoid(x)
     assert got.dtype == dtype
-    assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+    # NaN maps to NaN; a NaN's sign bit carries no value, so only the rest is compared bitwise
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(want), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +336,54 @@ def test_conv_vjp_is_the_adjoint_of_the_loop_oracle(spec):
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
     else:
         assert gb is None
+
+
+def _need_cases():
+    """name -> (vjp(need) on fixed seeded operands, number of differentiable inputs)."""
+    rng = np.random.default_rng(33)
+    cases = {}
+    for spec in (
+        ConvSpec(4, 4, kernel=3, padding=1, groups=4),
+        ConvSpec(4, 4, kernel=5, stride=2, padding=2, groups=4, bias=False),
+        ConvSpec(4, 6, kernel=1),
+        ConvSpec(4, 6, kernel=1, groups=2),
+        ConvSpec(3, 4, kernel=3, stride=2, padding=1),
+    ):
+        for dt in (np.float32, np.float64):
+            x = rng.normal(size=(2, spec.in_channels, 7, 6)).astype(dt)
+            w = rng.normal(size=spec.weight_shape()).astype(dt)
+            g = rng.normal(size=(2, spec.out_channels, *spec.out_hw(7, 6))).astype(dt)
+            cases[f"conv2d-k{spec.kernel}s{spec.stride}g{spec.groups}-{dt.__name__}"] = (
+                lambda need, g=g, x=x, w=w, spec=spec: ops.conv2d_vjp(g, x, w, spec, need=need), 3)
+    a, b = rng.normal(size=(2, 1, 3, 4)), rng.normal(size=(3, 4, 5))
+    g = rng.normal(size=(2, 3, 3, 5))
+    cases["matmul-broadcast"] = (lambda need: ops.matmul_vjp(g, a, b, need=need), 2)
+    x4 = rng.normal(size=(2, 5, 4, 4)).astype(np.float32)
+    g4 = rng.normal(size=x4.shape).astype(np.float32)
+    gam, bet, mean = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
+    var = 0.5 + rng.uniform(size=5)
+    cases["batchnorm_inference"] = (
+        lambda need: ops.batchnorm_inference_vjp(g4, x4, gam, bet, mean, var, need=need), 3)
+    cases["layernorm_channels"] = (lambda need: ops.layernorm_channels_vjp(g4, x4, gam, bet, need=need), 3)
+    return cases
+
+
+NEED_CASES = _need_cases()
+
+
+@pytest.mark.parametrize("name", sorted(NEED_CASES))
+def test_need_masked_vjp_matches_full_call_bit_for_bit(name):
+    vjp, arity = NEED_CASES[name]
+    full = vjp((True,) * arity)
+    for need in itertools.product((True, False), repeat=arity):
+        got = vjp(need)
+        assert len(got) == arity
+        for flag, part, ref in zip(need, got, full):
+            if not flag or ref is None:  # ref is None only for a bias-free conv's gb
+                assert part is None
+            else:
+                assert part.dtype == ref.dtype and part.shape == ref.shape
+                assert part.tobytes() == ref.tobytes()
 
 
 def test_matmul_vjp_bilinear_forms_exact():
