@@ -19,8 +19,8 @@ from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
 from .attention import WindowLayout
-from .irmb import IRMBConfig, irmb_forward, random_block_params
-from .mmb import MMBConfig, mmb_forward, mmb_init_params
+from .irmb import IRMBConfig, block_plan, irmb_forward, random_block_params
+from .mmb import MMBConfig, mmb_forward
 from .model import EMOModel, EMOVariantConfig, build_emo, emo_forward
 from .ops import ConvSpec
 from .tensor import Rng
@@ -172,7 +172,9 @@ def _attn_matmul_counts(h: int, w: int, window: int, heads: int, c_qk: int, c_v:
     return logits + av, softmax
 
 
-def _irmb_lines(name: str, cfg: IRMBConfig, h: int, w: int) -> list[CostLine]:
+def _irmb_lines(name: str, cfg: IRMBConfig, h: int, w: int, plan: tuple[str | None, bool]) -> list[CostLine]:
+    """Cost lines of `irmb.block_forward(x, cfg, params, prefix, plan)` on an h x w input."""
+    attn_at, inner_skip = plan
     cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
     lines: list[CostLine] = []
     specs = cfg.conv_specs()
@@ -181,18 +183,20 @@ def _irmb_lines(name: str, cfg: IRMBConfig, h: int, w: int) -> list[CostLine]:
     else:
         ho, wo = h, w
     li, lo = h * w, ho * wo
+    # with attention as the only operator, expand and shrink are its V/O projections
+    mlp_cat = "attention" if attn_at and not cfg.enable_conv else "mlp"
 
     if cfg.pre_norm_kind != "none":
         lines.append(CostLine(f"{name}.norm_pre", "norm", params=2 * cin, norm_elems=cin * li))
-    if cfg.enable_attn:
+    if attn_at:
         for p in ("q", "k"):
             lines.append(CostLine(f"{name}.{p}", "attention", params=(cin + 1) * cin,
                                   macs=cin * cin * li, bias_adds=cin * li))
-        c_v = cin if (cfg.attn_first and cfg.attn_pre_expand) else mid
+        c_v = cin if (attn_at == "expand" and cfg.attn_pre_expand) else mid
         mm, sm = _attn_matmul_counts(h, w, cfg.window, cfg.num_heads, cin, c_v)
         lines.append(CostLine(f"{name}.attn", "attention", macs=mm, softmax_elems=sm))
     exp = specs["expand"]
-    lines.append(CostLine(f"{name}.expand", "mlp", params=exp.param_count(),
+    lines.append(CostLine(f"{name}.expand", mlp_cat, params=exp.param_count(),
                           macs=exp.macs(1, 1) * li, bias_adds=mid * li,
                           act_elems=(mid * li if cfg.expand_act_kind != "none" else 0)))
     if cfg.expand_norm_kind != "none":
@@ -202,51 +206,13 @@ def _irmb_lines(name: str, cfg: IRMBConfig, h: int, w: int) -> list[CostLine]:
         lines.append(CostLine(f"{name}.dw", "dwconv", params=dw.param_count(),
                               macs=dw.macs(h, w), bias_adds=mid * lo,
                               act_elems=(mid * lo if cfg.conv_act != "none" else 0),
-                              other_adds=(mid * lo if cfg.stride == 1 else 0)))
+                              other_adds=(mid * lo if inner_skip else 0)))
         if cfg.conv_norm != "none":
             lines.append(CostLine(f"{name}.norm_dw", "norm", params=2 * mid, norm_elems=mid * lo))
     shr = specs["shrink"]
-    lines.append(CostLine(f"{name}.shrink", "mlp", params=shr.param_count(),
+    lines.append(CostLine(f"{name}.shrink", mlp_cat, params=shr.param_count(),
                           macs=shr.macs(1, 1) * lo, bias_adds=cout * lo,
                           other_adds=(cout * lo if (cfg.stride == 1 and cin == cout) else 0)))
-    return lines
-
-
-def _mmb_lines(name: str, cfg: MMBConfig, h: int, w: int) -> list[CostLine]:
-    from .mmb import _conv_specs
-
-    c, mid = cfg.channels, cfg.mid_channels
-    li = h * w
-    attn_block = cfg.operator == "ewmhsa"
-    mlp_cat = "attention" if attn_block else "mlp"
-    lines: list[CostLine] = []
-    specs = _conv_specs(cfg)
-    if cfg.pre_norm != "none":
-        lines.append(CostLine(f"{name}.norm_pre", "norm", params=2 * c, norm_elems=c * li))
-    exp = specs["expand"]
-    lines.append(CostLine(f"{name}.expand", mlp_cat, params=exp.param_count(),
-                          macs=exp.macs(1, 1) * li, bias_adds=mid * li,
-                          act_elems=(mid * li if cfg.expand_act != "none" else 0)))
-    if cfg.expand_norm != "none":
-        lines.append(CostLine(f"{name}.norm_e", "norm", params=2 * mid, norm_elems=mid * li))
-    if cfg.uses_attention:
-        for p in ("q", "k"):
-            lines.append(CostLine(f"{name}.{p}", "attention", params=(c + 1) * c,
-                                  macs=c * c * li, bias_adds=c * li))
-        window = cfg.window if cfg.window is not None else max(h, w)
-        mm, sm = _attn_matmul_counts(h, w, window, cfg.heads, c, mid)
-        lines.append(CostLine(f"{name}.attn", "attention", macs=mm, softmax_elems=sm))
-    if cfg.uses_conv:
-        dw = specs["dw"]
-        lines.append(CostLine(f"{name}.dw", "dwconv", params=dw.param_count(),
-                              macs=dw.macs(h, w), bias_adds=mid * li,
-                              act_elems=(mid * li if cfg.operator_act != "none" else 0),
-                              other_adds=(mid * li if cfg.operator in ("ewmhsa_dwconv", "dwconv_ewmhsa") else 0)))
-        if cfg.operator_norm != "none":
-            lines.append(CostLine(f"{name}.norm_op", "norm", params=2 * mid, norm_elems=mid * li))
-    shr = specs["shrink"]
-    lines.append(CostLine(f"{name}.shrink", mlp_cat, params=shr.param_count(),
-                          macs=shr.macs(1, 1) * li, bias_adds=c * li, other_adds=c * li))
     return lines
 
 
@@ -270,7 +236,7 @@ def count_costs(target, resolution: int = 224) -> CostReport:
         rep.lines.append(CostLine("stem.bn", "norm", params=2 * stem.out_channels,
                                   norm_elems=stem.out_channels * r * r))
         for name, _stage, bcfg in target.block_configs():
-            rep.lines.extend(_irmb_lines(name, bcfg, r, r))
+            rep.lines.extend(_irmb_lines(name, bcfg, r, r, block_plan(bcfg)))
             r //= bcfg.stride
         c4 = target.dims[3]
         rep.lines.append(CostLine("head", "head", params=(c4 + 1) * target.num_classes,
@@ -279,11 +245,12 @@ def count_costs(target, resolution: int = 224) -> CostReport:
         return rep
     if isinstance(target, IRMBConfig):
         rep = CostReport("irmb", resolution)
-        rep.lines.extend(_irmb_lines("block", target, resolution, resolution))
+        rep.lines.extend(_irmb_lines("block", target, resolution, resolution, block_plan(target)))
         return rep
     if isinstance(target, MMBConfig):
+        cfg, plan = target._as_irmb(resolution, resolution)
         rep = CostReport(f"mmb[{target.operator}]", resolution)
-        rep.lines.extend(_mmb_lines("block", target, resolution, resolution))
+        rep.lines.extend(_irmb_lines("block", cfg, resolution, resolution, plan))
         return rep
     if isinstance(target, ConvSpec):
         rep = CostReport("conv", resolution)
@@ -621,17 +588,6 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     return results
 
 
-def _randomized_leaves(params: dict[str, np.ndarray], seed: int, precision: str) -> dict[str, np.ndarray]:
-    rng = Rng(seed)
-    out = {}
-    for name, arr in params.items():
-        if name.endswith(".var"):
-            out[name] = (0.5 + rng.uniform(name, arr.shape, 0.0, 1.0, precision))
-        else:
-            out[name] = rng.normal(name, arr.shape, std=0.5, precision=precision)
-    return out
-
-
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
                precision: str = "f64", num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
     """Analytic VJP vs central finite differences on a random subsample.
@@ -650,7 +606,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
         fwd = lambda x, p: irmb_forward(x, target, p)
     elif isinstance(target, MMBConfig):
         name = f"mmb[{target.operator}]"
-        params = _randomized_leaves(mmb_init_params(target, Rng(seed), precision=precision), seed, precision)
+        params = random_block_params(target._as_irmb(h, w)[0], seed, precision)
         x0 = rng.normal("gradcheck.x", (1, target.channels, h, w), precision=precision)
         fwd = lambda x, p: mmb_forward(x, target, p)
     elif isinstance(target, EMOModel):

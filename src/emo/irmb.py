@@ -11,6 +11,10 @@ Two switches (`enable_attn`, `enable_conv`) select the operator: both off
 degenerates to a pure MLP block, conv only is an IRB, attention only is a
 windowed transformer block, both on is the full cascade.
 
+`block_forward` is the one block core, for this block and the meta mobile
+block (mmb.py) alike: next to the config it takes a plan saying where the
+attention matrix mixes and whether the depth-wise conv keeps its inner skip.
+
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
 measures this on seeded random weights, including the generic failure when
@@ -90,12 +94,12 @@ class IRMBConfig:
                 f"expand_groups={self.expand_groups} must divide in_channels={self.in_channels} and mid={mid}"
             )
         h = self.num_heads
-        if self.in_channels % h or mid % h:
-            raise ValueError(f"heads={h} must divide in_channels={self.in_channels} and mid={mid}")
-        if self.pre_norm not in _NORMS or self.expand_norm not in _NORMS[:3]:
-            raise ValueError("bad norm binding")
-        if self.expand_act not in _ACTS or self.conv_act not in _ACTS[1:] or self.conv_norm not in ("none", "batchnorm"):
-            raise ValueError("bad norm/activation binding")
+        if h < 1 or self.in_channels % h or mid % h:
+            raise ValueError(f"heads={h} must be positive and divide in_channels={self.in_channels} and mid={mid}")
+        for value, allowed in ((self.pre_norm, _NORMS), (self.expand_norm, _NORMS), (self.conv_norm, _NORMS[1:]),
+                               (self.expand_act, _ACTS), (self.conv_act, _ACTS[1:])):
+            if value not in allowed:
+                raise ValueError(f"unknown norm/activation binding {value!r}")
 
     @property
     def mid(self) -> int:
@@ -193,6 +197,20 @@ def _norm(x, kind, params, key):
     return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
+def _attention_mix(u, v, cfg: IRMBConfig, params, prefix):
+    """Attention from Q/K of the unexpanded u, multiplied into v (any width)."""
+    n = T.val(u).shape[0]
+    specs = cfg.conv_specs()
+    heads = cfg.num_heads
+    q = T.conv2d(u, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
+    k = T.conv2d(u, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
+    qt, layout = window_partition(q, cfg.window)
+    kt, _ = window_partition(k, cfg.window)
+    attn = attention_weights(qt, kt, heads, key_padding_bias(layout, n, T.val(u).dtype))
+    vt, _ = window_partition(v, cfg.window)
+    return window_merge(mix_values(attn, vt, heads), layout, n)
+
+
 def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
     """Expanded-window attention stage: unexpanded Q/K, expanded values.
 
@@ -203,64 +221,63 @@ def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
     """
     if not cfg.enable_attn:
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
-    n = T.val(x).shape[0]
-    specs = cfg.conv_specs()
-    heads = cfg.num_heads
-    q = T.conv2d(x, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
-    k = T.conv2d(x, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
-    qt, layout = window_partition(q, cfg.window)
-    kt, _ = window_partition(k, cfg.window)
-    attn = attention_weights(qt, kt, heads, key_padding_bias(layout, n, T.val(x).dtype))
+    spec = cfg.conv_specs()["expand"]
     if cfg.attn_pre_expand:
-        xt, _ = window_partition(x, cfg.window)
-        mixed = window_merge(mix_values(attn, xt, heads), layout, n)
-        return T.conv2d(mixed, params[prefix + "expand.w"], specs["expand"], params[prefix + "expand.b"])
-    v = T.conv2d(x, params[prefix + "expand.w"], specs["expand"], params[prefix + "expand.b"])
-    vt, _ = window_partition(v, cfg.window)
-    return window_merge(mix_values(attn, vt, heads), layout, n)
+        mixed = _attention_mix(x, x, cfg, params, prefix)
+        return T.conv2d(mixed, params[prefix + "expand.w"], spec, params[prefix + "expand.b"])
+    v = T.conv2d(x, params[prefix + "expand.w"], spec, params[prefix + "expand.b"])
+    return _attention_mix(x, v, cfg, params, prefix)
 
 
-def _attention_mix_mid(u, v, cfg: IRMBConfig, params, prefix):
-    """Attention from unexpanded u applied to already-expanded features v."""
-    n = T.val(u).shape[0]
-    specs = cfg.conv_specs()
-    q = T.conv2d(u, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
-    k = T.conv2d(u, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
-    qt, layout = window_partition(q, cfg.window)
-    kt, _ = window_partition(k, cfg.window)
-    attn = attention_weights(qt, kt, cfg.num_heads, key_padding_bias(layout, n, T.val(u).dtype))
-    vt, _ = window_partition(v, cfg.window)
-    return window_merge(mix_values(attn, vt, cfg.num_heads), layout, n)
+def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
+    """The iRMB's plan: attention in the expansion stage (`attn_first`) or
+    after the conv; the inner skip wherever the conv keeps the resolution."""
+    attn_at = ("expand" if cfg.attn_first else "conv") if cfg.enable_attn else None
+    return attn_at, cfg.stride == 1
 
 
-def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
-    """One block: attention/expansion stage, depth-wise conv stage, shrink, residual."""
+def block_forward(x, cfg: IRMBConfig, params, prefix: str, plan: tuple[str | None, bool]):
+    """Expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
+
+    `plan` is (attn_at, inner_skip). attn_at is "expand" (EW-MHSA is the
+    expansion stage), "act" (mix the activated expansion), "conv" (mix the
+    depth-wise stage's output) or None; inner_skip adds the depth-wise
+    stage's input to its output.
+    """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
+    attn_at, inner_skip = plan
     specs = cfg.conv_specs()
     keep_residual = cfg.stride == 1 and cfg.in_channels == cfg.out_channels
 
     u = _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre")
 
-    if cfg.enable_attn and cfg.attn_first:
+    if attn_at == "expand":
         v = ew_mhsa(u, cfg, params, prefix)
     else:
         v = T.conv2d(u, params[prefix + "expand.w"], specs["expand"], params[prefix + "expand.b"])
-        v = _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e")
+    v = _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e")
     v = T.activate(v, cfg.expand_act_kind)
+    if attn_at == "act":
+        v = _attention_mix(u, v, cfg, params, prefix)
 
     if cfg.enable_conv:
         t = T.conv2d(v, params[prefix + "dw.w"], specs["dw"], params[prefix + "dw.b"])
         t = _norm(t, cfg.conv_norm, params, prefix + "norm_dw")
         t = T.activate(t, cfg.conv_act)
-        v = T.residual_add(v, t) if cfg.stride == 1 else t
+        v = T.residual_add(v, t) if inner_skip else t
 
-    if cfg.enable_attn and not cfg.attn_first:
-        v = _attention_mix_mid(u, v, cfg, params, prefix)
+    if attn_at == "conv":
+        v = _attention_mix(u, v, cfg, params, prefix)
 
     y = T.conv2d(v, params[prefix + "shrink.w"], specs["shrink"], params[prefix + "shrink.b"])
     return T.residual_add(x, y) if keep_residual else y
+
+
+def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
+    """One block: attention/expansion stage, depth-wise conv stage, shrink, residual."""
+    return block_forward(x, cfg, params, prefix, block_plan(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ One template covers the three classic channel-preserving blocks:
 
 plus the two cascade operators that chain windowed attention with the
 depth-wise conv (inner skip included). The block is stride-1 and channel
-preserving; the richer strided/channel-changing variant lives in irmb.py.
+preserving.
+
+This module is the MMB parameterization of the iRMB path (irmb.py): a
+config maps to an `IRMBConfig` plus its operator's plan, and parameters,
+forward, costs and gradient checks all run through the iRMB code, so the
+leaves carry the iRMB names (`norm_dw.*` for the operator norm).
 """
 
 from __future__ import annotations
@@ -17,14 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as T
-from .attention import attention_weights, key_padding_bias, mix_values, window_merge, window_partition
-from .ops import ConvSpec
-from .tensor import Rng, dtype_of
+from .autograd import val
+from .irmb import IRMBConfig, block_forward, irmb_init_params
+from .tensor import Rng
 
-OPERATORS = ("identity", "dwconv", "ewmhsa", "ewmhsa_dwconv", "dwconv_ewmhsa")
-_NORMS = ("none", "batchnorm", "layernorm")
-_ACTS = ("none", "silu", "gelu")
+# operator -> (where attention mixes, depth-wise inner skip); see irmb.block_forward
+_PLANS = {
+    "identity": (None, False),
+    "dwconv": (None, False),
+    "ewmhsa": ("act", False),
+    "ewmhsa_dwconv": ("act", True),
+    "dwconv_ewmhsa": ("conv", True),
+}
+OPERATORS = tuple(_PLANS)
 
 
 @dataclass(frozen=True)
@@ -45,29 +55,11 @@ class MMBConfig:
     operator_act: str = "none"
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be positive")
         if self.operator not in OPERATORS:
             raise ValueError(f"unknown operator {self.operator!r}; expected one of {OPERATORS}")
-        mid = self.expansion_ratio * self.channels
-        if abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
-            raise ValueError(
-                f"expansion_ratio * channels must be a positive integer, got {self.expansion_ratio} * {self.channels}"
-            )
-        for g, what in ((self.expand_groups, "expand_groups"), (self.heads, "heads")):
-            if self.channels % g or self.mid_channels % g:
-                raise ValueError(
-                    f"{what}={g} must divide channels={self.channels} and expanded width={self.mid_channels}"
-                )
-        for slot, allowed in (
-            (self.pre_norm, _NORMS),
-            (self.expand_norm, _NORMS),
-            (self.operator_norm, _NORMS),
-            (self.expand_act, _ACTS),
-            (self.operator_act, _ACTS),
-        ):
-            if slot not in allowed:
-                raise ValueError(f"unknown norm/activation binding {slot!r}")
+        if "auto" in (self.pre_norm, self.expand_norm, self.expand_act, self.operator_norm, self.operator_act):
+            raise ValueError("unknown norm/activation binding 'auto'")  # an iRMB-only binding
+        self._as_irmb(1, 1)  # widths, groups, heads, window, kernel and bindings are checked there
 
     @property
     def mid_channels(self) -> int:
@@ -75,11 +67,28 @@ class MMBConfig:
 
     @property
     def uses_attention(self) -> bool:
-        return self.operator in ("ewmhsa", "ewmhsa_dwconv", "dwconv_ewmhsa")
+        return _PLANS[self.operator][0] is not None
 
     @property
     def uses_conv(self) -> bool:
-        return self.operator in ("dwconv", "ewmhsa_dwconv", "dwconv_ewmhsa")
+        return "dwconv" in self.operator
+
+    def _as_irmb(self, h: int, w: int) -> tuple[IRMBConfig, tuple[str | None, bool]]:
+        """The iRMB config and plan that run this block on an h x w input."""
+        return IRMBConfig(
+            self.channels, self.channels, self.expansion_ratio,
+            kernel=self.kernel if self.uses_conv else 3,  # only the conv operators read the kernel
+            window=self.window if self.window is not None and self.uses_attention else max(h, w),
+            heads=self.heads,
+            enable_attn=self.uses_attention,
+            enable_conv=self.uses_conv,
+            expand_groups=self.expand_groups,
+            pre_norm=self.pre_norm,
+            expand_norm=self.expand_norm,
+            expand_act=self.expand_act,
+            conv_norm=self.operator_norm,
+            conv_act=self.operator_act,
+        ), _PLANS[self.operator]
 
 
 _CONFIG_FIELDS = (
@@ -128,105 +137,16 @@ def mmb_instantiate(preset: str, channels: int, expansion_ratio: float | None = 
 
 
 # ---------------------------------------------------------------------------
-# parameters
-
-
-def _conv_specs(cfg: MMBConfig) -> dict[str, ConvSpec]:
-    c, m = cfg.channels, cfg.mid_channels
-    specs = {
-        "expand": ConvSpec(c, m, kernel=1, groups=cfg.expand_groups),
-        "shrink": ConvSpec(m, c, kernel=1),
-    }
-    if cfg.uses_attention:
-        specs["q"] = ConvSpec(c, c, kernel=1)
-        specs["k"] = ConvSpec(c, c, kernel=1)
-    if cfg.uses_conv:
-        specs["dw"] = ConvSpec(m, m, kernel=cfg.kernel, padding=(cfg.kernel - 1) // 2, groups=m)
-    return specs
+# parameters and forward
 
 
 def mmb_init_params(cfg: MMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
-    dt = dtype_of(precision)
-    params: dict[str, np.ndarray] = {}
-
-    def put(name, arr):
-        params[prefix + name] = np.ascontiguousarray(arr.astype(dt, copy=False))
-
-    for name, spec in _conv_specs(cfg).items():
-        fan_in = (spec.in_channels // spec.groups) * spec.kernel ** 2
-        put(f"{name}.w", rng.normal(prefix + f"{name}.w", spec.weight_shape(), std=fan_in ** -0.5, precision=precision))
-        put(f"{name}.b", np.zeros(spec.out_channels))
-    for slot, width in (("pre", cfg.channels), ("e", cfg.mid_channels), ("op", cfg.mid_channels)):
-        kind = {"pre": cfg.pre_norm, "e": cfg.expand_norm, "op": cfg.operator_norm}[slot]
-        if kind == "none":
-            continue
-        put(f"norm_{slot}.g", np.ones(width))
-        put(f"norm_{slot}.b", np.zeros(width))
-        if kind == "batchnorm":
-            put(f"norm_{slot}.mean", np.zeros(width))
-            put(f"norm_{slot}.var", np.ones(width))
-    return params
-
-
-def _norm(x, kind, params, prefix, name):
-    if kind == "none":
-        return x
-    g, b = params[prefix + f"{name}.g"], params[prefix + f"{name}.b"]
-    if kind == "layernorm":
-        return T.layernorm_channels(x, g, b)
-    return T.batchnorm_inference(x, g, b, params[prefix + f"{name}.mean"], params[prefix + f"{name}.var"])
-
-
-# ---------------------------------------------------------------------------
-# forward
-
-
-def _attention_mix(u, xe, cfg: MMBConfig, params, prefix):
-    """Multiply the attention matrix (from unexpanded u) into expanded xe."""
-    n, _, h, wd = T.val(u).shape
-    window = cfg.window if cfg.window is not None else max(h, wd)
-    specs = _conv_specs(cfg)
-    q = T.conv2d(u, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
-    k = T.conv2d(u, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
-    qt, layout = window_partition(q, window)
-    kt, _ = window_partition(k, window)
-    attn = attention_weights(qt, kt, cfg.heads, key_padding_bias(layout, n, T.val(u).dtype))
-    vt, _ = window_partition(xe, window)
-    return window_merge(mix_values(attn, vt, cfg.heads), layout, n)
-
-
-def _dw_with_skip(xe, cfg: MMBConfig, params, prefix):
-    spec = _conv_specs(cfg)["dw"]
-    t = T.conv2d(xe, params[prefix + "dw.w"], spec, params[prefix + "dw.b"])
-    t = _norm(t, cfg.operator_norm, params, prefix, "norm_op")
-    t = T.activate(t, cfg.operator_act)
-    return T.residual_add(xe, t)
+    """The iRMB parameters of the block (the window shapes none of them)."""
+    return irmb_init_params(cfg._as_irmb(1, 1)[0], rng, prefix, precision)
 
 
 def mmb_forward(x, cfg: MMBConfig, params, prefix: str = ""):
     """Expansion -> operator -> shrinkage, with the residual back to x."""
-    if T.val(x).shape[1] != cfg.channels:
-        raise ValueError(f"input has {T.val(x).shape[1]} channels, config expects {cfg.channels}")
-    specs = _conv_specs(cfg)
-    u = _norm(x, cfg.pre_norm, params, prefix, "norm_pre")
-    xe = T.conv2d(u, params[prefix + "expand.w"], specs["expand"], params[prefix + "expand.b"])
-    xe = _norm(xe, cfg.expand_norm, params, prefix, "norm_e")
-    xe = T.activate(xe, cfg.expand_act)
-
-    if cfg.operator == "identity":
-        xf = xe
-    elif cfg.operator == "dwconv":
-        t = T.conv2d(xe, params[prefix + "dw.w"], specs["dw"], params[prefix + "dw.b"])
-        t = _norm(t, cfg.operator_norm, params, prefix, "norm_op")
-        xf = T.activate(t, cfg.operator_act)
-    elif cfg.operator == "ewmhsa":
-        xf = _attention_mix(u, xe, cfg, params, prefix)
-    elif cfg.operator == "ewmhsa_dwconv":
-        xf = _dw_with_skip(_attention_mix(u, xe, cfg, params, prefix), cfg, params, prefix)
-    elif cfg.operator == "dwconv_ewmhsa":
-        xf = _attention_mix(u, _dw_with_skip(xe, cfg, params, prefix), cfg, params, prefix)
-    else:  # pragma: no cover - guarded by the config
-        raise AssertionError(cfg.operator)
-
-    xs = T.conv2d(xf, params[prefix + "shrink.w"], specs["shrink"], params[prefix + "shrink.b"])
-    return T.residual_add(x, xs)
+    h, w = val(x).shape[2:]
+    irmb_cfg, plan = cfg._as_irmb(h, w)
+    return block_forward(x, irmb_cfg, params, prefix, plan)

@@ -14,11 +14,17 @@ Layout (all integers little-endian):
 
 Records are written in sorted-name order so equal parameter sets produce
 byte-identical files. Round-trips are bit-exact.
+
+This container and the raw tensor files below share one bounds-checked
+reader: a short read, a non-UTF-8 name or a shape larger than the bytes
+left raises `ContainerError`. A cut at a record boundary still loads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import math
 import struct
 
 import numpy as np
@@ -40,7 +46,7 @@ def save_params(path_or_file, params: dict[str, np.ndarray], precision: str) -> 
     pbyte = _PRECISION_BYTE[precision]
     dtype = _PREC_TO_DTYPE[pbyte]
 
-    def write(fh):
+    with _opened(path_or_file, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<BB", VERSION, pbyte))
         for name in sorted(params):
@@ -60,50 +66,78 @@ def save_params(path_or_file, params: dict[str, np.ndarray], precision: str) -> 
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.astype(dtype, copy=False).tobytes(order="C"))
 
+
+@contextlib.contextmanager
+def _opened(path_or_file, mode: str):
+    """Open (and close) a path; use an open file object as it is."""
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "wb") as fh:
-            write(fh)
+        with open(path_or_file, mode) as fh:
+            yield fh
     else:
-        write(path_or_file)
+        yield path_or_file
+
+
+class _Reader:
+    """Reads a binary file front to back; every read is checked against the bytes left."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        start = fh.tell()
+        self.left = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+
+    def take(self, n: int, what: str) -> bytes:
+        chunk = self.fh.read(n) if n <= self.left else b""
+        if len(chunk) != n:
+            raise ContainerError(f"truncated {what}")
+        self.left -= n
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def header(self, magic: bytes, what: str) -> tuple[int, int]:
+        """Check the 8-byte magic and return the two bytes after it."""
+        if self.left < 10 or self.take(8, what) != magic:
+            raise ContainerError(f"not a {what} (bad magic)")
+        return self.unpack("<BB", what)
+
+    def name(self) -> str:
+        (nlen,) = self.unpack("<H", "record header")
+        try:
+            return self.take(nlen, "record name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"parameter name is not UTF-8: {exc}") from None
+
+    def array(self, dtype: np.dtype, ndim: int, what: str) -> np.ndarray:
+        shape = self.unpack(f"<{ndim}I", f"shape of {what}")
+        raw = self.take(math.prod(shape) * dtype.itemsize, f"data for {what}")
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _dtype(pbyte: int) -> np.dtype:
+    if pbyte not in _PREC_TO_DTYPE:
+        raise ContainerError(f"unsupported precision byte {pbyte}")
+    return _PREC_TO_DTYPE[pbyte]
 
 
 def load_params(path_or_file) -> tuple[dict[str, np.ndarray], str]:
-    def read(fh) -> tuple[dict[str, np.ndarray], str]:
-        header = fh.read(10)
-        if len(header) != 10 or header[:8] != MAGIC:
-            raise ContainerError("not a weight container (bad magic)")
-        version, pbyte = struct.unpack("<BB", header[8:])
+    with _opened(path_or_file, "rb") as fh:
+        rd = _Reader(fh)
+        version, pbyte = rd.header(MAGIC, "weight container")
         if version != VERSION:
             raise ContainerError(f"unsupported container version {version}")
-        if pbyte not in _PREC_TO_DTYPE:
-            raise ContainerError(f"unsupported precision byte {pbyte}")
-        dtype = _PREC_TO_DTYPE[pbyte]
+        dtype = _dtype(pbyte)
         params: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise ContainerError("truncated record header")
-            (nlen,) = struct.unpack("<H", head)
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = fh.read(count * pbyte)
-            if len(raw) != count * pbyte:
-                raise ContainerError(f"truncated data for parameter {name!r}")
+        while rd.left:
+            name = rd.name()
+            (ndim,) = rd.unpack("<B", f"record of parameter {name!r}")
+            arr = rd.array(dtype, ndim, f"parameter {name!r}")
             if name in params:
                 raise ContainerError(f"duplicate parameter {name!r}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             arr.setflags(write=False)
             params[name] = arr
-        return params, _BYTE_PRECISION[pbyte]
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "rb") as fh:
-            return read(fh)
-    return read(path_or_file)
+    return params, _BYTE_PRECISION[pbyte]
 
 
 def dumps_params(params: dict[str, np.ndarray], precision: str) -> bytes:
@@ -136,17 +170,8 @@ def save_raw_tensor(path, array: np.ndarray) -> None:
         fh.write(arr.astype(_PREC_TO_DTYPE[pbyte], copy=False).tobytes(order="C"))
 
 
-def load_raw_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(10)
-        if len(header) != 10 or header[:8] != TENSOR_MAGIC:
-            raise ContainerError("not a raw tensor file (bad magic)")
-        pbyte, ndim = struct.unpack("<BB", header[8:])
-        if pbyte not in _PREC_TO_DTYPE:
-            raise ContainerError(f"unsupported precision byte {pbyte}")
-        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw = fh.read(count * pbyte)
-        if len(raw) != count * pbyte:
-            raise ContainerError("truncated raw tensor data")
-        return np.frombuffer(raw, dtype=_PREC_TO_DTYPE[pbyte]).reshape(shape).copy()
+def load_raw_tensor(path_or_file) -> np.ndarray:
+    with _opened(path_or_file, "rb") as fh:
+        rd = _Reader(fh)
+        pbyte, ndim = rd.header(TENSOR_MAGIC, "raw tensor file")
+        return rd.array(_dtype(pbyte), ndim, "raw tensor")

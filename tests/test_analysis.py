@@ -204,9 +204,9 @@ def test_executed_work_matches_static_count_across_block_matrix():
     from emo import cost_meter, irmb_forward, random_block_params
 
     checked = 0
-    for attn, conv, stride, attn_first, pre_exp, cout, w, res in itertools.product(
+    for attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm in itertools.product(
         (False, True), (False, True), (1, 2), (True, False), (True, False),
-        (8, 12), (2, 3), (6, 7),
+        (8, 12), (2, 3), (6, 7), ("auto", "batchnorm"),
     ):
         if stride == 2 and (not conv or (attn and not attn_first)):
             continue
@@ -214,13 +214,13 @@ def test_executed_work_matches_static_count_across_block_matrix():
             continue  # flags only matter with attention
         cfg = IRMBConfig(8, cout, 2.0, window=w, heads=2, expand_groups=2,
                          stride=stride, enable_attn=attn, enable_conv=conv,
-                         attn_first=attn_first, attn_pre_expand=pre_exp)
+                         attn_first=attn_first, attn_pre_expand=pre_exp, expand_norm=e_norm)
         params = random_block_params(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(1, 8, res, res))
         with cost_meter() as m:
             irmb_forward(x, cfg, params)
         rep = count_costs(cfg, res)
-        key = (attn, conv, stride, attn_first, pre_exp, cout, w, res)
+        key = (attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm)
         assert m.macs == rep.contraction_macs, key
         assert m.flops == rep.flops, key
         assert m.bias_adds == rep.bias_adds, key

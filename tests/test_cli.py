@@ -195,6 +195,15 @@ def test_forward_rejects_wrong_channel_raw_tensor(capsys, tiny_config, tmp_path)
     assert "input tensor" in doc["error"]["message"]
 
 
+def test_forward_truncated_raw_tensor_is_config_error(capsys, tiny_config, tmp_path):
+    raw = tmp_path / "cut.bin"
+    save_raw_tensor(raw, np.zeros((1, 3, 64, 64), dtype=np.float32))
+    raw.write_bytes(raw.read_bytes()[:13])  # cut inside the first dimension
+    code, doc = run_json(capsys, "forward", "--config", tiny_config, "--input", str(raw))
+    assert code == 2
+    assert "truncated" in doc["error"]["message"]
+
+
 def test_influence_with_attention_enabled(capsys, validator):
     code, doc = run_json(capsys, "influence", "--blocks", "1", "--window", "4",
                          "--attn", "on", "--conv", "off", "--resolution", "8",

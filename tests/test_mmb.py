@@ -151,6 +151,9 @@ def test_executed_work_matches_static_count():
                   pre_norm="layernorm", expand_act="gelu",
                   operator_norm="batchnorm", operator_act="silu"),
         mmb_instantiate("irb", 8, 2.0),
+        *(MMBConfig(8, 2.0, operator=op, window=2, heads=2, pre_norm="layernorm",
+                    expand_norm="layernorm", expand_act="gelu",
+                    operator_norm="layernorm", operator_act="silu") for op in OPERATORS),
     ):
         params = build(cfg)
         with cost_meter() as m:
@@ -158,9 +161,11 @@ def test_executed_work_matches_static_count():
         rep = count_costs(cfg, 4)
         assert m.macs == rep.contraction_macs, cfg.operator
         assert m.flops == rep.flops, cfg.operator
+        assert m.softmax_elems == rep.softmax_elems, cfg.operator
         assert m.bias_adds == rep.bias_adds, cfg.operator
         assert m.norm_elems == rep.norm_elems, cfg.operator
         assert m.act_elems == rep.act_elems, cfg.operator
+        assert m.other_adds == rep.other_adds, cfg.operator
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
@@ -204,3 +209,67 @@ def test_composed_block_against_independent_pointwise_chain():
     xe = ops.gelu(xe)
     xs = ops.conv2d(xe, params["shrink.w"], ConvSpec(8, 4, kernel=1), params["shrink.b"])
     np.testing.assert_allclose(got, x + xs, atol=1e-10)
+
+
+def test_bad_kernel_and_heads_rejected_at_construction():
+    from emo import mmb_config_from_dict
+
+    for op in OPERATORS:
+        if "dwconv" in op:
+            with pytest.raises(ValueError, match="kernel"):
+                MMBConfig(4, 2.0, operator=op, kernel=4)
+            with pytest.raises(ValueError, match="kernel"):
+                mmb_config_from_dict({"channels": 4, "expansion_ratio": 2.0, "operator": op, "kernel": 4})
+        else:
+            MMBConfig(4, 2.0, operator=op, kernel=4)  # the kernel is not read
+    for heads in (0, -2):
+        with pytest.raises(ValueError, match="heads"):
+            MMBConfig(4, 2.0, operator="ewmhsa", heads=heads)
+
+
+def _global_attention(u, v, params, heads):
+    """Softmax attention over the whole map: per-head Q/K from u, values v."""
+    n, c, h, w = u.shape
+    spec = ConvSpec(c, c, kernel=1)
+    q = ops.conv2d(u, params["q.w"], spec, params["q.b"]).reshape(n, heads, c // heads, h * w)
+    k = ops.conv2d(u, params["k.w"], spec, params["k.b"]).reshape(n, heads, c // heads, h * w)
+    vh = v.reshape(n, heads, v.shape[1] // heads, h * w)
+    attn = ops.softmax_lastdim(ops.matmul(q.transpose(0, 1, 3, 2), k) / np.sqrt(c // heads))
+    return ops.matmul(attn, vh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2).reshape(v.shape)
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_every_operator_matches_independent_primitive_chain(operator):
+    # window=None is one window over the whole 5x5 map; dwconv has no inner
+    # skip, ewmhsa mixes after the expansion activation, the cascades keep it
+    cfg = MMBConfig(4, 2.0, operator=operator, heads=2, pre_norm="layernorm",
+                    expand_norm="batchnorm", expand_act="gelu",
+                    operator_norm="batchnorm", operator_act="silu")
+    rng = Rng(21)
+    p = {name: (0.5 + rng.uniform(name, v.shape, precision="f64")) if name.endswith(".var")
+         else rng.normal(name, v.shape, std=0.5, precision="f64")
+         for name, v in build(cfg).items()}
+    x = rand_x(cfg, hw=(5, 5), seed=4)
+
+    def bn(t, slot):
+        return ops.batchnorm_inference(t, p[slot + ".g"], p[slot + ".b"], p[slot + ".mean"], p[slot + ".var"])
+
+    def dw(t):
+        t = ops.conv2d(t, p["dw.w"], ConvSpec(8, 8, kernel=3, padding=1, groups=8), p["dw.b"])
+        return ops.silu(bn(t, "norm_dw"))
+
+    u = ops.layernorm_channels(x, p["norm_pre.g"], p["norm_pre.b"])
+    xe = ops.gelu(bn(ops.conv2d(u, p["expand.w"], ConvSpec(4, 8, kernel=1), p["expand.b"]), "norm_e"))
+    if operator == "identity":
+        f = xe
+    elif operator == "dwconv":
+        f = dw(xe)
+    elif operator == "ewmhsa":
+        f = _global_attention(u, xe, p, 2)
+    elif operator == "ewmhsa_dwconv":
+        a = _global_attention(u, xe, p, 2)
+        f = a + dw(a)
+    else:
+        f = _global_attention(u, xe + dw(xe), p, 2)
+    want = x + ops.conv2d(f, p["shrink.w"], ConvSpec(8, 4, kernel=1), p["shrink.b"])
+    np.testing.assert_allclose(mmb_forward(x, cfg, p), want, rtol=0, atol=1e-10)

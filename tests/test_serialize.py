@@ -65,3 +65,26 @@ def test_raw_tensor_round_trip(tmp_path):
     assert back.dtype == np.float32
     assert back.shape == arr.shape
     assert back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["container", "raw_tensor"])
+def test_truncations_and_byte_flips_raise_only_container_error(tmp_path, fmt):
+    # every cut and 2000 seeded single-byte flips of a small file: each load
+    # either succeeds or raises ContainerError, never a parser exception
+    rng = np.random.default_rng(0)
+    arr = rng.normal(size=(2, 3)).astype(np.float32)
+    if fmt == "container":
+        blob, load = dumps_params({"blk.w": arr, "blk.b": arr[0]}, "f32"), load_params
+    else:
+        save_raw_tensor(tmp_path / "t.bin", arr)
+        blob, load = (tmp_path / "t.bin").read_bytes(), load_raw_tensor
+    cases = [blob[:cut] for cut in range(len(blob))]
+    for pos, bit in zip(rng.integers(0, len(blob), 2000), rng.integers(1, 256, 2000)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= bit
+        cases.append(bytes(flipped))
+    for case in cases:
+        try:
+            load(io.BytesIO(case))
+        except ContainerError:
+            pass
