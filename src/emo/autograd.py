@@ -4,39 +4,85 @@ Blocks and models are written once against the traced wrappers below. Called
 with plain ndarrays they run the underlying primitive directly (no graph, no
 retained intermediates); called with at least one `Var` they record a node
 (`_record`) whose VJP computes the cotangents of its Var parents only: a
-weight that is a plain array gets no gradient work. `backward` walks the
-graph in reverse topological order, accumulates gradients, and drops each
-interior cotangent as soon as its node's VJP has consumed it, so the dict it
-returns holds the leaves' cotangents only.
+weight that is a plain array gets no gradient work.
+
+The tape has two parts. A `Var` is what the forward passes around: a value
+and the node that made it. A node is what backward walks: its parent nodes,
+its VJP, and the shape and dtype of its value, never the value itself.
+Parents link to nodes, not to Vars, so a forward value lives only as long as
+the forward holds its Var or a VJP reads it. Which inputs are Vars (`need`)
+is known when a node is recorded, and each wrapper's VJP keeps only the
+arrays that this `need` makes it read, as PyTorch's save_for_backward does:
+
+- conv2d keeps x only if w is a Var, and w only if x is; matmul keeps a only
+  if b is a Var, and b only if a is;
+- batchnorm_inference keeps x only if gamma is a Var;
+- layernorm_channels, silu and gelu keep x, softmax_lastdim keeps its output;
+- add, scale, reshape, transpose, the pad/crop wrappers and mean_hw keep
+  shapes and dtypes only.
+
+`backward` walks the nodes in reverse topological order, accumulates
+gradients, and drops each interior cotangent as soon as its node's VJP has
+consumed it, so the dict it returns holds the leaves' cotangents only. No
+VJP writes into its incoming cotangent: add's VJP hands one array to both
+parents, and the reshape, transpose and crop VJPs return views of it.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from . import ops
 
 
+class _Node:
+    """What backward needs of one value: parents, VJP, shape and dtype.
+
+    `parents` has one entry per input of the primitive, None where that
+    input is not a Var, and `vjp(g)` returns one cotangent per input (None
+    where the parent is None). A leaf has no parents and no VJP; `leaf` is a
+    weak reference to its Var, whose id keys the leaf's gradient. A strong
+    one would tie Var and node in a cycle, and a bare id could be taken by a
+    later leaf once the Var is gone.
+    """
+
+    __slots__ = ("parents", "vjp", "shape", "dtype", "leaf")
+
+    def __init__(self, parents, vjp, shape, dtype, leaf=None):
+        self.parents = parents
+        self.vjp = vjp
+        self.shape = shape
+        self.dtype = dtype
+        self.leaf = leaf
+
+
 class Var:
-    """A value on the tape."""
+    """A value on the tape: the array and the node that made it.
 
-    __slots__ = ("value", "parents", "vjp")
+    `Var(value)` is a leaf, the kind whose gradient `backward` returns; the
+    traced wrappers build the others, passing their node.
+    """
 
-    def __init__(self, value, parents=(), vjp=None):
+    __slots__ = ("value", "node", "__weakref__")
+
+    def __init__(self, value, node=None):
         self.value = np.asarray(value)
-        self.parents = tuple(parents)
-        self.vjp = vjp  # callable(g) -> sequence of cotangents aligned with parents
+        if node is None:
+            node = _Node((), None, self.value.shape, self.value.dtype, weakref.ref(self))
+        self.node = node
 
     @property
     def shape(self):
-        return self.value.shape
+        return self.node.shape
 
     @property
     def dtype(self):
-        return self.value.dtype
+        return self.node.dtype
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
+        return f"Var(shape={self.shape}, dtype={self.dtype})"
 
 
 def val(x):
@@ -51,21 +97,23 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
     """Accumulate d(sum(seed * root))/d(leaf) for every leaf Var in root's graph.
 
     Returns a dict keyed by id(var) that holds leaves only (Vars built
-    directly, not by a wrapper); interior cotangents are freed as they are
-    used. Use `grad_of(grads, var)` to read it. The graph is not changed, so
-    a second call gives the same result.
+    directly, not by a wrapper, and still held by the caller); interior
+    cotangents are freed as they are used. Each returned array is the
+    caller's to write: one that is read-only or shares memory with the seed
+    or another leaf's is copied. Use `grad_of(grads, var)` to read it. The
+    graph is not changed, so a second call gives the same result.
     """
     if not isinstance(root, Var):
         raise TypeError("backward expects a Var root")
     if seed is None:
-        seed = np.ones_like(root.value)
+        seed = np.ones(root.shape, root.dtype)
     seed = np.asarray(seed)
-    if seed.shape != root.value.shape:
-        raise ValueError(f"cotangent shaped {seed.shape}, output is {root.value.shape}")
+    if seed.shape != root.shape:
+        raise ValueError(f"cotangent shaped {seed.shape}, output is {root.shape}")
 
-    order: list[Var] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root.node, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -76,24 +124,47 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(root): seed.astype(root.value.dtype, copy=False)}
+    grads: dict[int, np.ndarray] = {id(root.node): seed.astype(root.dtype, copy=False)}
+    leaves: dict[int, np.ndarray] = {}
     for node in reversed(order):
-        if node.vjp is None:
-            continue  # a leaf: its cotangent is the result
         # every consumer of node ran before it, so its cotangent is complete
-        # and, once passed to the parents, needed no more
+        # and, once passed on, needed no more
         g = grads.pop(id(node), None)
         if g is None:
             continue
+        if node.vjp is None:
+            var = node.leaf()
+            if var is not None:  # a leaf nobody holds has no gradient to read
+                leaves[id(var)] = g
+            continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None:
+            if parent is None or pg is None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    return grads
+    return _owned(leaves, seed)
+
+
+def _owned(leaves: dict[int, np.ndarray], seed: np.ndarray) -> dict[int, np.ndarray]:
+    """Copy each leaf cotangent that is read-only or whose memory is already handed out."""
+    taken = {id(_memory_owner(seed))}
+    for key, g in leaves.items():
+        owner = _memory_owner(g)
+        if not g.flags.writeable or id(owner) in taken:
+            leaves[key] = g.copy()
+        else:
+            taken.add(id(owner))
+    return leaves
+
+
+def _memory_owner(a: np.ndarray):
+    """The object whose memory a views: the end of its chain of bases."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
 
 
 def grad_of(grads: dict, var: Var) -> np.ndarray:
@@ -109,13 +180,14 @@ def _unbroadcast(g, shape):
     return ops._unbroadcast(np.asarray(g), tuple(shape))
 
 
-def _record(y, inputs, vjp):
+def _record(y, inputs, save):
     """Put y on the tape as a node over the Var entries of `inputs`.
 
-    Returns y bare when no input is a Var. Otherwise `vjp(g, need)` is
-    called with one flag per input, True where that input is a Var, and
-    returns one cotangent per input (None where the flag is False); only the
-    Var parents' cotangents are kept.
+    Returns y bare when no input is a Var. Otherwise `save(need)` is called
+    once, with one flag per input, True where that input is a Var. It
+    returns the node's VJP, `vjp(g)`, which gives one cotangent per input
+    (None where the flag is False) and whose closure holds only what those
+    cotangents read: `save` itself is dropped here.
     """
     for p in inputs:  # the untraced path runs on every primitive call: keep it to this loop
         if isinstance(p, Var):
@@ -123,16 +195,16 @@ def _record(y, inputs, vjp):
     else:
         return y
     need = tuple(isinstance(p, Var) for p in inputs)
-    parents = [p for p, n in zip(inputs, need) if n]
-    return Var(y, parents, lambda g: [pg for pg, n in zip(vjp(g, need), need) if n])
+    parents = tuple(p.node if n else None for p, n in zip(inputs, need))
+    return Var(y, _Node(parents, save(need), y.shape, y.dtype))
 
 
 def add(a, b):
-    # a needed input is a Var parent, so its shape is read from it at backward time
-    return _record(val(a) + val(b), (a, b), lambda g, need: (
-        _unbroadcast(g, a.shape) if need[0] else None,
-        _unbroadcast(g, b.shape) if need[1] else None,
-    ))
+    def save(need):
+        sa, sb = np.shape(val(a)), np.shape(val(b))
+        return lambda g: (_unbroadcast(g, sa) if need[0] else None, _unbroadcast(g, sb) if need[1] else None)
+
+    return _record(val(a) + val(b), (a, b), save)
 
 
 def residual_add(a, b):
@@ -147,48 +219,65 @@ def residual_add(a, b):
 
 
 def scale(x, c: float):
-    return _record(val(x) * c, (x,), lambda g, need: (g * c,))
+    return _record(val(x) * c, (x,), lambda need: lambda g: (g * c,))
 
 
 def matmul(a, b):
     av, bv = val(a), val(b)
-    return _record(ops.matmul(av, bv), (a, b), lambda g, need: ops.matmul_vjp(g, av, bv, need=need))
+
+    def save(need):
+        keep_a, keep_b = (av if need[1] else None), (bv if need[0] else None)
+        shapes, dtypes = (av.shape, bv.shape), (av.dtype, bv.dtype)
+        return lambda g: ops.matmul_vjp(g, keep_a, keep_b, need=need, shapes=shapes, dtypes=dtypes)
+
+    return _record(ops.matmul(av, bv), (a, b), save)
 
 
 def conv2d(x, w, spec: ops.ConvSpec, b=None):
     xv, wv = val(x), val(w)
     y = ops.conv2d(xv, wv, spec, None if b is None else val(b))
-    return _record(y, (x, w, b), lambda g, need: ops.conv2d_vjp(g, xv, wv, spec, need=need))
+
+    def save(need):
+        keep_x, keep_w = (xv if need[1] else None), (wv if need[0] else None)
+        shape, dtype = xv.shape, xv.dtype
+        return lambda g: ops.conv2d_vjp(g, keep_x, keep_w, spec, need=need, shape=shape, dtype=dtype)
+
+    return _record(y, (x, w, b), save)
 
 
 def softmax_lastdim(x):
     y = ops.softmax_lastdim(val(x))
-    return _record(y, (x,), lambda g, need: (ops.softmax_lastdim_vjp(g, y),))
+    return _record(y, (x,), lambda need: lambda g: (ops.softmax_lastdim_vjp(g, y),))
 
 
 def batchnorm_inference(x, gamma, beta, mean, var, eps=1e-5):
     # mean/var are inference buffers, never differentiated
     mean, var = val(mean), val(var)
-    xv, gv, bv = val(x), val(gamma), val(beta)
-    y = ops.batchnorm_inference(xv, gv, bv, mean, var, eps)
-    return _record(y, (x, gamma, beta),
-                   lambda g, need: ops.batchnorm_inference_vjp(g, xv, gv, bv, mean, var, eps, need=need))
+    xv, gv = val(x), val(gamma)
+    y = ops.batchnorm_inference(xv, gv, val(beta), mean, var, eps)
+
+    def save(need):
+        keep_x, dtype = (xv if need[1] else None), xv.dtype
+        return lambda g: ops.batchnorm_inference_vjp(g, keep_x, gv, mean, var, eps, need=need, dtype=dtype)
+
+    return _record(y, (x, gamma, beta), save)
 
 
 def layernorm_channels(x, gamma, beta, eps=1e-5):
-    xv, gv, bv = val(x), val(gamma), val(beta)
-    y = ops.layernorm_channels(xv, gv, bv, eps)
-    return _record(y, (x, gamma, beta), lambda g, need: ops.layernorm_channels_vjp(g, xv, gv, bv, eps, need=need))
+    xv, gv = val(x), val(gamma)
+    y = ops.layernorm_channels(xv, gv, val(beta), eps)
+    return _record(y, (x, gamma, beta),
+                   lambda need: lambda g: ops.layernorm_channels_vjp(g, xv, gv, eps, need=need))
 
 
 def silu(x):
     xv = val(x)
-    return _record(ops.silu(xv), (x,), lambda g, need: (ops.silu_vjp(g, xv),))
+    return _record(ops.silu(xv), (x,), lambda need: lambda g: (ops.silu_vjp(g, xv),))
 
 
 def gelu(x):
     xv = val(x)
-    return _record(ops.gelu(xv), (x,), lambda g, need: (ops.gelu_vjp(g, xv),))
+    return _record(ops.gelu(xv), (x,), lambda need: lambda g: (ops.gelu_vjp(g, xv),))
 
 
 def activate(x, kind):
@@ -204,12 +293,13 @@ def activate(x, kind):
 def reshape(x, shape):
     xv = val(x)
     old = xv.shape
-    return _record(xv.reshape(shape), (x,), lambda g, need: (np.asarray(g).reshape(old),))
+    return _record(xv.reshape(shape), (x,), lambda need: lambda g: (np.asarray(g).reshape(old),))
 
 
 def transpose(x, axes):
     # the inverse permutation is worked out in the VJP, so untraced calls never pay for it
-    return _record(np.transpose(val(x), axes), (x,), lambda g, need: (np.transpose(np.asarray(g), np.argsort(axes)),))
+    return _record(np.transpose(val(x), axes), (x,),
+                   lambda need: lambda g: (np.transpose(np.asarray(g), np.argsort(axes)),))
 
 
 def pad_hw_bottom_right(x, pad_h: int, pad_w: int):
@@ -219,7 +309,7 @@ def pad_hw_bottom_right(x, pad_h: int, pad_w: int):
         return x
     y = np.pad(xv, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
     h, w = xv.shape[2], xv.shape[3]
-    return _record(y, (x,), lambda g, need: (np.asarray(g)[:, :, :h, :w],))
+    return _record(y, (x,), lambda need: lambda g: (np.asarray(g)[:, :, :h, :w],))
 
 
 def crop_hw(x, h: int, w: int):
@@ -228,7 +318,7 @@ def crop_hw(x, h: int, w: int):
         return x
     ph, pw = xv.shape[2] - h, xv.shape[3] - w
     return _record(xv[:, :, :h, :w], (x,),
-                   lambda g, need: (np.pad(np.asarray(g), ((0, 0), (0, 0), (0, ph), (0, pw))),))
+                   lambda need: lambda g: (np.pad(np.asarray(g), ((0, 0), (0, 0), (0, ph), (0, pw))),))
 
 
 def mean_hw(x):
@@ -236,10 +326,10 @@ def mean_hw(x):
     xv = val(x)
     y = xv.mean(axis=(2, 3))
     ops._meter(other_adds=xv.size)
-    n, c, h, w = xv.shape
 
-    def vjp(g, need):
-        g = np.asarray(g).reshape(n, c, 1, 1)
-        return (np.broadcast_to(g / (h * w), xv.shape).astype(xv.dtype, copy=False),)
+    def save(need):
+        (n, c, h, w), dtype = xv.shape, xv.dtype
+        return lambda g: (np.broadcast_to(np.asarray(g).reshape(n, c, 1, 1) / (h * w), (n, c, h, w))
+                          .astype(dtype, copy=False),)
 
-    return _record(y, (x,), vjp)
+    return _record(y, (x,), save)

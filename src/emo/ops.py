@@ -23,7 +23,10 @@ each tap's input cotangent back onto its slice.
 The VJPs of primitives with several inputs take `need=`, one flag per
 differentiable input (all True by default). An unflagged gradient is
 returned as None and costs nothing, which is how the tape skips weight
-gradients when only the input is being differentiated.
+gradients when only the input is being differentiated. A VJP takes only what
+it reads: an input that no flagged gradient reads may be passed as None,
+with its shape and dtype given by keyword where the VJP needs them, so the
+tape never has to keep it. No VJP writes into its incoming cotangent.
 
 A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
@@ -227,27 +230,32 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True)):
+def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=None, dtype=None):
     """Gradients of sum(g_out * conv2d(x, w, spec, b)) w.r.t. (x, w, b).
 
     `need` flags which of (x, w, b) to differentiate. An unflagged gradient
     is returned as None and none of its work is done: without w the input
     is neither upcast nor padded. gb is None for a bias-free spec.
+
+    Only gw reads x and only gx reads w, so either may be None when that
+    gradient is unflagged. `shape` and `dtype` are x's, read from x when
+    not given.
     """
-    g_out, x, w = _arr(g_out), _arr(x), _arr(w)
+    g_out = _arr(g_out)
     need_x, need_w, need_b = need
-    n, c, h, wdt = x.shape
+    n, c, h, wdt = _arr(x).shape if shape is None else shape
+    dtype = _arr(x).dtype if dtype is None else dtype
     p, grp = spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wdt)
     if g_out.shape != (n, spec.out_channels, ho, wo):
         raise ValueError(f"upstream shaped {g_out.shape}, expected {(n, spec.out_channels, ho, wo)}")
     cig, cog = spec.in_channels // grp, spec.out_channels // grp
 
-    gb = g_out.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False) if spec.bias and need_b else None
+    gb = g_out.sum(axis=(0, 2, 3)).astype(dtype, copy=False) if spec.bias and need_b else None
 
     g64 = g_out.astype(np.float64, copy=False)
-    w64 = w.astype(np.float64, copy=False)
-    xp = _padded64(x, p) if need_w else None
+    w64 = _arr(w).astype(np.float64, copy=False) if need_x else None
+    xp = _padded64(_arr(x), p) if need_w else None
     gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if need_x else None
     gw = np.empty(spec.weight_shape()) if need_w else None
     gm = g64.reshape(n, grp, cog, ho * wo)
@@ -269,9 +277,9 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True)):
                 gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
     gx = None
     if need_x:
-        gx = (gxp[:, :, p : p + h, p : p + wdt] if p else gxp).astype(x.dtype, copy=False)
+        gx = (gxp[:, :, p : p + h, p : p + wdt] if p else gxp).astype(dtype, copy=False)
     if need_w:
-        gw = gw.astype(x.dtype, copy=False)
+        gw = gw.astype(dtype, copy=False)
     return gx, gw, gb
 
 
@@ -291,20 +299,24 @@ def matmul(a, b) -> np.ndarray:
     return y.astype(out_dtype, copy=False)
 
 
-def matmul_vjp(g, a, b, *, need=(True, True)):
+def matmul_vjp(g, a, b, *, need=(True, True), shapes=None, dtypes=None):
     """grad_a = g @ b^T, grad_b = a^T @ g (broadcast batch dims reduced).
 
-    `need` flags which of (a, b) to differentiate; the other is None.
+    `need` flags which of (a, b) to differentiate; the other is None. Only
+    grad_b reads a and only grad_a reads b, so either may be None when that
+    gradient is unflagged. `shapes` and `dtypes` are the (a, b) pairs, read
+    from a and b when not given.
     """
-    g, a, b = _arr(g), _arr(a), _arr(b)
-    g64 = g.astype(np.float64, copy=False)
+    g64 = _arr(g).astype(np.float64, copy=False)
+    a_shape, b_shape = (_arr(a).shape, _arr(b).shape) if shapes is None else shapes
+    a_dtype, b_dtype = (_arr(a).dtype, _arr(b).dtype) if dtypes is None else dtypes
     ga = gb = None
     if need[0]:
-        ga = np.matmul(g64, np.swapaxes(b, -1, -2).astype(np.float64, copy=False))
-        ga = _unbroadcast(ga, a.shape).astype(a.dtype, copy=False)
+        ga = np.matmul(g64, np.swapaxes(_arr(b), -1, -2).astype(np.float64, copy=False))
+        ga = _unbroadcast(ga, a_shape).astype(a_dtype, copy=False)
     if need[1]:
-        gb = np.matmul(np.swapaxes(a, -1, -2).astype(np.float64, copy=False), g64)
-        gb = _unbroadcast(gb, b.shape).astype(b.dtype, copy=False)
+        gb = np.matmul(np.swapaxes(_arr(a), -1, -2).astype(np.float64, copy=False), g64)
+        gb = _unbroadcast(gb, b_shape).astype(b_dtype, copy=False)
     return ga, gb
 
 
@@ -360,19 +372,24 @@ def batchnorm_inference(x, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndar
     return (x * scale + shift).astype(x.dtype, copy=False)
 
 
-def batchnorm_inference_vjp(g, x, gamma, beta, mean, var, eps: float = 1e-5, *, need=(True, True, True)):
-    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None."""
-    g, x = _arr(g), _arr(x)
+def batchnorm_inference_vjp(g, x, gamma, mean, var, eps: float = 1e-5, *, need=(True, True, True), dtype=None):
+    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
+
+    No gradient reads beta, and only ggamma reads x, so x may be None when
+    gamma is unflagged. `dtype` is x's, read from x when not given.
+    """
+    g = _arr(g)
     need_x, need_gamma, need_beta = need
+    dtype = _arr(x).dtype if dtype is None else dtype
     inv = 1.0 / np.sqrt(np.asarray(var) + eps)
     gx = ggamma = gbeta = None
     if need_x:
-        gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(x.dtype, copy=False)
+        gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(dtype, copy=False)
     if need_gamma:
-        xhat = (x - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+        xhat = (_arr(x) - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+        ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(dtype, copy=False)
     if need_beta:
-        gbeta = g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
+        gbeta = g.sum(axis=(0, 2, 3)).astype(dtype, copy=False)
     return gx, ggamma, gbeta
 
 
@@ -387,8 +404,11 @@ def layernorm_channels(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def layernorm_channels_vjp(g, x, gamma, beta, eps: float = 1e-5, *, need=(True, True, True)):
-    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None."""
+def layernorm_channels_vjp(g, x, gamma, eps: float = 1e-5, *, need=(True, True, True)):
+    """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
+
+    No gradient reads beta.
+    """
     g, x = _arr(g), _arr(x)
     need_x, need_gamma, need_beta = need
     gx = ggamma = gbeta = None
@@ -439,9 +459,21 @@ def silu(x) -> np.ndarray:
 
 
 def silu_vjp(g, x):
+    """g * (s * (1 + x * (1 - s))) with s = sigmoid(x), in one buffer besides s.
+
+    Each in-place step is the same IEEE operation, on the same dtypes, as in
+    that expression, so the result is bit-identical to it.
+    """
     g, x = _arr(g), _arr(x)
     s = _sigmoid(x)
-    return g * (s * (1.0 + x * (1.0 - s)))
+    d = np.subtract(1.0, s)
+    d *= x
+    d += 1.0
+    d *= s
+    if g.shape != d.shape or np.result_type(g, d) != d.dtype:
+        return g * d
+    d *= g
+    return d
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -456,10 +488,27 @@ def gelu(x) -> np.ndarray:
 
 
 def gelu_vjp(g, x):
+    """g * (Phi(x) + x * pdf(x)), bit-identical to evaluating it out of place.
+
+    The np.float64 constants promote f32 work to f64, so a step runs in place
+    only where its buffer already has the dtype that step produces.
+    """
     g, x = _arr(g), _arr(x)
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return (g * (phi + x * pdf)).astype(x.dtype, copy=False)
+    phi = np.multiply(x, _INV_SQRT2)  # 0.5 * (1 + erf(x / sqrt(2)))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    d = np.multiply(x, -0.5)  # x * exp(-x * x / 2) / sqrt(2 pi)
+    d *= x
+    np.exp(d, out=d)
+    d = np.multiply(d, _INV_SQRT2PI, out=d if d.dtype == phi.dtype else None)
+    d *= x
+    d += phi
+    del phi
+    if g.shape != d.shape or np.result_type(g, d) != d.dtype:
+        return (g * d).astype(x.dtype, copy=False)
+    d *= g
+    return d.astype(x.dtype, copy=False)
 
 
 def activate(x, kind: str) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from emo import ConvSpec, cost_meter
 from emo import ops
@@ -282,13 +283,17 @@ def _two_branch_sigmoid(x):
     return out
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sigmoid_bit_identical_to_two_branch_formula(dtype):
+def _special_values(dtype):
     sub = np.finfo(dtype).smallest_subnormal
     special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0,
                np.inf, -np.inf, sub, -sub, 1e3 * sub, -1e3 * sub, np.nan, -np.nan]
     noise = np.random.default_rng(12).normal(size=4096) * 12  # mixed signs
-    x = np.concatenate([special, noise]).astype(dtype)
+    return np.concatenate([special, noise]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_two_branch_formula(dtype):
+    x = _special_values(dtype)
     with np.errstate(invalid="ignore"):
         got, want = ops._sigmoid(x), _two_branch_sigmoid(x)
     assert got.dtype == dtype
@@ -300,6 +305,53 @@ def test_sigmoid_bit_identical_to_two_branch_formula(dtype):
 
 # ---------------------------------------------------------------------------
 # VJPs
+
+
+def _silu_vjp_formula(g, x):
+    s = ops._sigmoid(x)
+    return g * (s * (1.0 + x * (1.0 - s)))
+
+
+def _gelu_vjp_formula(g, x):
+    phi = 0.5 * (1.0 + erf(x * ops._INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * ops._INV_SQRT2PI
+    return (g * (phi + x * pdf)).astype(x.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_activation_vjp_bit_identical_to_its_formula(name, dtype):
+    vjp, formula = {"silu": (ops.silu_vjp, _silu_vjp_formula), "gelu": (ops.gelu_vjp, _gelu_vjp_formula)}[name]
+    x = _special_values(dtype)
+    g = np.random.default_rng(13).normal(size=x.shape).astype(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = vjp(g, x), formula(g, x)
+    assert got.dtype == want.dtype == dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# in units of x.nbytes; the formulas above peak at 3.0 (silu) and at 4.0 (f64) and 9.0
+# (f32) for gelu. Above 256 KiB numpy reuses the f64 formulas' temporaries itself, so
+# the maps here stay below that size.
+ACTIVATION_VJP_PEAK = {("silu", np.float32): 2.5, ("silu", np.float64): 2.5,
+                       ("gelu", np.float32): 7.0, ("gelu", np.float64): 2.5}
+
+
+@pytest.mark.parametrize("name, dtype", sorted(ACTIVATION_VJP_PEAK, key=str))
+def test_activation_vjp_peak_memory(name, dtype):
+    vjp = {"silu": ops.silu_vjp, "gelu": ops.gelu_vjp}[name]
+    x = np.random.default_rng(14).normal(size=(4, 16, 16, 16)).astype(dtype)
+    g = np.ones_like(x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vjp(g, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < ACTIVATION_VJP_PEAK[name, dtype] * x.nbytes, peak / x.nbytes
 
 
 def test_conv_vjp_identity_kernel_passes_upstream_through():
@@ -339,7 +391,11 @@ def test_conv_vjp_is_the_adjoint_of_the_loop_oracle(spec):
 
 
 def _need_cases():
-    """name -> (vjp(need) on fixed seeded operands, number of differentiable inputs)."""
+    """name -> (vjp(need) on fixed seeded operands, number of differentiable inputs).
+
+    Each call passes only the operands that its flagged gradients read, None
+    for the rest, as the tape does.
+    """
     rng = np.random.default_rng(33)
     cases = {}
     for spec in (
@@ -354,17 +410,22 @@ def _need_cases():
             w = rng.normal(size=spec.weight_shape()).astype(dt)
             g = rng.normal(size=(2, spec.out_channels, *spec.out_hw(7, 6))).astype(dt)
             cases[f"conv2d-k{spec.kernel}s{spec.stride}g{spec.groups}-{dt.__name__}"] = (
-                lambda need, g=g, x=x, w=w, spec=spec: ops.conv2d_vjp(g, x, w, spec, need=need), 3)
+                lambda need, g=g, x=x, w=w, spec=spec: ops.conv2d_vjp(
+                    g, x if need[1] else None, w if need[0] else None, spec, need=need,
+                    shape=x.shape, dtype=x.dtype), 3)
     a, b = rng.normal(size=(2, 1, 3, 4)), rng.normal(size=(3, 4, 5))
     g = rng.normal(size=(2, 3, 3, 5))
-    cases["matmul-broadcast"] = (lambda need: ops.matmul_vjp(g, a, b, need=need), 2)
+    cases["matmul-broadcast"] = (lambda need: ops.matmul_vjp(
+        g, a if need[1] else None, b if need[0] else None, need=need,
+        shapes=(a.shape, b.shape), dtypes=(a.dtype, b.dtype)), 2)
     x4 = rng.normal(size=(2, 5, 4, 4)).astype(np.float32)
     g4 = rng.normal(size=x4.shape).astype(np.float32)
-    gam, bet, mean = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
+    gam, _, mean = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
     var = 0.5 + rng.uniform(size=5)
     cases["batchnorm_inference"] = (
-        lambda need: ops.batchnorm_inference_vjp(g4, x4, gam, bet, mean, var, need=need), 3)
-    cases["layernorm_channels"] = (lambda need: ops.layernorm_channels_vjp(g4, x4, gam, bet, need=need), 3)
+        lambda need: ops.batchnorm_inference_vjp(g4, x4 if need[1] else None, gam, mean, var, need=need,
+                                                 dtype=x4.dtype), 3)
+    cases["layernorm_channels"] = (lambda need: ops.layernorm_channels_vjp(g4, x4, gam, need=need), 3)
     return cases
 
 
