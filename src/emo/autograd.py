@@ -25,7 +25,9 @@ arrays that this `need` makes it read, as PyTorch's save_for_backward does:
 gradients, and drops each interior cotangent as soon as its node's VJP has
 consumed it, so the dict it returns holds the leaves' cotangents only. No
 VJP writes into its incoming cotangent: add's VJP hands one array to both
-parents, and the reshape, transpose and crop VJPs return views of it.
+parents, and the reshape, transpose and crop VJPs return views of it. For
+the same reason a fan-in is summed in place only into an array that
+backward itself allocated for an earlier sum, never into a VJP's output.
 """
 
 from __future__ import annotations
@@ -128,11 +130,15 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root.node): seed.astype(root.dtype, copy=False)}
+    # nodes whose cotangent is a sum this loop allocated: only those are added
+    # into in place, never an array a VJP returned, which may be shared or a view
+    summed: set[int] = set()
     leaves: dict[int, np.ndarray] = {}
     for node in reversed(order):
         # every consumer of node ran before it, so its cotangent is complete
         # and, once passed on, needed no more
         g = grads.pop(id(node), None)
+        summed.discard(id(node))
         if g is None:
             continue
         if node.vjp is None:
@@ -143,8 +149,16 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
         for parent, pg in zip(node.parents, node.vjp(g)):
             if parent is None or pg is None:
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key = id(parent)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = pg
+            elif key in summed and isinstance(acc, np.ndarray) and acc.shape == np.shape(pg) \
+                    and np.result_type(acc, pg) == acc.dtype:
+                acc += pg  # the same IEEE sum as acc + pg, without a fresh array
+            else:
+                grads[key] = acc + pg
+                summed.add(key)
     return _owned(leaves, seed)
 
 

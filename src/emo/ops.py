@@ -15,10 +15,18 @@ with the tap's weights. A depth-wise conv multiplies each slice per channel
 and accumulates in row-major tap order, exactly the order of the plain-loop
 oracle (tap by tap, starting from the first product), so in f64 it equals
 that oracle bit for bit; it never builds a k*k-times-larger patch tensor.
-Any other conv is one grouped matmul: a 1x1 conv over the input itself, a
-dense k x k conv (the stem, whose input has few channels) over the k*k
-slices stacked into one matrix. The VJP walks the same taps, scattering
-each tap's input cotangent back onto its slice.
+It runs channels-last, so a tap multiplies contiguous rows of channels, and
+in tiles of _TILE elements of output rows, so every tap of a tile reads
+input that is already in L2; its input cotangent is built the same way, per
+tile of input rows, each element adding its taps' products to 0.0 in
+row-major tap order. Tiling changes the schedule, never any element's
+sequence of operations: every output is bit-identical to evaluating the
+taps over the whole map. Any other conv is one grouped matmul: a 1x1 conv
+over the input itself, a dense k x k conv (the stem, whose input has few
+channels) over the k*k slices stacked into one matrix. Its VJP, and every
+weight gradient, walks the same taps over the whole map, scattering each
+tap's input cotangent back onto its slice. silu and the silu and gelu VJPs
+are evaluated over flat tiles in the same way.
 
 The VJPs of primitives with several inputs take `need=`, one flag per
 differentiable input (all True by default). An unflagged gradient is
@@ -150,6 +158,26 @@ class ConvSpec:
         return n + (self.out_channels if self.bias else 0)
 
 
+# Tile of the depth-wise kernels and the activation maps, in elements: 1 << 15
+# f64 values are 256 KiB, so a tile, the input rows it reads and its temporaries
+# fit together in a 2 MiB per-core L2, and a tap after the first reads from L2,
+# not from L3 or memory.
+_TILE = 1 << 15
+
+
+def _row_tiles(n: int, rows: int, row_elems: int):
+    """(n0, n1, r0, r1) tiles of an (N, rows, ...) map, about _TILE elements each.
+
+    An image of at most one tile is cut into runs of whole images; a larger
+    one into runs of rows of one image, the last run possibly shorter.
+    """
+    per = max(1, _TILE // row_elems)
+    if per >= rows:
+        imgs = max(1, per // rows)
+        return [(i, min(i + imgs, n), 0, rows) for i in range(0, n, imgs)]
+    return [(i, i + 1, r, min(r + per, rows)) for i in range(n) for r in range(0, rows, per)]
+
+
 def _taps(spec: ConvSpec, ho: int, wo: int):
     """Yield (i, j, window) for every kernel tap in row-major order.
 
@@ -188,6 +216,108 @@ def _tap_matrix(xp: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
     return cols.reshape(n, g, kk * cig, ho * wo)
 
 
+def _tap_weights(w: np.ndarray, wo: int) -> np.ndarray:
+    """Depth-wise weights (C, 1, k, k) as a contiguous (k, k, Wo, C) f64 array.
+
+    The (Wo, C) row a tap multiplies is one contiguous run: a row of the
+    input in the column-phase layout, or of the cotangent's slab. With its
+    channel vector repeated Wo times, the tap multiplies that row in one
+    run, not in Wo short ones.
+    """
+    c, _, k, _ = w.shape
+    wt = np.empty((k, k, wo, c))
+    wt[...] = w[:, 0].transpose(1, 2, 0)[:, :, None, :]
+    return wt
+
+
+def _phase_padded(x: np.ndarray, p: int, s: int) -> np.ndarray:
+    """x upcast to f64, zero-padded by p, channels-last and split into s column phases.
+
+    The result is (N, Hp, s, ceil(Wp / s), C), padded column v at [v % s, v // s],
+    so the columns j, j + s, j + 2s, ... that tap column j reads are contiguous.
+    """
+    n, c, h, wd = x.shape
+    wp = wd + 2 * p
+    xp = np.zeros((n, h + 2 * p, s, -(-wp // s), c))
+    for r in range(s):
+        c0 = (r - p) % s  # first input column whose padded column is in phase r
+        cols = x[:, :, :, c0::s]
+        t0 = (c0 + p) // s
+        xp[:, p : p + h, r, t0 : t0 + cols.shape[3]] = cols.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _depthwise(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
+    """Depth-wise conv, channels-last, in row tiles of the output.
+
+    Each tile sums its taps in row-major order, the first product starting
+    the sum, then adds the f64 bias and is cast into the NCHW output.
+    """
+    n, c, h, wd = x.shape
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    xp = _phase_padded(x, p, s)
+    wt = _tap_weights(w, wo)
+    b64 = None if b is None else np.asarray(b, dtype=np.float64)
+    y = np.empty((n, c, ho, wo), x.dtype)
+    tiles = _row_tiles(n, ho, wo * c)
+    n0, n1, r0, r1 = tiles[0]
+    acc_buf, tmp_buf = np.empty((2, n1 - n0, r1 - r0, wo, c))
+    for n0, n1, r0, r1 in tiles:
+        acc, tmp = acc_buf[: n1 - n0, : r1 - r0], tmp_buf[: n1 - n0, : r1 - r0]
+        for i in range(k):
+            rows = xp[n0:n1, r0 * s + i : (r1 - 1) * s + i + 1 : s]
+            for j in range(k):
+                win = rows[:, :, j % s, j // s : j // s + wo]
+                if i == j == 0:
+                    np.multiply(win, wt[0, 0], out=acc)
+                else:
+                    acc += np.multiply(win, wt[i, j], out=tmp)
+        if b64 is not None:
+            acc += b64
+        y[n0:n1, :, r0:r1] = acc.transpose(0, 3, 1, 2)
+    return y
+
+
+def _depthwise_gx(g: np.ndarray, w: np.ndarray, spec: ConvSpec, shape, dtype) -> np.ndarray:
+    """Input cotangent of a depth-wise conv, channels-last, in row tiles of the input.
+
+    Each tile starts from 0.0 and adds g * w of every tap that read it, in
+    row-major tap order; the tile's slab of g is transposed once. Padding
+    rows are never formed and padding columns are cropped.
+    """
+    n, c, h, wd = shape
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    ho, wo = g.shape[2:]
+    wp = wd + 2 * p
+    wt = _tap_weights(w, wo)
+    gx = np.empty(shape, dtype)
+    tiles = _row_tiles(n, h, wp * c)
+    n0, n1, q0, q1 = tiles[0]
+    nb, rows = n1 - n0, q1 - q0
+    # a tile of `rows` input rows is read by at most (rows + k - 2) // s + 1
+    # output rows, and through one kernel row by at most ceil(rows / s)
+    acc_buf = np.empty((nb, rows, wp, c))
+    gs_buf = np.empty((nb, min(ho, (rows + k - 2) // s + 1), wo, c))
+    tmp_buf = np.empty((nb, min(ho, -(-rows // s)), wo, c))
+    for n0, n1, q0, q1 in tiles:
+        acc = acc_buf[: n1 - n0, : q1 - q0]
+        acc.fill(0.0)
+        # input row q (padded row q + p) is read through kernel row i by output row o where o * s + i = q + p
+        lo, hi = max(0, -(-(q0 + p - k + 1) // s)), min(ho, -(-(q1 + p) // s))
+        gs = gs_buf[: n1 - n0, : hi - lo]
+        gs[...] = g[n0:n1, :, lo:hi].transpose(0, 2, 3, 1)
+        for i in range(k):
+            o0, o1 = max(lo, -(-(q0 + p - i) // s)), min(hi, -(-(q1 + p - i) // s))
+            if o0 >= o1:
+                continue
+            dst = acc[:, o0 * s + i - p - q0 : (o1 - 1) * s + i - p - q0 + 1 : s]
+            src, tmp = gs[:, o0 - lo : o1 - lo], tmp_buf[: n1 - n0, : o1 - o0]
+            for j in range(k):
+                dst[:, :, j : j + s * (wo - 1) + 1 : s] += np.multiply(src, wt[i, j], out=tmp)
+        gx[n0:n1, :, q0:q1] = acc[:, :, p : p + wd].transpose(0, 3, 1, 2)
+    return gx
+
+
 def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     """Grouped 2-D cross-correlation with zero padding.
 
@@ -201,32 +331,20 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
         raise ValueError(f"weights shaped {w.shape}, spec expects {spec.weight_shape()}")
     if (b is None) == spec.bias:
         raise ValueError("bias presence must match spec.bias")
-    g = spec.groups
     ho, wo = spec.out_hw(h, wdt)
-    cig, cog = spec.in_channels // g, spec.out_channels // g
-    xp = _padded64(x, spec.padding)
-    w64 = w.astype(np.float64, copy=False)
-
-    if spec.depthwise:
-        def tap(i, j, win, out=None):
-            return np.multiply(xp[win], w64[:, 0, i, j].reshape(1, c, 1, 1), out=out)
-
-        # the first tap's product starts the sum, as in the loop oracle; no zero buffer
-        taps = _taps(spec, ho, wo)
-        y = tap(*next(taps))
-        tmp = None
-        for t in taps:
-            tmp = tap(*t, out=tmp)
-            y += tmp
-    else:
-        # (C_out, C_in/G, k, k) -> (G, C_out/G, k*k*C_in/G), columns ordered as _tap_matrix's rows
-        wm = w64.transpose(0, 2, 3, 1).reshape(g, cog, spec.kernel ** 2 * cig)
-        y = np.matmul(wm, _tap_matrix(xp, spec, ho, wo))
-    y = y.reshape(n, spec.out_channels, ho, wo)
     _meter(macs=spec.macs(h, wdt, batch=n))
     if b is not None:
-        y += np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1)
         _meter(bias_adds=n * spec.out_channels * ho * wo)
+    if spec.depthwise:
+        return _depthwise(x, w, b, spec, ho, wo)
+    g = spec.groups
+    cig, cog = spec.in_channels // g, spec.out_channels // g
+    xp = _padded64(x, spec.padding)
+    # (C_out, C_in/G, k, k) -> (G, C_out/G, k*k*C_in/G), columns ordered as _tap_matrix's rows
+    wm = w.astype(np.float64, copy=False).transpose(0, 2, 3, 1).reshape(g, cog, spec.kernel ** 2 * cig)
+    y = np.matmul(wm, _tap_matrix(xp, spec, ho, wo)).reshape(n, spec.out_channels, ho, wo)
+    if b is not None:
+        y += np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1)
     return y.astype(x.dtype, copy=False)
 
 
@@ -253,30 +371,30 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=No
 
     gb = g_out.sum(axis=(0, 2, 3)).astype(dtype, copy=False) if spec.bias and need_b else None
 
+    gx = gw = None
+    if need_x and spec.depthwise:
+        gx = _depthwise_gx(g_out, _arr(w), spec, (n, c, h, wdt), dtype)
+    dense_x = need_x and not spec.depthwise
+    if not (dense_x or need_w):
+        return gx, gw, gb
     g64 = g_out.astype(np.float64, copy=False)
-    w64 = _arr(w).astype(np.float64, copy=False) if need_x else None
+    w64 = _arr(w).astype(np.float64, copy=False) if dense_x else None
     xp = _padded64(_arr(x), p) if need_w else None
-    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if need_x else None
+    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if dense_x else None
     gw = np.empty(spec.weight_shape()) if need_w else None
     gm = g64.reshape(n, grp, cog, ho * wo)
-    tmp = None
     for i, j, win in _taps(spec, ho, wo):
         # tap (i, j) read the slab xp[win]: scatter its cotangent back there
         if spec.depthwise:
-            if need_x:
-                tmp = np.multiply(g64, w64[:, 0, i, j].reshape(1, c, 1, 1), out=tmp)
-                gxp[win] += tmp
-            if need_w:
-                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g64, xp[win])
-        else:
-            if need_x:
-                wt = w64[:, :, i, j].reshape(grp, cog, cig)
-                gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
-            if need_w:
-                xt = xp[win].reshape(n, grp, cig, ho * wo)
-                gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
-    gx = None
-    if need_x:
+            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g64, xp[win])
+            continue
+        if need_x:
+            wt = w64[:, :, i, j].reshape(grp, cog, cig)
+            gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
+        if need_w:
+            xt = xp[win].reshape(n, grp, cig, ho * wo)
+            gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)
+    if dense_x:
         gx = (gxp[:, :, p : p + h, p : p + wdt] if p else gxp).astype(dtype, copy=False)
     if need_w:
         gw = gw.astype(dtype, copy=False)
@@ -451,11 +569,44 @@ def _sigmoid(x):
     return out
 
 
+def _map_tiles(f, dtype, *args):
+    """f(*args) of an element-wise f, evaluated over flat chunks of _TILE elements.
+
+    Chunk by chunk, f's temporaries stay in L2. f(*chunks, out=o) writes its
+    chunk of the result, of `dtype`, into o. A map of at most two tiles, or
+    one whose operands are not all C-contiguous and of one shape (such as a
+    broadcast g), is evaluated whole, as f(*args).
+    """
+    shape, size = args[0].shape, args[0].size
+    if size <= 2 * _TILE or any(a.shape != shape or not a.flags.c_contiguous for a in args):
+        return f(*args)
+    out = np.empty(shape, dtype)
+    flat = [a.reshape(-1) for a in (out, *args)]
+    for i in range(0, size, _TILE):
+        f(*(a[i : i + _TILE] for a in flat[1:]), out=flat[0][i : i + _TILE])
+    return out
+
+
+def _silu(x, out=None):
+    return np.multiply(x, _sigmoid(x), out=out)
+
+
 def silu(x) -> np.ndarray:
     """x * sigmoid(x)."""
     x = _arr(x)
     _meter(act_elems=x.size)
-    return x * _sigmoid(x)
+    return _map_tiles(_silu, x.dtype, x)
+
+
+def _silu_vjp(g, x, out=None):
+    s = _sigmoid(x)
+    d = np.subtract(1.0, s)
+    d *= x
+    d += 1.0
+    d *= s
+    if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
+        return g * d
+    return np.multiply(d, g, out=d if out is None else out)
 
 
 def silu_vjp(g, x):
@@ -465,15 +616,7 @@ def silu_vjp(g, x):
     that expression, so the result is bit-identical to it.
     """
     g, x = _arr(g), _arr(x)
-    s = _sigmoid(x)
-    d = np.subtract(1.0, s)
-    d *= x
-    d += 1.0
-    d *= s
-    if g.shape != d.shape or np.result_type(g, d) != d.dtype:
-        return g * d
-    d *= g
-    return d
+    return _map_tiles(_silu_vjp, np.result_type(g, x), g, x)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -487,13 +630,7 @@ def gelu(x) -> np.ndarray:
     return (x * 0.5 * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype, copy=False)
 
 
-def gelu_vjp(g, x):
-    """g * (Phi(x) + x * pdf(x)), bit-identical to evaluating it out of place.
-
-    The np.float64 constants promote f32 work to f64, so a step runs in place
-    only where its buffer already has the dtype that step produces.
-    """
-    g, x = _arr(g), _arr(x)
+def _gelu_vjp(g, x, out=None):
     phi = np.multiply(x, _INV_SQRT2)  # 0.5 * (1 + erf(x / sqrt(2)))
     erf(phi, out=phi)
     phi += 1.0
@@ -505,10 +642,19 @@ def gelu_vjp(g, x):
     d *= x
     d += phi
     del phi
-    if g.shape != d.shape or np.result_type(g, d) != d.dtype:
+    if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
         return (g * d).astype(x.dtype, copy=False)
-    d *= g
-    return d.astype(x.dtype, copy=False)
+    return np.multiply(d, g, out=d if out is None else out).astype(x.dtype, copy=False)
+
+
+def gelu_vjp(g, x):
+    """g * (Phi(x) + x * pdf(x)), bit-identical to evaluating it out of place.
+
+    The np.float64 constants promote f32 work to f64, so a step runs in place
+    only where its buffer already has the dtype that step produces.
+    """
+    g, x = _arr(g), _arr(x)
+    return _map_tiles(_gelu_vjp, x.dtype, g, x)
 
 
 def activate(x, kind: str) -> np.ndarray:

@@ -178,3 +178,63 @@ def test_backward_frees_interior_cotangents():
     _, extra = _tiny_input_gradient_bytes(all_var=False)
     all_var_tape, _ = _tiny_input_gradient_bytes(all_var=True)
     assert extra < 0.5 * all_var_tape, extra / all_var_tape
+
+
+def _out_of_place_backward(root, seed):
+    """backward's walk with every fan-in summed as acc + pg into a fresh array."""
+    order, seen, stack = [], set(), [(root.node, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if p is not None and id(p) not in seen)
+    grads, leaves = {id(root.node): seed}, {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.vjp is None:
+            leaves[id(node.leaf())] = g
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if parent is not None and pg is not None:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    return leaves
+
+
+def test_in_place_fan_in_sums_are_bit_identical_to_out_of_place():
+    cfg = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
+    for precision, all_var in (("f64", False), ("f64", True), ("f32", True)):
+        model = build_emo(cfg, seed=3, precision=precision)
+        if all_var:
+            model = dataclasses.replace(model, params=_all_var_params(model))
+        rng = np.random.default_rng(8)
+        x = T.Var(rng.normal(size=(2, 3, 64, 64)).astype(np.float32 if precision == "f32" else np.float64))
+        logits = emo_forward(model, x)
+        cot = rng.normal(size=logits.shape).astype(logits.dtype)
+        got, want = T.backward(logits, cot), _out_of_place_backward(logits, cot)
+        assert set(got) == set(want) and (len(got) > 1) == all_var
+        for key, g in want.items():
+            assert got[key].dtype == g.dtype and got[key].tobytes() == g.tobytes()
+
+
+def test_fan_in_never_writes_the_seed_or_a_shared_cotangent():
+    x0 = np.arange(6.0).reshape(2, 3)
+    # add hands the read-only seed to both parents and transpose returns views of it:
+    # any sum written into one of them raises
+    x = T.Var(x0)
+    y = T.add(T.add(x, x), T.transpose(T.transpose(x, (1, 0)), (1, 0)))
+    seed = np.full((2, 3), 2.0)
+    seed.flags.writeable = False
+    np.testing.assert_array_equal(T.grad_of(T.backward(y, seed), x), 3 * seed)
+    # interior: add hands scale's output to both branches; summing x's fan-in into
+    # it would change what the scale(x, 3) branch reads afterwards
+    x = T.Var(x0)
+    y = T.scale(T.add(T.add(x, x), T.scale(x, 3.0)), 1.0)
+    seed = np.full((2, 3), 2.0)
+    np.testing.assert_array_equal(T.grad_of(T.backward(y, seed), x), 5 * seed)
+    np.testing.assert_array_equal(seed, 2.0)

@@ -100,9 +100,114 @@ def test_depthwise_conv_bit_identical_to_loop_oracle(k, s, p):
     assert np.array_equal(ops.conv2d(x, w, spec, b), _conv_reference(x, w, spec, b))
 
 
+def _depthwise_taps_nchw(x, w, spec, b):
+    """Per-tap NCHW depth-wise conv: the first tap's product starts the f64 sum,
+    each later tap adds its own in row-major tap order, then the f64 bias."""
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    ho, wo = spec.out_hw(*x.shape[2:])
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    y = None
+    for i, j in itertools.product(range(k), repeat=2):
+        t = xp[:, :, i : i + s * ho : s, j : j + s * wo : s] * w[:, 0, i, j].astype(np.float64).reshape(1, -1, 1, 1)
+        y = t if y is None else y + t
+    return (y + b.astype(np.float64).reshape(1, -1, 1, 1)).astype(x.dtype)
+
+
+def _depthwise_gx_taps_nchw(g, w, spec, x_shape):
+    """Per-tap NCHW depth-wise input cotangent: from 0.0, each tap adds g * w into the
+    padded input slice it read, in row-major tap order; the padding is cropped."""
+    n, c, h, wd = x_shape
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    ho, wo = g.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    for i, j in itertools.product(range(k), repeat=2):
+        gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += (
+            g.astype(np.float64) * w[:, 0, i, j].astype(np.float64).reshape(1, -1, 1, 1))
+    return gxp[:, :, p : p + h, p : p + wd].astype(g.dtype)
+
+
+def _depthwise_gx_loop(g, w, spec, x_shape):
+    """Plain-loop scatter oracle of the depth-wise input cotangent, taps in row-major order."""
+    n, c, h, wd = x_shape
+    k, s, p = spec.kernel, spec.stride, spec.padding
+    ho, wo = g.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    for ni, ci, ki, kj, oi, oj in itertools.product(range(n), range(c), range(k), range(k), range(ho), range(wo)):
+        gxp[ni, ci, oi * s + ki, oj * s + kj] += float(g[ni, ci, oi, oj]) * float(w[ci, 0, ki, kj])
+    return gxp[:, :, p : p + h, p : p + wd].astype(g.dtype)
+
+
+def _depthwise_operands(spec, shape, dt, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape).astype(dt)
+    w = rng.normal(size=spec.weight_shape()).astype(dt)
+    b = rng.normal(size=spec.in_channels).astype(dt)
+    g = rng.normal(size=(shape[0], spec.out_channels, *spec.out_hw(*shape[2:]))).astype(dt)
+    return x, w, b, g
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+@pytest.mark.parametrize("k, s, p", list(itertools.product((3, 5), (1, 2), (0, 1, 2))))
+def test_depthwise_nchw_references_equal_the_loop_oracles(k, s, p, dt):
+    spec = ConvSpec(4, 4, kernel=k, stride=s, padding=p, groups=4)
+    x, w, b, g = _depthwise_operands(spec, (2, 4, 9, 8), dt, seed=17)
+    f64 = [a.astype(np.float64) for a in (x, w, b)]
+    want = _conv_reference(f64[0], f64[1], spec, f64[2]).astype(dt)
+    assert _depthwise_taps_nchw(x, w, spec, b).tobytes() == want.tobytes()
+    assert _depthwise_gx_taps_nchw(g, w, spec, x.shape).tobytes() == _depthwise_gx_loop(g, w, spec, x.shape).tobytes()
+
+
+def _tall_depthwise_spec_and_shape(k, s, p, n):
+    """A depth-wise spec and input whose output rows span 2.5 row tiles of the kernel.
+
+    Checks, from ops._TILE, that the forward's output rows and the input
+    cotangent's input rows both fall into at least 3 tiles, the last ragged.
+    """
+    c, wd = 8, 45
+    spec = ConvSpec(c, c, kernel=k, stride=s, padding=p, groups=c)
+    wo = (wd + 2 * p - k) // s + 1
+    per = ops._TILE // (wo * c)
+    ho = 2 * per + per // 2
+    h = (ho - 1) * s + k - 2 * p
+    assert spec.out_hw(h, wd) == (ho, wo) and ho % per
+    per_gx = ops._TILE // ((wd + 2 * p) * c)
+    assert h > 2 * per_gx and h % per_gx
+    return spec, (n, c, h, wd)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+@pytest.mark.parametrize("k, s, p", list(itertools.product((3, 5), (1, 2), (0, 1, 2))))
+def test_depthwise_kernel_across_row_tiles_is_bit_identical(k, s, p, dt, n):
+    spec, shape = _tall_depthwise_spec_and_shape(k, s, p, n)
+    x, w, b, g = _depthwise_operands(spec, shape, dt, seed=k + 10 * s + 100 * p)
+    y = ops.conv2d(x, w, spec, b)
+    assert y.dtype == dt and y.tobytes() == _depthwise_taps_nchw(x, w, spec, b).tobytes()
+    gx, _, _ = ops.conv2d_vjp(g, None, w, spec, need=(True, False, False), shape=shape, dtype=x.dtype)
+    assert gx.dtype == dt and gx.tobytes() == _depthwise_gx_taps_nchw(g, w, spec, shape).tobytes()
+
+
+@pytest.mark.parametrize("k, s, p", [(3, 1, 1), (3, 2, 1), (5, 1, 2), (5, 2, 0)])
+def test_depthwise_kernel_across_tiles_of_whole_images_is_bit_identical(k, s, p):
+    # 34 images of 8 channels, 16x16 out: a tile of the forward's output rows and one
+    # of the input cotangent's input rows each hold several whole images, the last fewer
+    c, n = 8, 34
+    spec = ConvSpec(c, c, kernel=k, stride=s, padding=p, groups=c)
+    side = 15 * s + k - 2 * p
+    shape = (n, c, side, side)
+    assert spec.out_hw(side, side) == (16, 16)
+    for rows, row_elems in ((16, 16 * c), (side, (side + 2 * p) * c)):
+        per_tile = ops._TILE // row_elems // rows
+        assert 1 < per_tile and n > 2 * per_tile and n % per_tile
+    x, w, b, g = _depthwise_operands(spec, shape, np.float64, seed=k + s)
+    assert ops.conv2d(x, w, spec, b).tobytes() == _depthwise_taps_nchw(x, w, spec, b).tobytes()
+    gx, _, _ = ops.conv2d_vjp(g, None, w, spec, need=(True, False, False), shape=shape, dtype=x.dtype)
+    assert gx.tobytes() == _depthwise_gx_taps_nchw(g, w, spec, shape).tobytes()
+
+
 def test_depthwise_conv_peak_memory_stays_near_padded_input():
-    # the tap-decomposed kernel holds the padded f64 input, the f64 output and
-    # one tap temporary; a k*k-times-larger patch tensor would blow this bound
+    # the kernel holds the channels-last padded f64 input, the output and a few
+    # tile-sized buffers; a full-size f64 tap temporary or output reads above 2.5
     spec = ConvSpec(64, 64, kernel=3, padding=1, groups=64)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, 64, 56, 56)).astype(np.float32)
@@ -115,7 +220,25 @@ def test_depthwise_conv_peak_memory_stays_near_padded_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * padded_f64_bytes, peak / padded_f64_bytes
+    assert peak < 2.5 * padded_f64_bytes, peak / padded_f64_bytes
+
+
+def test_depthwise_input_vjp_peak_memory_stays_near_its_output():
+    # gx is built tile by tile from a tile-sized slab of g: a padded f64 copy of gx
+    # or a full-size g * w temporary reads above 1.8
+    spec = ConvSpec(64, 64, kernel=3, padding=1, groups=64)
+    shape = (2, 64, 40, 40)
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=shape)
+    w = rng.normal(size=spec.weight_shape())
+    gx_bytes = g.nbytes
+    tracemalloc.start()
+    try:
+        ops.conv2d_vjp(g, None, w, spec, need=(True, False, False), shape=shape, dtype=g.dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * gx_bytes, peak / gx_bytes
 
 
 def test_conv_shape_errors():
@@ -283,12 +406,15 @@ def _two_branch_sigmoid(x):
     return out
 
 
-def _special_values(dtype):
+def _specials(dtype):
     sub = np.finfo(dtype).smallest_subnormal
-    special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0,
-               np.inf, -np.inf, sub, -sub, 1e3 * sub, -1e3 * sub, np.nan, -np.nan]
+    return np.array([0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.7, -88.7, 745.0, -745.0,
+                     np.inf, -np.inf, sub, -sub, 1e3 * sub, -1e3 * sub, np.nan, -np.nan]).astype(dtype)
+
+
+def _special_values(dtype):
     noise = np.random.default_rng(12).normal(size=4096) * 12  # mixed signs
-    return np.concatenate([special, noise]).astype(dtype)
+    return np.concatenate([_specials(dtype), noise.astype(dtype)])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -330,6 +456,51 @@ def test_activation_vjp_bit_identical_to_its_formula(name, dtype):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _silu_formula(x):
+    return x * ops._sigmoid(x)
+
+
+def _gelu_formula(x):
+    return (x * 0.5 * (1.0 + erf(x * ops._INV_SQRT2))).astype(x.dtype, copy=False)
+
+
+ACTIVATIONS = {"silu": (ops.silu, _silu_formula), "gelu": (ops.gelu, _gelu_formula),
+               "silu_vjp": (ops.silu_vjp, _silu_vjp_formula), "gelu_vjp": (ops.gelu_vjp, _gelu_vjp_formula)}
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activation_across_tile_edges_is_bit_identical_to_its_whole_array_formula(name, dtype):
+    f, formula = ACTIVATIONS[name]
+    special = _specials(dtype)
+    x = np.random.default_rng(15).normal(size=int(3.5 * ops._TILE)).astype(dtype) * 12
+    for edge in range(ops._TILE, x.size, ops._TILE):  # both sides of every tile edge
+        x[edge - special.size : edge + special.size] = np.concatenate([special, special[::-1]])
+    x = x.reshape(2, -1, 7, 8)
+    args = (x,) if name in ("silu", "gelu") else (np.random.default_rng(16).normal(size=x.shape).astype(dtype), x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_same_bits(f(*args), formula(*args))
+        if len(args) == 2:
+            # the whole-array fallbacks: a broadcast g, and a non-contiguous x
+            g_row = args[0][:1, :1]
+            _assert_same_bits(f(g_row, x), formula(g_row, x))
+            xt = x.transpose(0, 2, 3, 1)
+            _assert_same_bits(f(args[0].transpose(0, 2, 3, 1), xt), formula(args[0].transpose(0, 2, 3, 1), xt))
+            # a cotangent of the other precision
+            g_other = args[0].astype(np.float64 if dtype == np.float32 else np.float32)
+            _assert_same_bits(f(g_other, x), formula(g_other, x))
+        else:
+            xt = x.transpose(0, 2, 3, 1)
+            _assert_same_bits(f(xt), formula(xt))
 
 
 # in units of x.nbytes; the formulas above peak at 3.0 (silu) and at 4.0 (f64) and 9.0
