@@ -21,7 +21,7 @@ m1 = build_emo("emo-1m", seed=7, precision="f32")
 m2 = build_emo("emo-1m", seed=7, precision="f32")
 print("two builds, same seed, identical containers:",
       dumps_params(m1.params, "f32") == dumps_params(m2.params, "f32"))
-print("emo-1m blocks:", len(m1.blocks), " parameters:",
+print("emo-1m blocks:", len(m1.cfg.blocks), " parameters:",
       sum(v.size for k, v in m1.params.items() if not k.endswith((".mean", ".var"))))
 
 print()

@@ -235,13 +235,12 @@ def count_costs(target, resolution: int = 224) -> CostReport:
                                   act_elems=stem.out_channels * r * r))
         rep.lines.append(CostLine("stem.bn", "norm", params=2 * stem.out_channels,
                                   norm_elems=stem.out_channels * r * r))
-        for name, _stage, bcfg in target.block_configs():
+        for name, _stage, bcfg in target.blocks:
             rep.lines.extend(_irmb_lines(name, bcfg, r, r, block_plan(bcfg)))
             r //= bcfg.stride
-        c4 = target.dims[3]
-        rep.lines.append(CostLine("head", "head", params=(c4 + 1) * target.num_classes,
-                                  macs=c4 * target.num_classes, bias_adds=target.num_classes,
-                                  other_adds=c4 * r * r))
+        head = target.head_spec()
+        rep.lines.append(CostLine("head", "head", params=head.param_count(), macs=head.macs(1, 1),
+                                  bias_adds=head.out_channels, other_adds=head.in_channels * r * r))
         return rep
     if isinstance(target, IRMBConfig):
         rep = CostReport("irmb", resolution)
@@ -483,7 +482,7 @@ def conv_receptive_radius(cfg: EMOVariantConfig, stage: int) -> dict:
     radius, jump = 0, 1
     radius += (cfg.stem_spec().kernel - 1) // 2 * jump
     jump *= 2
-    for _name, s, bcfg in cfg.block_configs():
+    for _name, s, bcfg in cfg.blocks:
         if s > stage:
             break
         radius += (bcfg.kernel - 1) // 2 * jump
@@ -508,6 +507,31 @@ class GradCheckReport:
     precision: str
 
 
+def _max_fd_rel_err(loss, leaves: dict, analytic: dict, coords, step: float) -> float:
+    """Worst relative error of `analytic` against central differences of `loss`.
+
+    Each (key, flat index) in `coords` is moved by +-step in a copy of its
+    leaf. The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
+    |analytic| entry).
+    """
+    gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values() if a is not None)
+    floor = 1e-4 * max(gmax, 1e-8)
+    worst = 0.0
+    for key, idx in coords:
+        pert = dict(leaves)
+        pert[key] = np.array(leaves[key])
+        flat = pert[key].reshape(-1)
+        orig = flat[idx]
+        flat[idx] = orig + step
+        up = loss(pert)
+        flat[idx] = orig - step
+        down = loss(pert)
+        fd = (up - down) / (2 * step)
+        an = float(analytic[key].reshape(-1)[idx])
+        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
+    return worst
+
+
 def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     """Finite-difference check of every primitive's VJP; name -> max rel err."""
     from . import ops
@@ -521,26 +545,11 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         analytic = vjp_f(cot, *inputs)
         if not isinstance(analytic, tuple):
             analytic = (analytic,)
-        gmax = max(float(np.max(np.abs(a))) for a in analytic if a is not None)
-        floor = 1e-4 * max(gmax, 1e-8)
-        worst = 0.0
         picker = rng.stream(f"prim.{name}.coords")
-        for ai, grad in enumerate(analytic):
-            if grad is None:
-                continue
-            size = inputs[ai].size
-            for flat in picker.choice(size, size=min(n_coords, size), replace=False):
-                pert = [np.array(v) for v in inputs]
-                view = pert[ai].reshape(-1)
-                orig = view[flat]
-                view[flat] = orig + step
-                up = float((f(*pert) * cot).sum())
-                view[flat] = orig - step
-                down = float((f(*pert) * cot).sum())
-                fd = (up - down) / (2 * step)
-                an = float(grad.reshape(-1)[flat])
-                worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
-        results[name] = worst
+        coords = [(ai, flat) for ai, grad in enumerate(analytic) if grad is not None
+                  for flat in picker.choice(inputs[ai].size, size=min(n_coords, inputs[ai].size), replace=False)]
+        results[name] = _max_fd_rel_err(lambda leaves: float((f(*leaves.values()) * cot).sum()),
+                                        dict(enumerate(inputs)), dict(enumerate(analytic)), coords, step)
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
@@ -656,21 +665,8 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     flat_idx = picker.choice(total, size=take, replace=False)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
-    floor = 1e-4 * max(gmax, 1e-8)
-    max_rel = 0.0
+    coords = []
     for fi in sorted(flat_idx.tolist()):
         li = int(np.searchsorted(offsets, fi, side="right") - 1)
-        name_i, local = names[li], fi - offsets[li]
-        base = {k: np.array(v) for k, v in leaves.items()}
-        flat = base[name_i].reshape(-1)
-        orig = flat[local]
-        flat[local] = orig + step
-        up = loss(base)
-        flat[local] = orig - step
-        down = loss(base)
-        fd = (up - down) / (2 * step)
-        an = float(analytic[name_i].reshape(-1)[local])
-        rel = abs(an - fd) / max(abs(an), abs(fd), floor)
-        max_rel = max(max_rel, rel)
-    return GradCheckReport(name, max_rel, take, precision)
+        coords.append((names[li], fi - offsets[li]))
+    return GradCheckReport(name, _max_fd_rel_err(loss, leaves, analytic, coords, step), take, precision)

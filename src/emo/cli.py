@@ -88,10 +88,7 @@ def resolve_model_config(args) -> EMOVariantConfig:
     if getattr(args, "preset", None) and getattr(args, "config", None):
         raise ConfigError("--preset and --config are mutually exclusive")
     if getattr(args, "preset", None):
-        try:
-            return preset(args.preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return preset(args.preset)
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -166,7 +163,7 @@ def cmd_describe(args) -> dict:
     by_block = rep.by_block()
     blocks = []
     r = args.resolution // 2
-    for name, stage, bcfg in cfg.block_configs():
+    for name, stage, bcfg in cfg.blocks:
         blocks.append({
             "name": name,
             "stage": stage,
@@ -264,13 +261,10 @@ def cmd_gradcheck(args) -> dict:
 
 
 def cmd_equiv(args) -> dict:
-    try:
-        cfg = IRMBConfig(
-            args.channels, args.channels, args.lam,
-            window=args.window, heads=args.heads, expand_groups=args.groups,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = IRMBConfig(
+        args.channels, args.channels, args.lam,
+        window=args.window, heads=args.heads, expand_groups=args.groups,
+    )
     hw = (args.hw, args.hw) if args.hw else None
     rep = equivalence_check(cfg, seed=args.seed, hw=hw, precision=args.precision)
     return {
@@ -299,13 +293,10 @@ def _parse_source(text: str) -> tuple[int, int]:
 
 def cmd_influence(args) -> dict:
     src = _parse_source(args.source)
-    try:
-        block = IRMBConfig(
-            args.channels, args.channels, 2.0, kernel=args.kernel, window=args.window,
-            heads=1, enable_attn=args.attn == "on", enable_conv=args.conv == "on",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    block = IRMBConfig(
+        args.channels, args.channels, 2.0, kernel=args.kernel, window=args.window,
+        heads=1, enable_attn=args.attn == "on", enable_conv=args.conv == "on",
+    )
     stack = [block] * args.blocks
     masks = {}
     if args.mode in ("structural", "both"):
@@ -333,17 +324,14 @@ def cmd_influence(args) -> dict:
 
 
 def cmd_mpl(args) -> dict:
-    try:
-        if args.kind == "cascade":
-            cfg = IRMBConfig(4, 4, 1.0, kernel=args.kernel, window=args.window, heads=1)
-        elif args.kind == "conv":
-            cfg = IRMBConfig(4, 4, 1.0, kernel=args.kernel, enable_attn=False)
-        elif args.kind == "attn":
-            cfg = IRMBConfig(4, 4, 1.0, window=args.window, heads=1, enable_conv=False)
-        else:
-            raise ConfigError(f"unknown kind {args.kind!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.kind == "cascade":
+        cfg = IRMBConfig(4, 4, 1.0, kernel=args.kernel, window=args.window, heads=1)
+    elif args.kind == "conv":
+        cfg = IRMBConfig(4, 4, 1.0, kernel=args.kernel, enable_attn=False)
+    elif args.kind == "attn":
+        cfg = IRMBConfig(4, 4, 1.0, window=args.window, heads=1, enable_conv=False)
+    else:
+        raise ConfigError(f"unknown kind {args.kind!r}")
     rep = analysis.max_path_length(cfg, args.resolution)
     return {
         "command": "mpl",

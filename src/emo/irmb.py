@@ -23,6 +23,7 @@ groups != heads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -173,19 +174,23 @@ class IRMBConfig:
         return shapes
 
 
-def irmb_init_params(cfg: IRMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
+def init_params(shapes: dict[str, tuple[int, ...]], rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
+    """The one init rule, leaf by leaf: `.w` ~ N(0, 1/fan_in) with fan_in =
+    prod(shape[1:]) (the (in/groups)*k*k of a conv weight), drawn from the
+    stream named after the leaf; `.g` and `.var` ones; every other leaf zeros."""
     dt = dtype_of(precision)
-    specs = cfg.conv_specs()
     params: dict[str, np.ndarray] = {}
-    for leaf, shape in cfg.param_shapes().items():
-        slot, kind = leaf.rsplit(".", 1)
+    for leaf, shape in shapes.items():
+        kind = leaf.rsplit(".", 1)[1]
         if kind == "w":
-            spec = specs[slot]
-            fan_in = (spec.in_channels // spec.groups) * spec.kernel ** 2
-            params[prefix + leaf] = rng.normal(prefix + leaf, shape, std=fan_in ** -0.5, precision=precision)
+            params[leaf] = rng.normal(leaf, shape, std=math.prod(shape[1:]) ** -0.5, precision=precision)
         else:
-            params[prefix + leaf] = np.full(shape, 1.0 if kind in ("g", "var") else 0.0, dtype=dt)
+            params[leaf] = np.full(shape, 1.0 if kind in ("g", "var") else 0.0, dtype=dt)
     return params
+
+
+def irmb_init_params(cfg: IRMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
+    return init_params({prefix + leaf: shape for leaf, shape in cfg.param_shapes().items()}, rng, precision)
 
 
 def _norm(x, kind, params, key):

@@ -5,16 +5,21 @@ block of every stage strides 2, giving 56/28/14/7 at the four stage outputs.
 Attention is enabled for every block of the configured stages (3 and 4 by
 default), including the strided entry block, where it runs at the input
 resolution before the depth-wise downsampling.
+
+`EMOVariantConfig` is the one description of a model: its block list (built
+once per config), stem and head specs and parameter table are what
+`build_emo`, `load_model`, the forward, the cost counter and the CLI walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import autograd as T
-from .irmb import IRMBConfig, default_heads, irmb_forward, irmb_init_params
+from .irmb import IRMBConfig, default_heads, init_params, irmb_forward
 from .ops import ConvSpec
 from .tensor import Rng, as_nchw, dtype_of
 
@@ -53,8 +58,9 @@ class EMOVariantConfig:
                     f"is not an integer (block s{si + 1} rejects this width)"
                 )
 
-    def block_configs(self) -> list[tuple[str, int, IRMBConfig]]:
-        """(name, stage, config) for every block, in forward order."""
+    @cached_property
+    def blocks(self) -> tuple[tuple[str, int, IRMBConfig], ...]:
+        """(name, stage, config) for every block, in forward order; built once per config."""
         out = []
         cin = self.dims[0]  # stem output width
         for si in range(4):
@@ -75,10 +81,25 @@ class EMOVariantConfig:
                 )
                 out.append((f"s{si + 1}.b{b}", si + 1, cfg))
             cin = cout
-        return out
+        return tuple(out)
 
     def stem_spec(self) -> ConvSpec:
         return ConvSpec(self.in_channels, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
+
+    def head_spec(self) -> ConvSpec:
+        """The classifier: a 1x1 conv over the pooled last-stage features."""
+        return ConvSpec(self.dims[3], self.num_classes, kernel=1)
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Leaf name -> shape of every parameter: the stem, each block under its name, the head."""
+        stem, c0 = self.stem_spec(), self.dims[0]
+        shapes = {"stem.conv.w": stem.weight_shape(), "stem.conv.b": (c0,)}
+        shapes.update({f"stem.bn.{leaf}": (c0,) for leaf in ("g", "b", "mean", "var")})
+        for name, _stage, bcfg in self.blocks:
+            shapes.update({f"{name}.{leaf}": shape for leaf, shape in bcfg.param_shapes().items()})
+        head = self.head_spec()
+        shapes.update({"head.w": head.weight_shape(), "head.b": (head.out_channels,)})
+        return shapes
 
 
 PRESETS: dict[str, EMOVariantConfig] = {
@@ -103,36 +124,12 @@ class EMOModel:
     seed: int
     params: dict[str, np.ndarray] = field(repr=False)
 
-    @property
-    def blocks(self):
-        return self.cfg.block_configs()
-
 
 def build_emo(cfg: EMOVariantConfig | str, seed: int = 0, precision: str = "f32") -> EMOModel:
     """Deterministically initialize a model; same seed -> identical weights."""
     if isinstance(cfg, str):
         cfg = preset(cfg)
-    rng = Rng(seed)
-    dt = dtype_of(precision)
-    params: dict[str, np.ndarray] = {}
-
-    stem = cfg.stem_spec()
-    fan_in = stem.in_channels * stem.kernel ** 2
-    params["stem.conv.w"] = rng.normal("stem.conv.w", stem.weight_shape(), std=fan_in ** -0.5, precision=precision)
-    params["stem.conv.b"] = np.zeros(stem.out_channels, dtype=dt)
-    params["stem.bn.g"] = np.ones(stem.out_channels, dtype=dt)
-    params["stem.bn.b"] = np.zeros(stem.out_channels, dtype=dt)
-    params["stem.bn.mean"] = np.zeros(stem.out_channels, dtype=dt)
-    params["stem.bn.var"] = np.ones(stem.out_channels, dtype=dt)
-
-    for name, _stage, bcfg in cfg.block_configs():
-        params.update(irmb_init_params(bcfg, rng, prefix=name + ".", precision=precision))
-
-    c4 = cfg.dims[3]
-    head = ConvSpec(c4, cfg.num_classes, kernel=1)
-    params["head.w"] = rng.normal("head.w", head.weight_shape(), std=c4 ** -0.5, precision=precision)
-    params["head.b"] = np.zeros(cfg.num_classes, dtype=dt)
-
+    params = init_params(cfg.param_shapes(), Rng(seed), precision)
     for arr in params.values():
         arr.setflags(write=False)
     return EMOModel(cfg=cfg, precision=precision, seed=seed, params=params)
@@ -166,7 +163,7 @@ def _trunk(model: EMOModel, x, last_stage: int, captured: dict | None = None):
     v = T.batchnorm_inference(v, p["stem.bn.g"], p["stem.bn.b"], p["stem.bn.mean"], p["stem.bn.var"])
     v = T.silu(v)
 
-    for name, stage, bcfg in cfg.block_configs():
+    for name, stage, bcfg in cfg.blocks:
         if stage > last_stage:
             break
         v = irmb_forward(v, bcfg, p, prefix=name + ".")
@@ -188,7 +185,7 @@ def emo_forward(model: EMOModel, x, capture_stages: bool = False):
     pooled = T.mean_hw(v)  # (N, C4)
     n_items, c4 = T.val(pooled).shape
     pooled = T.reshape(pooled, (n_items, c4, 1, 1))
-    logits = T.conv2d(pooled, p["head.w"], ConvSpec(c4, cfg.num_classes, kernel=1), p["head.b"])
+    logits = T.conv2d(pooled, p["head.w"], cfg.head_spec(), p["head.b"])
     logits = T.reshape(logits, (n_items, cfg.num_classes))
     if capture_stages:
         return logits, captured
@@ -209,14 +206,13 @@ def save_model(model: EMOModel, path) -> None:
 
 
 def load_model(cfg: EMOVariantConfig | str, path) -> EMOModel:
-    """Load weights into a model skeleton, validating names and shapes."""
+    """Load weights for `cfg`, validating their names and shapes against `cfg.param_shapes()`."""
     from .serialize import ContainerError, load_params
 
     if isinstance(cfg, str):
         cfg = preset(cfg)
     params, precision = load_params(path)
-    skeleton = build_emo(cfg, seed=0, precision=precision)
-    expected = {k: v.shape for k, v in skeleton.params.items()}
+    expected = cfg.param_shapes()
     got = {k: v.shape for k, v in params.items()}
     if expected != got:
         missing = sorted(set(expected) - set(got))
@@ -226,4 +222,4 @@ def load_model(cfg: EMOVariantConfig | str, path) -> EMOModel:
             f"container does not match config {cfg.name!r}: "
             f"missing={missing[:4]} extra={extra[:4]} shape-mismatch={shapes[:4]}"
         )
-    return EMOModel(cfg=cfg, precision=precision, seed=skeleton.seed, params=params)
+    return EMOModel(cfg=cfg, precision=precision, seed=0, params=params)

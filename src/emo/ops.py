@@ -656,18 +656,3 @@ def gelu_vjp(g, x):
     g, x = _arr(g), _arr(x)
     return _map_tiles(_gelu_vjp, x.dtype, g, x)
 
-
-def activate(x, kind: str) -> np.ndarray:
-    if kind == "silu":
-        return silu(x)
-    if kind == "gelu":
-        return gelu(x)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def normalize(x, kind: str, **params) -> np.ndarray:
-    if kind == "batchnorm-inference":
-        return batchnorm_inference(x, **params)
-    if kind == "layernorm":
-        return layernorm_channels(x, **params)
-    raise ValueError(f"unknown normalization {kind!r}")

@@ -161,7 +161,7 @@ def test_c06_residual_identity_for_every_preset_block_shape():
     t0 = time.time()
     seen, checked = set(), 0
     for name in PARAM_TARGETS:
-        for _bname, _stage, cfg in preset(name).block_configs():
+        for _bname, _stage, cfg in preset(name).blocks:
             if cfg.stride != 1 or cfg.in_channels != cfg.out_channels:
                 continue
             key = (cfg.in_channels, cfg.expansion_ratio, cfg.enable_attn, cfg.window, cfg.num_heads)

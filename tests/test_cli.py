@@ -186,6 +186,19 @@ def test_bad_resolution_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("equiv", "--channels", "8", "--heads", "3"), "heads=3 must"),
+    (("influence", "--kernel", "2"), "kernel must be odd"),
+    (("mpl", "--kind", "conv", "--kernel", "4"), "kernel must be odd"),
+])
+def test_bad_block_config_is_config_error(capsys, validator, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    validator(doc)
+    assert doc["error"]["code"] == "config"
+    assert message in doc["error"]["message"]
+
+
 def test_forward_rejects_wrong_channel_raw_tensor(capsys, tiny_config, tmp_path):
     arr = np.zeros((1, 5, 64, 64), dtype=np.float32)
     raw = tmp_path / "bad.bin"

@@ -276,7 +276,7 @@ def _init_then_redraw(cfg, seed, precision, prefix):
 
 def test_random_block_params_bit_identical_to_init_then_redraw():
     # streams are keyed by name, so skipping the initial draw changes nothing
-    configs = {cfg for name in sorted(PRESETS) for _b, _s, cfg in preset(name).block_configs()}
+    configs = {cfg for name in sorted(PRESETS) for _b, _s, cfg in preset(name).blocks}
     for cfg in configs:
         for precision in ("f32", "f64"):
             got = random_block_params(cfg, seed=17, precision=precision, prefix="blk.")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emo import MMBConfig, Rng, cost_meter, count_costs, mmb_forward, mmb_init_params, mmb_instantiate
-from emo import ops
+from emo import autograd as ag, ops
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 
@@ -178,23 +178,13 @@ def test_metered_residual_adds_match_static_count(operator):
     assert m.other_adds == count_costs(cfg, 5).other_adds
 
 
-def test_normalize_and_activate_dispatchers():
+def test_activate_dispatcher():
     x = np.random.default_rng(0).normal(size=(1, 4, 3, 3))
-    np.testing.assert_array_equal(ops.activate(x, "silu"), ops.silu(x))
-    np.testing.assert_array_equal(ops.activate(x, "gelu"), ops.gelu(x))
+    np.testing.assert_array_equal(ag.activate(x, "silu"), ops.silu(x))
+    np.testing.assert_array_equal(ag.activate(x, "gelu"), ops.gelu(x))
+    assert ag.activate(x, "none") is x
     with pytest.raises(ValueError, match="activation"):
-        ops.activate(x, "relu")
-    g, b = np.ones(4), np.zeros(4)
-    np.testing.assert_array_equal(
-        ops.normalize(x, "layernorm", gamma=g, beta=b),
-        ops.layernorm_channels(x, g, b),
-    )
-    np.testing.assert_array_equal(
-        ops.normalize(x, "batchnorm-inference", gamma=g, beta=b, mean=b, var=g),
-        ops.batchnorm_inference(x, g, b, b, g),
-    )
-    with pytest.raises(ValueError, match="normalization"):
-        ops.normalize(x, "groupnorm", gamma=g, beta=b)
+        ag.activate(x, "relu")
 
 
 def test_composed_block_against_independent_pointwise_chain():

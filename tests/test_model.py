@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from emo import (
     EMOVariantConfig,
     PRESETS,
+    Rng,
     Tensor,
     build_emo,
     cost_meter,
@@ -34,20 +37,36 @@ def test_preset_tables():
 
 
 def test_emo1m_has_15_blocks():
-    assert len(build_emo("emo-1m").blocks) == 2 + 2 + 8 + 3 == 15
+    assert len(build_emo("emo-1m").cfg.blocks) == 2 + 2 + 8 + 3 == 15
 
 
 def test_emo5m_stage4_widths():
-    stage4 = [b for _, s, b in preset("emo-5m").block_configs() if s == 4]
+    stage4 = [b for _, s, b in preset("emo-5m").blocks if s == 4]
     assert all(b.out_channels == 288 for b in stage4)
     assert all(b.mid == 1152 for b in stage4)
 
 
 def test_attention_only_in_stages_3_and_4():
     for name in PRESETS:
-        for _, stage, bcfg in preset(name).block_configs():
+        for _, stage, bcfg in preset(name).blocks:
             assert bcfg.enable_attn == (stage in (3, 4))
             assert bcfg.enable_conv
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_costs_and_parameters_walk_the_one_block_list(name):
+    cfg = preset(name)
+    rep = count_costs(cfg)
+    assert list(rep.by_block()) == ["stem", *(block for block, _s, _c in cfg.blocks), "head"]
+    trainable: dict[str, int] = {}
+    for leaf, shape in cfg.param_shapes().items():
+        if not leaf.endswith((".mean", ".var")):
+            slot = leaf.rsplit(".", 1)[0]
+            trainable[slot] = trainable.get(slot, 0) + math.prod(shape)
+    for line in rep.lines:
+        if line.params:
+            assert line.params == trainable[line.name], line.name
+    assert rep.params == sum(trainable.values())
 
 
 def test_stage_monotonicity_of_presets():
@@ -147,6 +166,18 @@ def test_load_rejects_mismatched_config(tmp_path):
     other = EMOVariantConfig("other", (1, 1, 1, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
     with pytest.raises(Exception, match="does not match"):
         load_model(other, path)
+
+
+def test_load_model_draws_no_weights(tmp_path, monkeypatch):
+    path = tmp_path / "tiny.emow"
+    save_model(build_emo(TINY, seed=5), path)
+
+    def no_draws(self, name):
+        raise AssertionError(f"load_model drew the weight stream {name!r}")
+
+    monkeypatch.setattr(Rng, "stream", no_draws)
+    loaded = load_model(TINY, path)
+    assert {k: v.shape for k, v in loaded.params.items()} == TINY.param_shapes()
 
 
 def test_stage_features_shapes():
