@@ -21,7 +21,7 @@ from . import autograd as ag
 from .attention import WindowLayout
 from .irmb import IRMBConfig, block_plan, irmb_forward, random_block_params
 from .mmb import MMBConfig, mmb_forward
-from .model import EMOModel, EMOVariantConfig, build_emo, emo_forward
+from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, build_emo, emo_forward
 from .ops import ConvSpec
 from .tensor import Rng
 
@@ -47,10 +47,6 @@ class CostLine:
     @property
     def flops(self) -> int:
         return 2 * self.macs + 3 * self.softmax_elems
-
-    @property
-    def macs_total(self) -> float:
-        return self.flops / 2
 
 
 @dataclass
@@ -80,7 +76,7 @@ class CostReport:
 
     @property
     def flops(self) -> int:
-        return 2 * self._sum("macs") + 3 * self._sum("softmax_elems")
+        return self._sum("flops")
 
     @property
     def bias_adds(self) -> int:
@@ -102,7 +98,7 @@ class CostReport:
         out = {}
         for cat in CATEGORIES:
             pred = lambda ln, c=cat: ln.category == c
-            flops = 2 * self._sum("macs", pred) + 3 * self._sum("softmax_elems", pred)
+            flops = self._sum("flops", pred)
             out[cat] = {"params": self._sum("params", pred), "macs": flops / 2, "flops": flops}
         return out
 
@@ -507,14 +503,26 @@ class GradCheckReport:
     precision: str
 
 
-def _max_fd_rel_err(loss, leaves: dict, analytic: dict, coords, step: float) -> float:
-    """Worst relative error of `analytic` against central differences of `loss`.
+def _tape_rel_err(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
+    """Worst relative error of `fwd`'s tape gradients against central differences.
 
-    Each (key, flat index) in `coords` is moved by +-step in a copy of its
+    `fwd` maps a dict like `leaves` to the output. The analytic pass makes
+    every leaf a Var and runs `backward` with a cotangent drawn from the
+    named stream `cot_name` and scaled by 1/sqrt(its size). Each
+    (key, flat index) in `coords` is then moved by +-step in a copy of its
     leaf. The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
-    |analytic| entry).
+    |analytic| entry), which keeps finite-difference roundoff on near-zero
+    coordinates from dominating.
     """
-    gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values() if a is not None)
+    vars_ = {k: ag.Var(v) for k, v in leaves.items()}
+    y = fwd(vars_)
+    cot = rng.normal(cot_name, y.shape, precision=precision)
+    cot = cot / math.sqrt(cot.size)
+    grads = ag.backward(y, cot)
+    analytic = {k: ag.grad_of(grads, v) for k, v in vars_.items()}
+    loss = lambda leafs: float((ag.val(fwd(leafs)) * cot).sum())
+
+    gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
     floor = 1e-4 * max(gmax, 1e-8)
     worst = 0.0
     for key, idx in coords:
@@ -533,67 +541,48 @@ def _max_fd_rel_err(loss, leaves: dict, analytic: dict, coords, step: float) -> 
 
 
 def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
-    """Finite-difference check of every primitive's VJP; name -> max rel err."""
-    from . import ops
-
+    """Finite-difference check of every primitive's VJP, through its autograd
+    wrapper on the tape; name -> max rel err."""
     rng = Rng(seed)
     results: dict[str, float] = {}
 
-    def fd_check(name, f, vjp_f, inputs, n_coords=60):
-        cot = rng.normal(f"prim.{name}.cot", f(*inputs).shape, precision="f64")
-        cot = cot / math.sqrt(cot.size)
-        analytic = vjp_f(cot, *inputs)
-        if not isinstance(analytic, tuple):
-            analytic = (analytic,)
+    def normal(name, shape, std=1.0):
+        return rng.normal(f"prim.{name}", shape, std=std, precision="f64")
+
+    def fd_check(name, fwd, leaves, n_coords=60):
         picker = rng.stream(f"prim.{name}.coords")
-        coords = [(ai, flat) for ai, grad in enumerate(analytic) if grad is not None
-                  for flat in picker.choice(inputs[ai].size, size=min(n_coords, inputs[ai].size), replace=False)]
-        results[name] = _max_fd_rel_err(lambda leaves: float((f(*leaves.values()) * cot).sum()),
-                                        dict(enumerate(inputs)), dict(enumerate(analytic)), coords, step)
+        coords = [(k, flat) for k, a in leaves.items()
+                  for flat in picker.choice(a.size, size=min(n_coords, a.size), replace=False)]
+        results[name] = _tape_rel_err(fwd, leaves, rng, f"prim.{name}.cot", "f64", coords, step)
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
-        ("conv2d", ops.ConvSpec(4, 6, kernel=3, padding=1, bias=True)),
-        ("conv2d_grouped", ops.ConvSpec(4, 8, kernel=3, padding=1, groups=2, bias=True)),
-        ("conv2d_strided", ops.ConvSpec(3, 5, kernel=3, stride=2, padding=1, bias=False)),
-        ("conv2d_depthwise", ops.ConvSpec(6, 6, kernel=5, padding=2, groups=6, bias=True)),
+        ("conv2d", ConvSpec(4, 6, kernel=3, padding=1, bias=True)),
+        ("conv2d_grouped", ConvSpec(4, 8, kernel=3, padding=1, groups=2, bias=True)),
+        ("conv2d_strided", ConvSpec(3, 5, kernel=3, stride=2, padding=1, bias=False)),
+        ("conv2d_depthwise", ConvSpec(6, 6, kernel=5, padding=2, groups=6, bias=True)),
     ):
-        x = rng.normal(f"prim.{tag}.x", (2, spec.in_channels, 6, 6), precision="f64")
-        w = rng.normal(f"prim.{tag}.w", spec.weight_shape(), std=0.5, precision="f64")
+        leaves = {"x": normal(f"{tag}.x", (2, spec.in_channels, 6, 6)),
+                  "w": normal(f"{tag}.w", spec.weight_shape(), 0.5)}
         if spec.bias:
-            b = rng.normal(f"prim.{tag}.b", (spec.out_channels,), std=0.5, precision="f64")
-            fd_check(tag, lambda x, w, b, s=spec: ops.conv2d(x, w, s, b),
-                     lambda g, x, w, b, s=spec: ops.conv2d_vjp(g, x, w, s), (x, w, b))
-        else:
-            fd_check(tag, lambda x, w, s=spec: ops.conv2d(x, w, s),
-                     lambda g, x, w, s=spec: ops.conv2d_vjp(g, x, w, s)[:2], (x, w))
+            leaves["b"] = normal(f"{tag}.b", (spec.out_channels,), 0.5)
+        fd_check(tag, lambda v, s=spec: ag.conv2d(v["x"], v["w"], s, v.get("b")), leaves)
 
-    a = rng.normal("prim.matmul.a", (3, 4), precision="f64")
-    b = rng.normal("prim.matmul.b", (4, 2), precision="f64")
-    fd_check("matmul", ops.matmul, lambda g, a, b: ops.matmul_vjp(g, a, b), (a, b))
-    ab = rng.normal("prim.matmul_b.a", (2, 3, 4, 5), precision="f64")
-    bb = rng.normal("prim.matmul_b.b", (2, 3, 5, 4), precision="f64")
-    fd_check("matmul_batched", ops.matmul, lambda g, a, b: ops.matmul_vjp(g, a, b), (ab, bb))
+    mm = lambda v: ag.matmul(v["a"], v["b"])
+    fd_check("matmul", mm, {"a": normal("matmul.a", (3, 4)), "b": normal("matmul.b", (4, 2))})
+    fd_check("matmul_batched", mm,
+             {"a": normal("matmul_b.a", (2, 3, 4, 5)), "b": normal("matmul_b.b", (2, 3, 5, 4))})
+    fd_check("softmax_lastdim", lambda v: ag.softmax_lastdim(v["x"]), {"x": normal("softmax.x", (3, 4, 7))})
 
-    s = rng.normal("prim.softmax.x", (3, 4, 7), precision="f64")
-    fd_check("softmax_lastdim", ops.softmax_lastdim,
-             lambda g, x: ops.softmax_lastdim_vjp(g, ops.softmax_lastdim(x)), (s,))
-
-    x4 = rng.normal("prim.bn.x", (2, 5, 4, 4), precision="f64")
-    gam = rng.normal("prim.bn.g", (5,), std=0.5, precision="f64")
-    bet = rng.normal("prim.bn.b", (5,), std=0.5, precision="f64")
-    mean = rng.normal("prim.bn.mean", (5,), std=0.3, precision="f64")
+    norm = {"x": normal("bn.x", (2, 5, 4, 4)), "g": normal("bn.g", (5,), 0.5), "b": normal("bn.b", (5,), 0.5)}
+    mean = normal("bn.mean", (5,), 0.3)
     var = 0.5 + rng.uniform("prim.bn.var", (5,), precision="f64")
-    fd_check("batchnorm_inference",
-             lambda x, g_, b_: ops.batchnorm_inference(x, g_, b_, mean, var),
-             lambda g, x, g_, b_: ops.batchnorm_inference_vjp(g, x, g_, mean, var), (x4, gam, bet))
-    fd_check("layernorm_channels",
-             lambda x, g_, b_: ops.layernorm_channels(x, g_, b_),
-             lambda g, x, g_, b_: ops.layernorm_channels_vjp(g, x, g_), (x4, gam, bet))
+    fd_check("batchnorm_inference", lambda v: ag.batchnorm_inference(v["x"], v["g"], v["b"], mean, var), norm)
+    fd_check("layernorm_channels", lambda v: ag.layernorm_channels(v["x"], v["g"], v["b"]), norm)
 
-    xa = rng.normal("prim.act.x", (3, 4, 5, 5), precision="f64")
-    fd_check("silu", ops.silu, ops.silu_vjp, (xa,))
-    fd_check("gelu", ops.gelu, ops.gelu_vjp, (xa,))
+    act = {"x": normal("act.x", (3, 4, 5, 5))}
+    fd_check("silu", lambda v: ag.silu(v["x"]), act)
+    fd_check("gelu", lambda v: ag.gelu(v["x"]), act)
     return results
 
 
@@ -602,8 +591,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     """Analytic VJP vs central finite differences on a random subsample.
 
     Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
-    the denominator, which keeps finite-difference roundoff on near-zero
-    coordinates from dominating the report.
+    the denominator (see `_tape_rel_err`).
     """
     h, w = input_hw
     rng = Rng(seed ^ 0xC0FFEE)
@@ -621,7 +609,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     elif isinstance(target, EMOModel):
         name = target.cfg.name
         params = dict(target.params)
-        x0 = rng.normal("gradcheck.x", (1, target.cfg.in_channels, h, w), precision=target.precision)
+        x0 = rng.normal("gradcheck.x", (1, IN_CHANNELS, h, w), precision=target.precision)
         fwd = lambda x, p: emo_forward(replace(target, params=p), x)
     elif isinstance(target, ConvSpec):
         name = "conv2d"
@@ -641,20 +629,10 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     leaves = {"__input__": x0, **{k: v for k, v in params.items() if not is_buffer(k)}}
     buffers = {k: v for k, v in params.items() if is_buffer(k)}
 
-    # analytic pass; "gradcheck.cot" is a named stream, so drawing it after the forward changes nothing
-    vars_ = {k: ag.Var(v) for k, v in leaves.items()}
-    traced_params = {k: v for k, v in vars_.items() if k != "__input__"}
-    traced_params.update(buffers)
-    y = fwd(vars_["__input__"], traced_params)
-    cot = rng.normal("gradcheck.cot", y.shape, precision=precision)
-    cot = cot / math.sqrt(cot.size)
-    grads = ag.backward(y, cot)
-    analytic = {k: ag.grad_of(grads, v) for k, v in vars_.items()}
-
-    def loss(leafs: dict[str, np.ndarray]) -> float:
+    def run(leafs: dict):
         p = {k: v for k, v in leafs.items() if k != "__input__"}
         p.update(buffers)
-        return float((ag.val(fwd(leafs["__input__"], p)) * cot).sum())
+        return fwd(leafs["__input__"], p)
 
     # coordinate sample
     names = sorted(leaves)
@@ -669,4 +647,5 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     for fi in sorted(flat_idx.tolist()):
         li = int(np.searchsorted(offsets, fi, side="right") - 1)
         coords.append((names[li], fi - offsets[li]))
-    return GradCheckReport(name, _max_fd_rel_err(loss, leaves, analytic, coords, step), take, precision)
+    return GradCheckReport(name, _tape_rel_err(run, leaves, rng, "gradcheck.cot", precision, coords, step),
+                           take, precision)

@@ -6,8 +6,11 @@ are masked out of the softmax, so attention rows always sum to 1 over real
 positions - this is what makes the pre-/post-expansion multiplication orders
 agree exactly (biases included) on every map shape, not just divisible ones.
 
-All functions go through the autograd wrappers, so they work on plain arrays
-and on tape Vars alike.
+All functions work on plain arrays and on tape Vars alike. The attention
+core goes through the autograd wrappers. Partition and merge are linear and
+each is the other's transpose (merge drops exactly the zeros partition pads
+with), so each is recorded as one `autograd.linear` node whose VJP is the
+other map.
 """
 
 from __future__ import annotations
@@ -68,25 +71,37 @@ class WindowLayout:
         return pad.reshape(self.num_windows, w * w)
 
 
+def _partition(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
+    """Pad (N, C, H, W) at the bottom/right and tile it into (N * num_windows, l, C) tokens."""
+    n, c = x.shape[:2]
+    w = layout.window
+    if layout.pad_h or layout.pad_w:
+        x = np.pad(x, ((0, 0), (0, 0), (0, layout.pad_h), (0, layout.pad_w)))
+    t = x.reshape(n, c, layout.grid_h, w, layout.grid_w, w)
+    t = t.transpose(0, 2, 4, 3, 5, 1)  # (N, gh, gw, w, w, C)
+    return t.reshape(n * layout.num_windows, w * w, c)
+
+
+def _merge(tokens: np.ndarray, layout: WindowLayout, batch: int) -> np.ndarray:
+    """Untile (N * num_windows, l, C) tokens into (N, C, H, W), dropping the padding."""
+    w = layout.window
+    c = tokens.shape[-1]
+    t = tokens.reshape(batch, layout.grid_h, layout.grid_w, w, w, c)
+    t = t.transpose(0, 5, 1, 3, 2, 4)  # (N, C, gh, w, gw, w)
+    t = t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)
+    return t[:, :, :layout.height, :layout.width]
+
+
 def window_partition(x, window: int):
     """(N, C, H, W) -> tokens (N * num_windows, l, C) plus the layout."""
-    n, c, h, wd = T.val(x).shape
+    n, _, h, wd = T.val(x).shape
     layout = WindowLayout(h, wd, window)
-    w = layout.window
-    xp = T.pad_hw_bottom_right(x, layout.pad_h, layout.pad_w)
-    t = T.reshape(xp, (n, c, layout.grid_h, w, layout.grid_w, w))
-    t = T.transpose(t, (0, 2, 4, 3, 5, 1))  # (N, gh, gw, w, w, C)
-    return T.reshape(t, (n * layout.num_windows, w * w, c)), layout
+    return T.linear(x, _partition(T.val(x), layout), lambda g: _merge(g, layout, n)), layout
 
 
 def window_merge(tokens, layout: WindowLayout, batch: int):
     """Inverse of window_partition; strips the padding."""
-    w = layout.window
-    c = T.val(tokens).shape[-1]
-    t = T.reshape(tokens, (batch, layout.grid_h, layout.grid_w, w, w, c))
-    t = T.transpose(t, (0, 5, 1, 3, 2, 4))  # (N, C, gh, w, gw, w)
-    t = T.reshape(t, (batch, c, layout.grid_h * w, layout.grid_w * w))
-    return T.crop_hw(t, layout.height, layout.width)
+    return T.linear(tokens, _merge(T.val(tokens), layout, batch), lambda g: _partition(g, layout))
 
 
 def key_padding_bias(layout: WindowLayout, batch: int, dtype) -> np.ndarray | None:

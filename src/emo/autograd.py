@@ -18,14 +18,15 @@ arrays that this `need` makes it read, as PyTorch's save_for_backward does:
   if b is a Var, and b only if a is;
 - batchnorm_inference keeps x only if gamma is a Var;
 - layernorm_channels, silu and gelu keep x, softmax_lastdim keeps its output;
-- add, scale, reshape, transpose, the pad/crop wrappers and mean_hw keep
-  shapes and dtypes only.
+- add, scale, reshape, transpose and mean_hw keep shapes and dtypes only;
+- linear keeps only what its caller's adjoint closure holds.
 
 `backward` walks the nodes in reverse topological order, accumulates
 gradients, and drops each interior cotangent as soon as its node's VJP has
 consumed it, so the dict it returns holds the leaves' cotangents only. No
 VJP writes into its incoming cotangent: add's VJP hands one array to both
-parents, and the reshape, transpose and crop VJPs return views of it. For
+parents, and the reshape and transpose VJPs, like the window maps' adjoints,
+may return views of it. For
 the same reason a fan-in is summed in place only into an array that
 backward itself allocated for an earlier sum, never into a VJP's output.
 """
@@ -89,10 +90,6 @@ class Var:
 
 def val(x):
     return x.value if isinstance(x, Var) else x
-
-
-def is_var(x):
-    return isinstance(x, Var)
 
 
 def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
@@ -264,24 +261,24 @@ def softmax_lastdim(x):
     return _record(y, (x,), lambda need: lambda g: (ops.softmax_lastdim_vjp(g, y),))
 
 
-def batchnorm_inference(x, gamma, beta, mean, var, eps=1e-5):
+def batchnorm_inference(x, gamma, beta, mean, var):
     # mean/var are inference buffers, never differentiated
     mean, var = val(mean), val(var)
     xv, gv = val(x), val(gamma)
-    y = ops.batchnorm_inference(xv, gv, val(beta), mean, var, eps)
+    y = ops.batchnorm_inference(xv, gv, val(beta), mean, var)
 
     def save(need):
         keep_x, dtype = (xv if need[1] else None), xv.dtype
-        return lambda g: ops.batchnorm_inference_vjp(g, keep_x, gv, mean, var, eps, need=need, dtype=dtype)
+        return lambda g: ops.batchnorm_inference_vjp(g, keep_x, gv, mean, var, need=need, dtype=dtype)
 
     return _record(y, (x, gamma, beta), save)
 
 
-def layernorm_channels(x, gamma, beta, eps=1e-5):
+def layernorm_channels(x, gamma, beta):
     xv, gv = val(x), val(gamma)
-    y = ops.layernorm_channels(xv, gv, val(beta), eps)
+    y = ops.layernorm_channels(xv, gv, val(beta))
     return _record(y, (x, gamma, beta),
-                   lambda need: lambda g: ops.layernorm_channels_vjp(g, xv, gv, eps, need=need))
+                   lambda need: lambda g: ops.layernorm_channels_vjp(g, xv, gv, need=need))
 
 
 def silu(x):
@@ -316,23 +313,13 @@ def transpose(x, axes):
                    lambda need: lambda g: (np.transpose(np.asarray(g), np.argsort(axes)),))
 
 
-def pad_hw_bottom_right(x, pad_h: int, pad_w: int):
-    """Zero-pad the bottom/right of an NCHW map."""
-    xv = val(x)
-    if pad_h == 0 and pad_w == 0:
-        return x
-    y = np.pad(xv, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-    h, w = xv.shape[2], xv.shape[3]
-    return _record(y, (x,), lambda need: lambda g: (np.asarray(g)[:, :, :h, :w],))
+def linear(x, y, adjoint):
+    """Record y, a linear map of x that the caller computed, as one node.
 
-
-def crop_hw(x, h: int, w: int):
-    xv = val(x)
-    if xv.shape[2] == h and xv.shape[3] == w:
-        return x
-    ph, pw = xv.shape[2] - h, xv.shape[3] - w
-    return _record(xv[:, :, :h, :w], (x,),
-                   lambda need: lambda g: (np.pad(np.asarray(g), ((0, 0), (0, 0), (0, ph), (0, pw))),))
+    `adjoint(g)` is the map's transpose applied to the cotangent g, so it is
+    the node's VJP: for a linear map the VJP is its adjoint.
+    """
+    return _record(y, (x,), lambda need: lambda g: (adjoint(g),))
 
 
 def mean_hw(x):

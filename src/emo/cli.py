@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis
 from .irmb import IRMBConfig, equivalence_check
-from .model import EMOVariantConfig, PRESETS, build_emo, emo_forward, preset
+from .model import IN_CHANNELS, EMOVariantConfig, PRESETS, build_emo, emo_forward, preset
 from .serialize import ContainerError, load_raw_tensor
 from .tensor import Rng, Tensor
 
@@ -80,7 +80,7 @@ def parse_variant_config(doc: dict) -> EMOVariantConfig:
             num_classes=int(doc.get("num_classes", 1000)),
             head_dim=int(doc.get("head_dim", 32)),
         )
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # e.g. int(None); a ValueError is already a config error in main
         raise ConfigError(str(exc)) from exc
 
 
@@ -135,9 +135,9 @@ def emit(doc: dict, out_path: str | None) -> None:
 # commands
 
 
-def _make_input(args, cfg: EMOVariantConfig) -> np.ndarray:
+def _make_input(args) -> np.ndarray:
     res = args.resolution
-    shape = (1, cfg.in_channels, res, res)
+    shape = (1, IN_CHANNELS, res, res)
     kind = args.input
     if kind == "zeros":
         return np.zeros(shape)
@@ -152,8 +152,8 @@ def _make_input(args, cfg: EMOVariantConfig) -> np.ndarray:
         arr = load_raw_tensor(kind)
     except (OSError, ContainerError) as exc:
         raise ConfigError(f"cannot read input tensor {kind!r}: {exc}") from exc
-    if arr.ndim != 4 or arr.shape[1] != cfg.in_channels:
-        raise ConfigError(f"input tensor must be (N, {cfg.in_channels}, H, W), got {arr.shape}")
+    if arr.ndim != 4 or arr.shape[1] != IN_CHANNELS:
+        raise ConfigError(f"input tensor must be (N, {IN_CHANNELS}, H, W), got {arr.shape}")
     return arr
 
 
@@ -214,7 +214,7 @@ def cmd_count(args) -> dict:
 def cmd_forward(args) -> dict:
     cfg = resolve_model_config(args)
     model = build_emo(cfg, seed=args.seed, precision=args.precision)
-    x = Tensor(_make_input(args, cfg), precision=args.precision)
+    x = Tensor(_make_input(args), precision=args.precision)
     logits = emo_forward(model, x)
     return {
         "command": "forward",
@@ -349,7 +349,7 @@ def cmd_mpl(args) -> dict:
 def cmd_similarity(args) -> dict:
     cfg = resolve_model_config(args)
     model = build_emo(cfg, seed=args.seed, precision=args.precision)
-    x = Tensor(_make_input(args, cfg), precision=args.precision)
+    x = Tensor(_make_input(args), precision=args.precision)
     sims = analysis.diag_similarity(model, args.stage, x)
     rf = analysis.conv_receptive_radius(cfg, args.stage)
     return {
@@ -367,7 +367,7 @@ def cmd_similarity(args) -> dict:
 def cmd_bench(args) -> dict:
     cfg = resolve_model_config(args)
     model = build_emo(cfg, seed=args.seed, precision=args.precision)
-    x = Tensor(_make_input(args, cfg), precision=args.precision)
+    x = Tensor(_make_input(args), precision=args.precision)
     emo_forward(model, x)  # warm-up
     times = []
     for _ in range(args.runs):

@@ -59,7 +59,6 @@ class IRMBConfig:
     attn_first: bool = True
     attn_pre_expand: bool = True
     expand_groups: int = 1
-    mid_channels: int | None = None   # None: round(expansion_ratio * out_channels)
     pre_norm: str = "auto"            # auto -> layernorm when attention is on, else none
     expand_norm: str = "auto"         # auto -> batchnorm when attention is off, else none
     expand_act: str = "auto"          # auto -> gelu when attention is on, else silu
@@ -82,13 +81,12 @@ class IRMBConfig:
                 "attn_first=False with stride 2 is ill-posed: the attention matrix comes from the "
                 "full-resolution input but would be applied to the downsampled features"
             )
-        if self.mid_channels is None:
-            mid = self.expansion_ratio * self.out_channels
-            if abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
-                raise ValueError(
-                    f"expansion_ratio * out_channels must be a positive integer, "
-                    f"got {self.expansion_ratio} * {self.out_channels} = {mid}"
-                )
+        mid = self.expansion_ratio * self.out_channels
+        if abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
+            raise ValueError(
+                f"expansion_ratio * out_channels must be a positive integer, "
+                f"got {self.expansion_ratio} * {self.out_channels} = {mid}"
+            )
         mid = self.mid
         if self.expand_groups < 1 or self.in_channels % self.expand_groups or mid % self.expand_groups:
             raise ValueError(
@@ -104,8 +102,6 @@ class IRMBConfig:
 
     @property
     def mid(self) -> int:
-        if self.mid_channels is not None:
-            return self.mid_channels
         return round(self.expansion_ratio * self.out_channels)
 
     @property

@@ -24,6 +24,7 @@ from .ops import ConvSpec
 from .tensor import Rng, as_nchw, dtype_of
 
 STEM_KERNEL = 3
+IN_CHANNELS = 3  # RGB: the stem's input width
 MIN_INPUT_MULTIPLE = 32
 
 
@@ -39,7 +40,6 @@ class EMOVariantConfig:
     windows: tuple[int, int, int, int] = (7, 7, 7, 7)
     num_classes: int = 1000
     head_dim: int = 32
-    in_channels: int = 3
 
     def __post_init__(self):
         for seq, what in ((self.depths, "depths"), (self.dims, "dims"),
@@ -84,7 +84,7 @@ class EMOVariantConfig:
         return tuple(out)
 
     def stem_spec(self) -> ConvSpec:
-        return ConvSpec(self.in_channels, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
+        return ConvSpec(IN_CHANNELS, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
 
     def head_spec(self) -> ConvSpec:
         """The classifier: a 1x1 conv over the pooled last-stage features."""
@@ -119,9 +119,12 @@ def preset(name: str) -> EMOVariantConfig:
 
 @dataclass(frozen=True)
 class EMOModel:
+    """A config and its weights. `seed` is the one `build_emo` drew them from;
+    None for a loaded model, whose container stores no seed."""
+
     cfg: EMOVariantConfig
     precision: str
-    seed: int
+    seed: int | None
     params: dict[str, np.ndarray] = field(repr=False)
 
 
@@ -143,19 +146,16 @@ def check_resolution(cfg: EMOVariantConfig, h: int, w: int) -> None:
         )
 
 
-def _trunk(model: EMOModel, x, last_stage: int, captured: dict | None = None):
-    """Validate x, then run the stem and the blocks of stages 1..last_stage.
-
-    Each stage's output map is stored in `captured` when one is given.
-    """
+def _trunk(model: EMOModel, x, last_stage: int):
+    """Validate x, then run the stem and the blocks of stages 1..last_stage."""
     cfg = model.cfg
     if isinstance(x, T.Var):
         xv = x
     else:
         xv = as_nchw(x).astype(dtype_of(model.precision), copy=False)
     n, c, h, w = T.val(xv).shape
-    if c != cfg.in_channels:
-        raise ValueError(f"input has {c} channels, model expects {cfg.in_channels}")
+    if c != IN_CHANNELS:
+        raise ValueError(f"input has {c} channels, model expects {IN_CHANNELS}")
     check_resolution(cfg, h, w)
 
     p = model.params
@@ -167,29 +167,19 @@ def _trunk(model: EMOModel, x, last_stage: int, captured: dict | None = None):
         if stage > last_stage:
             break
         v = irmb_forward(v, bcfg, p, prefix=name + ".")
-        if captured is not None:
-            captured[stage] = T.val(v)  # blocks run in order; last one per stage wins
     return v
 
 
-def emo_forward(model: EMOModel, x, capture_stages: bool = False):
-    """Run the network; returns (N, num_classes) logits.
-
-    With capture_stages=True, also returns {stage: feature map} taken at each
-    stage output.
-    """
+def emo_forward(model: EMOModel, x):
+    """Run the network; returns (N, num_classes) logits."""
     cfg, p = model.cfg, model.params
-    captured: dict[int, np.ndarray] = {}
-    v = _trunk(model, x, 4, captured if capture_stages else None)
+    v = _trunk(model, x, 4)
 
     pooled = T.mean_hw(v)  # (N, C4)
     n_items, c4 = T.val(pooled).shape
     pooled = T.reshape(pooled, (n_items, c4, 1, 1))
     logits = T.conv2d(pooled, p["head.w"], cfg.head_spec(), p["head.b"])
-    logits = T.reshape(logits, (n_items, cfg.num_classes))
-    if capture_stages:
-        return logits, captured
-    return logits
+    return T.reshape(logits, (n_items, cfg.num_classes))
 
 
 def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
@@ -206,7 +196,11 @@ def save_model(model: EMOModel, path) -> None:
 
 
 def load_model(cfg: EMOVariantConfig | str, path) -> EMOModel:
-    """Load weights for `cfg`, validating their names and shapes against `cfg.param_shapes()`."""
+    """Load weights for `cfg`, validating their names and shapes against `cfg.param_shapes()`.
+
+    The model's `seed` is None: the container does not record which seed, if
+    any, drew the weights.
+    """
     from .serialize import ContainerError, load_params
 
     if isinstance(cfg, str):
@@ -222,4 +216,4 @@ def load_model(cfg: EMOVariantConfig | str, path) -> EMOModel:
             f"container does not match config {cfg.name!r}: "
             f"missing={missing[:4]} extra={extra[:4]} shape-mismatch={shapes[:4]}"
         )
-    return EMOModel(cfg=cfg, precision=precision, seed=0, params=params)
+    return EMOModel(cfg=cfg, precision=precision, seed=None, params=params)

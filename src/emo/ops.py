@@ -71,11 +71,6 @@ class CostMeter:
         """2x MACs plus 3 flops per softmax element (exp, subtract, divide)."""
         return 2 * self.macs + 3 * self.softmax_elems
 
-    @property
-    def macs_total(self) -> float:
-        """MAC-equivalents including softmax at 1.5 per element; exact halves."""
-        return self.flops / 2
-
 
 _METER: contextvars.ContextVar[CostMeter | None] = contextvars.ContextVar("emo_cost_meter", default=None)
 
@@ -474,8 +469,9 @@ def softmax_lastdim_vjp(g, y):
 # ---------------------------------------------------------------------------
 # normalization
 
+NORM_EPS = 1e-5  # added to every variance; a Python float, so f32 stays f32
 
-def batchnorm_inference(x, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndarray:
+def batchnorm_inference(x, gamma, beta, mean, var) -> np.ndarray:
     """Per-channel affine normalization with stored running statistics.
 
     There is no training mode in this library; the statistics are inputs.
@@ -484,13 +480,13 @@ def batchnorm_inference(x, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndar
     var = np.asarray(var)
     if np.any(var <= 0):
         raise ValueError("batchnorm running variance must be positive")
-    scale = (np.asarray(gamma) / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    scale = (np.asarray(gamma) / np.sqrt(var + NORM_EPS)).reshape(1, -1, 1, 1)
     shift = (np.asarray(beta) - np.asarray(mean) * scale.reshape(-1)).reshape(1, -1, 1, 1)
     _meter(norm_elems=x.size)
     return (x * scale + shift).astype(x.dtype, copy=False)
 
 
-def batchnorm_inference_vjp(g, x, gamma, mean, var, eps: float = 1e-5, *, need=(True, True, True), dtype=None):
+def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need=(True, True, True), dtype=None):
     """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
 
     No gradient reads beta, and only ggamma reads x, so x may be None when
@@ -499,7 +495,7 @@ def batchnorm_inference_vjp(g, x, gamma, mean, var, eps: float = 1e-5, *, need=(
     g = _arr(g)
     need_x, need_gamma, need_beta = need
     dtype = _arr(x).dtype if dtype is None else dtype
-    inv = 1.0 / np.sqrt(np.asarray(var) + eps)
+    inv = 1.0 / np.sqrt(np.asarray(var) + NORM_EPS)
     gx = ggamma = gbeta = None
     if need_x:
         gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(dtype, copy=False)
@@ -511,18 +507,18 @@ def batchnorm_inference_vjp(g, x, gamma, mean, var, eps: float = 1e-5, *, need=(
     return gx, ggamma, gbeta
 
 
-def layernorm_channels(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
+def layernorm_channels(x, gamma, beta) -> np.ndarray:
     """Layer normalization over the channel axis, per spatial position."""
     x = _arr(x)
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
+    xhat = (x - mu) / np.sqrt(var + NORM_EPS)
     _meter(norm_elems=x.size)
     y = xhat * np.asarray(gamma).reshape(1, -1, 1, 1) + np.asarray(beta).reshape(1, -1, 1, 1)
     return y.astype(x.dtype, copy=False)
 
 
-def layernorm_channels_vjp(g, x, gamma, eps: float = 1e-5, *, need=(True, True, True)):
+def layernorm_channels_vjp(g, x, gamma, *, need=(True, True, True)):
     """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
 
     No gradient reads beta.
@@ -533,7 +529,7 @@ def layernorm_channels_vjp(g, x, gamma, eps: float = 1e-5, *, need=(True, True, 
     if need_x or need_gamma:
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (x - mu) * inv
     if need_x:
         gxhat = g * np.asarray(gamma).reshape(1, -1, 1, 1)

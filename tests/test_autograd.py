@@ -5,6 +5,7 @@ import numpy as np
 
 from emo import EMOVariantConfig, build_emo, emo_forward
 from emo import autograd as T
+from emo.attention import window_merge, window_partition
 from emo.ops import ConvSpec
 
 
@@ -34,16 +35,37 @@ def test_residual_fanout_gradient():
     np.testing.assert_allclose(T.grad_of(grads, x), g + silu_vjp(g, x.value), atol=1e-12)
 
 
-def test_reshape_transpose_pad_crop_roundtrip_grads():
+def test_reshape_transpose_roundtrip_grads():
     x = T.Var(np.random.default_rng(2).normal(size=(1, 2, 3, 3)))
-    y = T.pad_hw_bottom_right(x, 1, 2)
-    y = T.transpose(y, (0, 2, 3, 1))
-    y = T.reshape(y, (1, 4 * 5 * 2))
-    grads = T.backward(y, np.ones((1, 40)))
+    y = T.transpose(x, (0, 2, 3, 1))
+    y = T.reshape(y, (1, 3 * 3 * 2))
+    grads = T.backward(y, np.ones((1, 18)))
     np.testing.assert_allclose(T.grad_of(grads, x), np.ones((1, 2, 3, 3)))
-    z = T.crop_hw(T.pad_hw_bottom_right(x, 2, 2), 3, 3)
-    grads = T.backward(z, np.ones((1, 2, 3, 3)))
-    np.testing.assert_allclose(T.grad_of(grads, x), np.ones((1, 2, 3, 3)))
+
+
+def test_window_partition_and_merge_are_adjoint_single_nodes():
+    # batch 2, 5x7 map, window 3: padded by one row and two columns
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=(2, 4, 5, 7))
+    tokens, layout = window_partition(x0, 3)
+    assert (layout.pad_h, layout.pad_w) == (1, 2)
+    t0 = rng.normal(size=tokens.shape)
+
+    x = T.Var(x0)
+    part, _ = window_partition(x, 3)
+    assert part.node.parents == (x.node,) and part.node.vjp is not None
+    gx = T.grad_of(T.backward(part, t0), x)
+    assert gx.tobytes() == window_merge(t0, layout, 2).tobytes()
+
+    t = T.Var(t0)
+    merged = window_merge(t, layout, 2)
+    assert merged.node.parents == (t.node,) and merged.node.vjp is not None
+    cot = rng.normal(size=x0.shape)
+    gt = T.grad_of(T.backward(merged, cot), t)
+    assert gt.tobytes() == window_partition(cot, 3)[0].tobytes()
+
+    # <partition(x), t> == <x, merge(t)>: the maps are each other's transpose
+    assert abs(float((tokens * t0).sum()) - float((x0 * window_merge(t0, layout, 2)).sum())) < 1e-12
 
 
 def test_mean_hw_gradient_spreads_uniformly():
@@ -131,7 +153,7 @@ def test_input_only_tape_gives_the_all_var_input_gradient_bit_for_bit():
     params = _all_var_params(model)
     x = T.Var(x0)
     all_var = T.backward(emo_forward(dataclasses.replace(model, params=params), x), cot)
-    assert len(all_var) == 1 + sum(T.is_var(v) for v in params.values())
+    assert len(all_var) == 1 + sum(isinstance(v, T.Var) for v in params.values())
     assert input_only.tobytes() == T.grad_of(all_var, x).tobytes()
 
 

@@ -199,6 +199,20 @@ def test_bad_block_config_is_config_error(capsys, validator, argv, message):
     assert message in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("depths, message", [
+    ([None, 1, 1, 1], "NoneType"),     # int(None) raises TypeError
+    ([0, 1, 1, 1], "must be positive"),  # the config itself raises ValueError
+])
+def test_bad_config_value_is_config_error(capsys, validator, tmp_path, depths, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"depths": depths, "dims": [8, 8, 16, 16], "exp_ratios": [2, 2, 2, 2]}))
+    code, doc = run_json(capsys, "count", "--config", str(path))
+    assert code == 2
+    validator(doc)
+    assert doc["error"]["code"] == "config"
+    assert message in doc["error"]["message"]
+
+
 def test_forward_rejects_wrong_channel_raw_tensor(capsys, tiny_config, tmp_path):
     arr = np.zeros((1, 5, 64, 64), dtype=np.float32)
     raw = tmp_path / "bad.bin"

@@ -16,8 +16,10 @@ from emo import (
     load_model,
     preset,
     save_model,
+    irmb_forward,
     stage_features,
 )
+from emo.autograd import conv2d, mean_hw
 
 TINY = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0), num_classes=10)
 
@@ -168,6 +170,12 @@ def test_load_rejects_mismatched_config(tmp_path):
         load_model(other, path)
 
 
+def test_loaded_model_claims_no_seed(tmp_path):
+    path = tmp_path / "tiny.emow"
+    save_model(build_emo(TINY, seed=5), path)
+    assert load_model(TINY, path).seed is None
+
+
 def test_load_model_draws_no_weights(tmp_path, monkeypatch):
     path = tmp_path / "tiny.emow"
     save_model(build_emo(TINY, seed=5), path)
@@ -188,12 +196,19 @@ def test_stage_features_shapes():
         assert f.shape == (1, c, r, r)
 
 
-def test_stage_features_equal_the_full_forward_capture():
+def test_stage_features_resume_to_the_full_forward():
     model = build_emo(TINY, seed=1, precision="f64")
+    p = model.params
     x = np.random.default_rng(3).normal(size=(2, 3, 64, 64))
-    _, captured = emo_forward(model, x, capture_stages=True)
+    logits = emo_forward(model, x)
     for stage in (1, 2, 3, 4):
-        assert stage_features(model, x, stage).tobytes() == captured[stage].tobytes()
+        v = stage_features(model, x, stage)
+        for name, s, bcfg in TINY.blocks:
+            if s > stage:
+                v = irmb_forward(v, bcfg, p, prefix=name + ".")
+        pooled = mean_hw(v)
+        head = conv2d(pooled.reshape(*pooled.shape, 1, 1), p["head.w"], TINY.head_spec(), p["head.b"])
+        assert head.reshape(logits.shape).tobytes() == logits.tobytes()
 
 
 def test_stage_features_stop_at_the_requested_stage():

@@ -348,7 +348,7 @@ def test_softmax_rows_sum_to_one():
 def test_batchnorm_default_stats_is_near_identity():
     x = np.random.default_rng(1).normal(size=(1, 3, 4, 4))
     ones, zeros = np.ones(3), np.zeros(3)
-    y = ops.batchnorm_inference(x, ones, zeros, zeros, ones, eps=1e-5)
+    y = ops.batchnorm_inference(x, ones, zeros, zeros, ones)
     np.testing.assert_allclose(y, x / math.sqrt(1 + 1e-5), atol=1e-12)
 
 
