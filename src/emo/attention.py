@@ -76,7 +76,9 @@ def _partition(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
     n, c = x.shape[:2]
     w = layout.window
     if layout.pad_h or layout.pad_w:
-        x = np.pad(x, ((0, 0), (0, 0), (0, layout.pad_h), (0, layout.pad_w)))
+        xp = np.zeros((n, c, layout.grid_h * w, layout.grid_w * w), x.dtype)
+        xp[:, :, : layout.height, : layout.width] = x
+        x = xp
     t = x.reshape(n, c, layout.grid_h, w, layout.grid_w, w)
     t = t.transpose(0, 2, 4, 3, 5, 1)  # (N, gh, gw, w, w, C)
     return t.reshape(n * layout.num_windows, w * w, c)

@@ -26,6 +26,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import analysis
 from .irmb import IRMBConfig, equivalence_check
 from .model import IN_CHANNELS, EMOVariantConfig, PRESETS, build_emo, emo_forward, preset
@@ -369,11 +374,14 @@ def cmd_bench(args) -> dict:
     model = build_emo(cfg, seed=args.seed, precision=args.precision)
     x = Tensor(_make_input(args), precision=args.precision)
     emo_forward(model, x)  # warm-up
-    times = []
+    times, faults = [], []
     for _ in range(args.runs):
+        f0 = _minor_faults()
         t0 = time.perf_counter()
         emo_forward(model, x)
         times.append((time.perf_counter() - t0) * 1e3)
+        if f0 is not None:
+            faults.append(_minor_faults() - f0)
     arr = np.sort(np.asarray(times))
     return {
         "command": "bench",
@@ -389,7 +397,13 @@ def cmd_bench(args) -> dict:
             "min": float(arr[0]),
             "max": float(arr[-1]),
         },
+        "page_faults_per_forward": float(np.median(faults)) if faults else None,
     }
+
+
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far, or None without `resource`."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emo import cli
 from emo.cli import main
 from emo.serialize import save_raw_tensor
 
@@ -128,6 +129,9 @@ def test_bench_command(capsys, validator, tiny_config):
     validator(doc)
     assert doc["runs"] == 3
     assert "reproduces no published figures" in doc["note"]
+    faults = doc["page_faults_per_forward"]
+    assert (faults is None) == (cli.resource is None)
+    assert faults is None or faults >= 0
 
 
 def test_byte_stability_of_outputs(capsys, tiny_config):

@@ -52,6 +52,17 @@ def test_padded_partition_round_trip_exact():
     assert np.array_equal(back, x)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_partition_is_bit_identical_to_the_np_pad_formula(dtype):
+    x = np.random.default_rng(4).normal(size=(2, 3, 5, 5)).astype(dtype)
+    x[0, 0, 0, :2] = -0.0
+    tokens, layout = window_partition(x, 7)
+    padded = np.pad(x, ((0, 0), (0, 0), (0, layout.pad_h), (0, layout.pad_w)))
+    want = padded.reshape(2, 3, 1, 7, 1, 7).transpose(0, 2, 4, 3, 5, 1).reshape(2, 49, 3)
+    assert tokens.dtype == want.dtype == dtype and tokens.shape == want.shape
+    assert tokens.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("hw,w", [((4, 4), 4), ((4, 4), 2), ((5, 5), 4), ((7, 3), 2), ((1, 1), 1), ((6, 9), 5)])
 def test_round_trip_exact_all_shapes(hw, w):
     x = rand_x(3, hw, seed=hw[0] * 10 + w)

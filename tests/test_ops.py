@@ -1,13 +1,15 @@
 import itertools
 import math
+import platform
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from emo import ConvSpec, cost_meter
+from emo import ConvSpec, MMBConfig, Rng, cost_meter, mmb_forward, mmb_init_params
 from emo import ops
+from emo.attention import MASK_NEG
 
 
 def identity_dw_kernel(c, k=3):
@@ -341,6 +343,15 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(s, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_in_place_is_bit_identical_to_the_three_array_formula(dtype):
+    x = (np.random.default_rng(17).normal(size=(6, 4, 49, 49)) * 30).astype(dtype)
+    x[0, :, :, 40:] = MASK_NEG  # masked keys
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    _assert_same_bits(ops.softmax_lastdim(x), e / e.sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -523,6 +534,46 @@ def test_activation_vjp_peak_memory(name, dtype):
     finally:
         tracemalloc.stop()
     assert peak < ACTIVATION_VJP_PEAK[name, dtype] * x.nbytes, peak / x.nbytes
+
+
+# forwards, in units of x.nbytes: the whole-array formulas peaked at 5.0 (gelu f32),
+# 3.0 (gelu f64) and 3.1 (softmax); the in-place forwards keep one output array
+# plus a tile's f64 temporary or the row max and sum. The gelu map is big enough
+# to be tiled.
+FORWARD_PEAK_SHAPES = {"gelu": (1, 160, 56, 56), "softmax_lastdim": (16, 4, 49, 49)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(FORWARD_PEAK_SHAPES))
+def test_forward_peak_memory(name, dtype):
+    f = getattr(ops, name)
+    x = np.random.default_rng(18).normal(size=FORWARD_PEAK_SHAPES[name]).astype(dtype)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's mallopt")
+def test_steady_state_forward_faults_no_fresh_pages():
+    import resource
+
+    cfg = MMBConfig(64, 4.0, operator="ewmhsa_dwconv", window=7, heads=4, pre_norm="layernorm",
+                    expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
+    params = mmb_init_params(cfg, Rng(0), precision="f64")
+    x = np.random.default_rng(19).normal(size=(1, 64, 28, 28))
+    for _ in range(2):  # warm-up: the heap grows to the forward's working set
+        mmb_forward(x, cfg, params)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        mmb_forward(x, cfg, params)
+    per_forward = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+    # freed heap given back to the kernel costs about 3.5k faults per forward
+    assert per_forward < 100, per_forward
 
 
 def test_conv_vjp_identity_kernel_passes_upstream_through():
