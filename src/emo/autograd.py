@@ -17,7 +17,10 @@ arrays that this `need` makes it read, as PyTorch's save_for_backward does:
 - conv2d keeps x only if w is a Var, and w only if x is; matmul keeps a only
   if b is a Var, and b only if a is;
 - batchnorm_inference keeps x only if gamma is a Var;
-- layernorm_channels, silu and gelu keep x, softmax_lastdim keeps its output;
+- layernorm_channels keeps x, softmax_lastdim keeps its output;
+- silu and gelu keep their derivative dy/dx, which the forward computes from
+  the same sigmoid or erf as y, never x: silu's has x's dtype, gelu's is f64
+  (so an f32 gelu node holds twice x's bytes);
 - add, scale, reshape, transpose and mean_hw keep shapes and dtypes only;
 - linear keeps only what its caller's adjoint closure holds.
 
@@ -281,14 +284,25 @@ def layernorm_channels(x, gamma, beta):
                    lambda need: lambda g: ops.layernorm_channels_vjp(g, xv, gv, need=need))
 
 
+# The silu and gelu VJPs bind dydx as defaults, not closure cells: a cell per
+# kept value makes the node larger than one that kept x.
+
+
 def silu(x):
-    xv = val(x)
-    return _record(ops.silu(xv), (x,), lambda need: lambda g: (ops.silu_vjp(g, xv),))
+    if not isinstance(x, Var):
+        return ops.silu(x)
+    dydx = np.empty(x.shape, x.dtype)
+    y = ops.silu(x.value, dydx)
+    return _record(y, (x,), lambda need: lambda g, dydx=dydx: (ops.silu_vjp(g, dydx=dydx),))
 
 
 def gelu(x):
-    xv = val(x)
-    return _record(ops.gelu(xv), (x,), lambda need: lambda g: (ops.gelu_vjp(g, xv),))
+    if not isinstance(x, Var):
+        return ops.gelu(x)
+    dydx, dtype = np.empty(x.shape), x.dtype
+    y = ops.gelu(x.value, dydx)
+    return _record(y, (x,), lambda need: lambda g, dydx=dydx, dtype=dtype:
+                   (ops.gelu_vjp(g, dydx=dydx, dtype=dtype),))
 
 
 def activate(x, kind):

@@ -28,6 +28,13 @@ weight gradient, walks the same taps over the whole map, scattering each
 tap's input cotangent back onto its slice. silu, gelu and their VJPs are
 evaluated over flat tiles in the same way.
 
+Given an array `dydx`, silu and gelu also write their derivative into it,
+from the same sigmoid or erf that gives y; silu_vjp and gelu_vjp then take
+that array in place of x and only multiply g by it. Each derivative is one
+function that both the forward and the VJP from x call, so the two give the
+same bits. silu's dydx has x's dtype, gelu's is f64 (its VJP works in f64
+and casts back), and a plain call without dydx computes no derivative.
+
 The VJPs of primitives with several inputs take `need=`, one flag per
 differentiable input (all True by default). An unflagged gradient is
 returned as None and costs nothing, which is how the tape skips weight
@@ -605,7 +612,8 @@ def _map_tiles(f, dtype, *args):
     """f(*args) of an element-wise f, evaluated over flat chunks of _TILE elements.
 
     Chunk by chunk, f's temporaries stay in L2. f(*chunks, out=o) writes its
-    chunk of the result, of `dtype`, into o. A map of at most two tiles, or
+    chunk of the result, of `dtype`, into o; an operand may be an array that
+    f writes too, such as an activation's dydx. A map of at most two tiles, or
     one whose operands are not all C-contiguous and of one shape (such as a
     broadcast g), is evaluated whole, as f(*args).
     """
@@ -619,35 +627,63 @@ def _map_tiles(f, dtype, *args):
     return out
 
 
-def _silu(x, out=None):
-    return np.multiply(x, _sigmoid(x), out=out)
+def _check_dydx(name, dydx, shape, dtype):
+    if dydx.shape != shape or dydx.dtype != dtype:
+        raise ValueError(f"{name}: dydx must be {np.dtype(dtype)} shaped {shape}, got {dydx.dtype} {dydx.shape}")
 
 
-def silu(x) -> np.ndarray:
-    """x * sigmoid(x)."""
-    x = _arr(x)
-    _meter(act_elems=x.size)
-    return _map_tiles(_silu, x.dtype, x)
+def _silu_dydx(x, s, out=None):
+    """silu'(x) = s * (1 + x * (1 - s)) from s = sigmoid(x), in one buffer (out if given).
 
-
-def _silu_vjp(g, x, out=None):
-    s = _sigmoid(x)
-    d = np.subtract(1.0, s)
+    Each in-place step is the same IEEE operation, on the same dtypes, as in
+    that expression, so the result is bit-identical to it.
+    """
+    d = np.subtract(1.0, s, out=out)
     d *= x
     d += 1.0
     d *= s
+    return d
+
+
+def _silu(x, dydx=None, out=None):
+    s = _sigmoid(x)
+    if dydx is not None:
+        _silu_dydx(x, s, out=dydx)
+    return np.multiply(x, s, out=out)
+
+
+def silu(x, dydx=None) -> np.ndarray:
+    """x * sigmoid(x).
+
+    Given `dydx`, an array of x's shape and dtype, silu'(x) is written into
+    it from the same sigmoid, for `silu_vjp(g, dydx=dydx)`.
+    """
+    x = _arr(x)
+    _meter(act_elems=x.size)
+    if dydx is None:
+        return _map_tiles(_silu, x.dtype, x)
+    _check_dydx("silu", dydx, x.shape, x.dtype)
+    return _map_tiles(_silu, x.dtype, x, dydx)
+
+
+def _silu_vjp(g, x, out=None):
+    d = _silu_dydx(x, _sigmoid(x))
     if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
         return g * d
     return np.multiply(d, g, out=d if out is None else out)
 
 
-def silu_vjp(g, x):
-    """g * (s * (1 + x * (1 - s))) with s = sigmoid(x), in one buffer besides s.
+def silu_vjp(g, x=None, *, dydx=None):
+    """g * silu'(x), bit-identical to g * (s * (1 + x * (1 - s))) with s = sigmoid(x).
 
-    Each in-place step is the same IEEE operation, on the same dtypes, as in
-    that expression, so the result is bit-identical to it.
+    Given `dydx`, the silu'(x) that `silu(x, dydx)` wrote, x is not read and
+    no sigmoid is evaluated. Otherwise silu'(x) is evaluated from x in one
+    buffer besides s.
     """
-    g, x = _arr(g), _arr(x)
+    g = _arr(g)
+    if dydx is not None:
+        return g * dydx
+    x = _arr(x)
     return _map_tiles(_silu_vjp, np.result_type(g, x), g, x)
 
 
@@ -655,49 +691,75 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x, out=None):
-    t = np.multiply(x, _INV_SQRT2)  # f64 for f32 x too: the constant is an np.float64
+def _erf1(x):
+    """1 + erf(x / sqrt(2)) in one f64 buffer, for f32 x too: the constant is an np.float64."""
+    t = np.multiply(x, _INV_SQRT2)
     erf(t, out=t)
     t += 1.0
+    return t
+
+
+def _gelu_dydx(x, t, out=None):
+    """gelu'(x) = Phi(x) + x * pdf(x) in f64 (out if given), from t = _erf1(x), which it overwrites.
+
+    Phi(x) is 0.5 * t and pdf(x) is exp(-x * x / 2) / sqrt(2 pi), whose
+    exponent is evaluated in x's dtype. The np.float64 constant promotes f32
+    work to f64, so a step runs in place only where its buffer already has
+    the dtype that step produces, and the result is bit-identical to
+    0.5 * t + x * (exp(x * -0.5 * x) * _INV_SQRT2PI) evaluated out of place.
+    """
+    t *= 0.5
+    e = np.multiply(x, -0.5, out=out if x.dtype == np.float64 else None)
+    e *= x
+    np.exp(e, out=e)
+    d = np.multiply(e, _INV_SQRT2PI, out=e if e.dtype == np.float64 else out)
+    d *= x
+    d += t
+    return d
+
+
+def _gelu(x, dydx=None, out=None):
+    t = _erf1(x)
     h = np.multiply(x, 0.5, out=out)
-    return np.multiply(h, t, out=h)
+    y = np.multiply(h, t, out=h)
+    if dydx is not None:
+        _gelu_dydx(x, t, out=dydx)
+    return y
 
 
-def gelu(x) -> np.ndarray:
+def gelu(x, dydx=None) -> np.ndarray:
     """Exact Gaussian-CDF GeLU: x * Phi(x), as (x * 0.5) * (1 + erf(x / sqrt(2))).
 
     The erf factor is evaluated in f64 in one buffer per tile and the product
     is cast into x's dtype, so the result is bit-identical to evaluating that
-    expression out of place and casting it back.
+    expression out of place and casting it back. Given `dydx`, an f64 array
+    of x's shape, gelu'(x) is written into it from the same erf, for
+    `gelu_vjp(g, dydx=dydx, dtype=x.dtype)`.
     """
     x = _arr(x)
     _meter(act_elems=x.size)
-    return _map_tiles(_gelu, x.dtype, x)
+    if dydx is None:
+        return _map_tiles(_gelu, x.dtype, x)
+    _check_dydx("gelu", dydx, x.shape, np.float64)
+    return _map_tiles(_gelu, x.dtype, x, dydx)
 
 
 def _gelu_vjp(g, x, out=None):
-    phi = np.multiply(x, _INV_SQRT2)  # 0.5 * (1 + erf(x / sqrt(2)))
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    d = np.multiply(x, -0.5)  # x * exp(-x * x / 2) / sqrt(2 pi)
-    d *= x
-    np.exp(d, out=d)
-    d = np.multiply(d, _INV_SQRT2PI, out=d if d.dtype == phi.dtype else None)
-    d *= x
-    d += phi
-    del phi
+    d = _gelu_dydx(x, _erf1(x))
     if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
         return (g * d).astype(x.dtype, copy=False)
     return np.multiply(d, g, out=d if out is None else out).astype(x.dtype, copy=False)
 
 
-def gelu_vjp(g, x):
-    """g * (Phi(x) + x * pdf(x)), bit-identical to evaluating it out of place.
+def gelu_vjp(g, x=None, *, dydx=None, dtype=None):
+    """g * gelu'(x) in f64, cast to x's dtype; bit-identical to evaluating it out of place.
 
-    The np.float64 constants promote f32 work to f64, so a step runs in place
-    only where its buffer already has the dtype that step produces.
+    Given `dydx`, the f64 gelu'(x) that `gelu(x, dydx)` wrote, x is not read
+    and no erf is evaluated; `dtype` is x's, read from x when not given.
     """
-    g, x = _arr(g), _arr(x)
+    g = _arr(g)
+    if dydx is not None:
+        dtype = _arr(x).dtype if dtype is None else dtype
+        return np.multiply(g, dydx, out=np.empty(np.broadcast_shapes(g.shape, dydx.shape), dtype))
+    x = _arr(x)
     return _map_tiles(_gelu_vjp, x.dtype, g, x)
-

@@ -1,9 +1,11 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 
-from emo import EMOVariantConfig, build_emo, emo_forward
+from emo import EMOVariantConfig, build_emo, emo_forward, ops
 from emo import autograd as T
 from emo.attention import window_merge, window_partition
 from emo.ops import ConvSpec
@@ -190,6 +192,77 @@ def test_input_only_tape_keeps_only_what_its_vjps_read():
     tape, _ = _tiny_input_gradient_bytes(all_var=False)
     all_var_tape, _ = _tiny_input_gradient_bytes(all_var=True)
     assert tape < 0.6 * all_var_tape, tape / all_var_tape
+
+
+def _keep_input_activations(monkeypatch):
+    """Swap in silu and gelu wrappers whose nodes keep x and re-evaluate the derivative from it."""
+    def keep_input(f, vjp):
+        def wrapper(x):
+            xv = T.val(x)
+            return T._record(f(xv), (x,), lambda need: lambda g: (vjp(g, xv),))
+        return wrapper
+
+    monkeypatch.setattr(T, "silu", keep_input(ops.silu, ops.silu_vjp))
+    monkeypatch.setattr(T, "gelu", keep_input(ops.gelu, ops.gelu_vjp))
+
+
+def test_derivative_keeping_tape_is_no_larger_than_an_input_keeping_one(monkeypatch):
+    # an f64 node keeps dy/dx of x's size in place of x, which is then freed: the
+    # tape must not grow, and the backward no longer evaluates sigmoid or erf
+    _tiny_input_gradient_bytes(all_var=False)  # the first call makes one-time allocations
+    tape, extra = _tiny_input_gradient_bytes(all_var=False)
+    _keep_input_activations(monkeypatch)
+    keep_input_tape, keep_input_extra = _tiny_input_gradient_bytes(all_var=False)
+    assert tape <= keep_input_tape, (tape, keep_input_tape)
+    assert extra < keep_input_extra, (extra, keep_input_extra)
+
+
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_activation_input_is_freed_after_an_input_only_forward(name):
+    # with w a plain array the conv node keeps nothing of its output, so the
+    # activation's node is the only one that could hold its input
+    rng = np.random.default_rng(23)
+    x = T.Var(rng.normal(size=(2, 4, 8, 8)))
+    h = T.conv2d(x, rng.normal(size=(4, 1, 3, 3)), ConvSpec(4, 4, padding=1, groups=4, bias=False))
+    h_value = h.value.copy()
+    alive = weakref.ref(h.value)
+    y = getattr(T, name)(h)
+    del h
+    assert alive() is None
+    g = rng.normal(size=y.shape)
+    (gh,) = y.node.vjp(g)
+    assert gh.tobytes() == getattr(ops, name + "_vjp")(g, h_value).tobytes()
+
+
+def _activation_inputs(dtype, size):
+    """`size` values of dtype: noise, and at the start and around every tile edge,
+    +-0, +-inf, NaN, subnormals, x around +-sqrt(2) (where erf(x / sqrt(2))
+    switches branch) and |x| >= 8 sqrt(2) (erf's far branch)."""
+    sub = np.finfo(dtype).smallest_subnormal
+    near = np.concatenate([np.sqrt(2.0) * (1 + np.linspace(-4e-7, 4e-7, 9)),
+                           8 * np.sqrt(2.0) * (1 + np.linspace(0, 4e-7, 5)), [12.0, 40.0, 1e3, 1e30]])
+    edge = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, sub, -sub, 1e3 * sub, -1e3 * sub],
+                           near, -near]).astype(dtype)
+    x = (np.random.default_rng(20).normal(size=size) * 4).astype(dtype)
+    x[: edge.size] = edge
+    for at in range(ops._TILE, size, ops._TILE):  # both sides of every tile edge
+        x[at - edge.size : at + edge.size] = np.concatenate([edge, edge[::-1]])
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [4096, 5 * ops._TILE // 2])  # a whole-array map, a tiled one
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_tape_activation_bytes_equal_the_plain_kernels(name, size, dtype):
+    x = _activation_inputs(dtype, size).reshape(2, -1, 8, 8)
+    g = np.random.default_rng(21).normal(size=x.shape).astype(dtype)
+    xv = T.Var(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = getattr(T, name)(xv)
+        gx = T.grad_of(T.backward(y, g), xv)
+        want_y, want_gx = getattr(ops, name)(x), getattr(ops, name + "_vjp")(g, x)
+    assert y.dtype == want_y.dtype and y.value.tobytes() == want_y.tobytes()
+    assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
 
 
 def test_backward_frees_interior_cotangents():

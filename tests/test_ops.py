@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import platform
@@ -205,6 +206,34 @@ def test_depthwise_kernel_across_tiles_of_whole_images_is_bit_identical(k, s, p)
     assert ops.conv2d(x, w, spec, b).tobytes() == _depthwise_taps_nchw(x, w, spec, b).tobytes()
     gx, _, _ = ops.conv2d_vjp(g, None, w, spec, need=(True, False, False), shape=shape, dtype=x.dtype)
     assert gx.tobytes() == _depthwise_gx_taps_nchw(g, w, spec, shape).tobytes()
+
+
+# The depth-wise weight gradient walks each tap over the whole padded NCHW map. These
+# digests pin its bits at maps that the forward and input-cotangent kernels cut into
+# several row tiles, so a gw computed from those tiles has to reproduce them.
+DEPTHWISE_GW_CASES = {
+    "s1": (ConvSpec(24, 24, kernel=3, stride=1, padding=1, groups=24), (2, 24, 48, 48)),
+    "s2": (ConvSpec(48, 48, kernel=5, stride=2, padding=2, groups=48), (1, 48, 57, 57)),
+}
+DEPTHWISE_GW_SHA256 = {
+    ("s1", "float32"): "5f3eaeef0c54e90857da37d88afd18bf5d6f4a18560318d55f80cc219ee99b36",
+    ("s1", "float64"): "12697d83a538a69fe2337162738c4b587c3ab47d466492638e9fb3a558b172bc",
+    ("s2", "float32"): "e53a512377adc99c97539a0b43d3b5f3d0561f67842cc39db29024069f124ce3",
+    ("s2", "float64"): "0d96e793b58231c7834f343e28797a0eed74c454268606ba404bdb861be2739f",
+}
+
+
+@pytest.mark.parametrize("case, dt", sorted(DEPTHWISE_GW_SHA256))
+def test_depthwise_weight_gradient_bits_are_pinned(case, dt):
+    spec, shape = DEPTHWISE_GW_CASES[case]
+    n, c, h, wd = shape
+    ho, wo = spec.out_hw(h, wd)
+    for rows, row_elems in ((ho, wo * c), (h, (wd + 2 * spec.padding) * c)):
+        assert len(ops._row_tiles(n, rows, row_elems)) > n  # several row tiles per image
+    x, w, _, g = _depthwise_operands(spec, shape, np.dtype(dt), seed=24)
+    _, gw, _ = ops.conv2d_vjp(g, x, w, spec, need=(False, True, False))
+    assert gw.dtype == dt
+    assert hashlib.sha256(gw.tobytes()).hexdigest() == DEPTHWISE_GW_SHA256[case, dt]
 
 
 def test_depthwise_conv_peak_memory_stays_near_padded_input():
@@ -521,19 +550,50 @@ ACTIVATION_VJP_PEAK = {("silu", np.float32): 2.5, ("silu", np.float64): 2.5,
                        ("gelu", np.float32): 7.0, ("gelu", np.float64): 2.5}
 
 
+def _peak_bytes(call):
+    """Peak traced bytes that call() allocates on top of what is live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name, dtype", sorted(ACTIVATION_VJP_PEAK, key=str))
 def test_activation_vjp_peak_memory(name, dtype):
     vjp = {"silu": ops.silu_vjp, "gelu": ops.gelu_vjp}[name]
     x = np.random.default_rng(14).normal(size=(4, 16, 16, 16)).astype(dtype)
     g = np.ones_like(x)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        vjp(g, x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: vjp(g, x))
     assert peak < ACTIVATION_VJP_PEAK[name, dtype] * x.nbytes, peak / x.nbytes
+
+
+# A map of more than 2 * _TILE elements is tiled: each kernel holds its output plus
+# a tile's temporaries, at most 1.37 x.nbytes (the f32 gelu VJP, whose tile work is
+# f64). dydx is allocated by the caller, as the tape does, outside the measurement.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_tiled_activation_peak_memory(name, dtype):
+    f, vjp = getattr(ops, name), getattr(ops, name + "_vjp")
+    x = np.random.default_rng(14).normal(size=(1, 160, 56, 56)).astype(dtype)
+    g = np.ones_like(x)
+    dydx = np.empty(x.shape, dtype if name == "silu" else np.float64)
+    cast = {"dtype": dtype} if name == "gelu" else {}
+    kernels = {"vjp from x": lambda: vjp(g, x), "forward and dydx": lambda: f(x, dydx),
+               "vjp from dydx": lambda: vjp(g, dydx=dydx, **cast)}
+    for kernel, call in kernels.items():
+        peak = _peak_bytes(call)
+        assert peak < 1.5 * x.nbytes, (kernel, peak / x.nbytes)
+
+
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_activation_rejects_a_dydx_of_another_dtype_or_shape(name):
+    x = np.zeros((2, 3))
+    for dydx in (np.empty(x.shape, np.float32), np.empty((4, 2, 3))):
+        with pytest.raises(ValueError, match="dydx"):
+            getattr(ops, name)(x, dydx)
 
 
 # forwards, in units of x.nbytes: the whole-array formulas peaked at 5.0 (gelu f32),
@@ -548,13 +608,7 @@ FORWARD_PEAK_SHAPES = {"gelu": (1, 160, 56, 56), "softmax_lastdim": (16, 4, 49, 
 def test_forward_peak_memory(name, dtype):
     f = getattr(ops, name)
     x = np.random.default_rng(18).normal(size=FORWARD_PEAK_SHAPES[name]).astype(dtype)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        f(x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: f(x))
     assert peak < 1.5 * x.nbytes, peak / x.nbytes
 
 
