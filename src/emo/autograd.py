@@ -18,9 +18,10 @@ arrays that this `need` makes it read, as PyTorch's save_for_backward does:
   if b is a Var, and b only if a is;
 - batchnorm_inference keeps x only if gamma is a Var;
 - layernorm_channels keeps x, softmax_lastdim keeps its output;
-- silu and gelu keep their derivative dy/dx, which the forward computes from
-  the same sigmoid or erf as y, never x: silu's has x's dtype, gelu's is f64
-  (so an f32 gelu node holds twice x's bytes);
+- silu and gelu keep their derivative dy/dx, never x: the forward writes it
+  from the same sigmoid or erf as y, and the VJP only multiplies g by it.
+  silu's has x's dtype, gelu's is f64 (so an f32 gelu node holds twice x's
+  bytes);
 - add, scale, reshape, transpose and mean_hw keep shapes and dtypes only;
 - linear keeps only what its caller's adjoint closure holds.
 
@@ -293,7 +294,7 @@ def silu(x):
         return ops.silu(x)
     dydx = np.empty(x.shape, x.dtype)
     y = ops.silu(x.value, dydx)
-    return _record(y, (x,), lambda need: lambda g, dydx=dydx: (ops.silu_vjp(g, dydx=dydx),))
+    return _record(y, (x,), lambda need: lambda g, dydx=dydx: (ops.silu_vjp(g, dydx),))
 
 
 def gelu(x):
@@ -301,8 +302,7 @@ def gelu(x):
         return ops.gelu(x)
     dydx, dtype = np.empty(x.shape), x.dtype
     y = ops.gelu(x.value, dydx)
-    return _record(y, (x,), lambda need: lambda g, dydx=dydx, dtype=dtype:
-                   (ops.gelu_vjp(g, dydx=dydx, dtype=dtype),))
+    return _record(y, (x,), lambda need: lambda g, dydx=dydx, dtype=dtype: (ops.gelu_vjp(g, dydx, dtype),))
 
 
 def activate(x, kind):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -49,15 +50,21 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # run-config parsing (strict)
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
+
+
+# field -> (what its value, or each entry of a list field, must be; its test; is a
+# list), as in variant_config.schema.json. The ranges are EMOVariantConfig's to check.
 _CONFIG_KEYS = {
-    "name": str,
-    "depths": list,
-    "dims": list,
-    "exp_ratios": list,
-    "attn_stages": list,
-    "windows": list,
-    "num_classes": int,
-    "head_dim": int,
+    "name": ("a string", lambda v: isinstance(v, str), False),
+    "depths": ("an integer", _integer, True),
+    "dims": ("an integer", _integer, True),
+    "exp_ratios": ("a finite number", lambda v: _integer(v) or (isinstance(v, float) and math.isfinite(v)), True),
+    "attn_stages": ("an integer", _integer, True),
+    "windows": ("an integer", _integer, True),
+    "num_classes": ("an integer", _integer, False),
+    "head_dim": ("an integer", _integer, False),
 }
 _CONFIG_REQUIRED = ("depths", "dims", "exp_ratios")
 
@@ -71,22 +78,26 @@ def parse_variant_config(doc: dict) -> EMOVariantConfig:
     missing = [k for k in _CONFIG_REQUIRED if k not in doc]
     if missing:
         raise ConfigError(f"missing config fields: {missing}")
-    for key, typ in _CONFIG_KEYS.items():
-        if key in doc and not isinstance(doc[key], typ):
-            raise ConfigError(f"config field {key!r} must be {typ.__name__}")
-    try:
-        return EMOVariantConfig(
-            name=doc.get("name", "custom"),
-            depths=tuple(int(v) for v in doc["depths"]),
-            dims=tuple(int(v) for v in doc["dims"]),
-            exp_ratios=tuple(float(v) for v in doc["exp_ratios"]),
-            attn_stages=frozenset(int(v) for v in doc.get("attn_stages", [3, 4])),
-            windows=tuple(int(v) for v in doc.get("windows", [7, 7, 7, 7])),
-            num_classes=int(doc.get("num_classes", 1000)),
-            head_dim=int(doc.get("head_dim", 32)),
-        )
-    except TypeError as exc:  # e.g. int(None); a ValueError is already a config error in main
-        raise ConfigError(str(exc)) from exc
+    for key, value in doc.items():
+        what, ok, is_list = _CONFIG_KEYS[key]
+        if is_list and not isinstance(value, list):
+            raise ConfigError(f"config field {key!r} must be a list, got {type(value).__name__}")
+        for v in value if is_list else (value,):
+            if not ok(v):
+                raise ConfigError(f"config field {key!r}: {v!r} ({type(v).__name__}) is not {what}")
+    attn_stages = doc.get("attn_stages", [3, 4])
+    if len(set(attn_stages)) != len(attn_stages):
+        raise ConfigError(f"config field 'attn_stages' repeats a stage: {attn_stages}")
+    return EMOVariantConfig(
+        name=doc.get("name", "custom"),
+        depths=tuple(doc["depths"]),
+        dims=tuple(doc["dims"]),
+        exp_ratios=tuple(float(v) for v in doc["exp_ratios"]),
+        attn_stages=frozenset(attn_stages),
+        windows=tuple(doc.get("windows", [7, 7, 7, 7])),
+        num_classes=doc.get("num_classes", 1000),
+        head_dim=doc.get("head_dim", 32),
+    )
 
 
 def resolve_model_config(args) -> EMOVariantConfig:

@@ -18,6 +18,7 @@ leaves carry the iRMB names (`norm_dw.*` for the operator norm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,11 @@ _CONFIG_FIELDS = (
 )
 
 
+# fields that mmb_config.schema.json types as integers (window: or null); a JSON
+# true or 2.0 is not one
+_INTEGER_FIELDS = ("channels", "expand_groups", "kernel", "window", "heads")
+
+
 def mmb_config_to_dict(cfg: MMBConfig) -> dict:
     """JSON-ready form of a block config (strict field set)."""
     return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
@@ -113,6 +119,12 @@ def mmb_config_from_dict(doc: dict) -> MMBConfig:
     missing = [k for k in ("channels", "expansion_ratio") if k not in doc]
     if missing:
         raise ValueError(f"missing block config fields: {missing}")
+    for name, v in doc.items():
+        integer = isinstance(v, int) and not isinstance(v, bool)
+        if name in _INTEGER_FIELDS and not (integer or (name == "window" and v is None)):
+            raise ValueError(f"block config field {name!r}: {v!r} ({type(v).__name__}) is not an integer")
+        if name == "expansion_ratio" and not (integer or (isinstance(v, float) and math.isfinite(v))):
+            raise ValueError(f"block config field {name!r}: {v!r} ({type(v).__name__}) is not a finite number")
     return MMBConfig(**doc)
 
 

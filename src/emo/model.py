@@ -48,6 +48,8 @@ class EMOVariantConfig:
                 raise ValueError(f"{what} must have 4 entries, got {seq}")
         if any(d < 1 for d in self.depths) or any(c < 1 for c in self.dims):
             raise ValueError("depths and dims must be positive")
+        if self.num_classes < 1 or self.head_dim < 1:
+            raise ValueError(f"num_classes and head_dim must be positive, got {self.num_classes} and {self.head_dim}")
         if not self.attn_stages <= {1, 2, 3, 4}:
             raise ValueError(f"attn_stages must be within 1..4, got {sorted(self.attn_stages)}")
         for si in range(4):

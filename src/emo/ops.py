@@ -25,15 +25,15 @@ taps over the whole map. Any other conv is one grouped matmul: a 1x1 conv
 over the input itself, a dense k x k conv (the stem, whose input has few
 channels) over the k*k slices stacked into one matrix. Its VJP, and every
 weight gradient, walks the same taps over the whole map, scattering each
-tap's input cotangent back onto its slice. silu, gelu and their VJPs are
-evaluated over flat tiles in the same way.
+tap's input cotangent back onto its slice. silu and gelu are evaluated over
+flat tiles in the same way.
 
 Given an array `dydx`, silu and gelu also write their derivative into it,
-from the same sigmoid or erf that gives y; silu_vjp and gelu_vjp then take
-that array in place of x and only multiply g by it. Each derivative is one
-function that both the forward and the VJP from x call, so the two give the
-same bits. silu's dydx has x's dtype, gelu's is f64 (its VJP works in f64
-and casts back), and a plain call without dydx computes no derivative.
+from the same sigmoid or erf that gives y. silu_vjp and gelu_vjp take that
+array, never x, and only multiply g by it: the forward kernel is the one
+place a derivative is evaluated. silu's dydx has x's dtype, gelu's is f64
+(its VJP multiplies in f64 and casts into x's dtype), and a plain call
+without dydx computes no derivative.
 
 The VJPs of primitives with several inputs take `need=`, one flag per
 differentiable input (all True by default). An unflagged gradient is
@@ -58,8 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
-
-from .tensor import Tensor
 
 # ---------------------------------------------------------------------------
 # process heap
@@ -134,14 +132,6 @@ def _meter(**counts):
     if m is not None:
         for k, v in counts.items():
             setattr(m, k, getattr(m, k) + int(v))
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-
-def _arr(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +351,7 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
 
     x: (N, C_in, H, W); w: (C_out, C_in/G, k, k); b: (C_out,) or None.
     """
-    x, w = _arr(x), _arr(w)
+    x, w = np.asarray(x), np.asarray(w)
     n, c, h, wdt = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -397,10 +387,10 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=No
     gradient is unflagged. `shape` and `dtype` are x's, read from x when
     not given.
     """
-    g_out = _arr(g_out)
+    g_out = np.asarray(g_out)
     need_x, need_w, need_b = need
-    n, c, h, wdt = _arr(x).shape if shape is None else shape
-    dtype = _arr(x).dtype if dtype is None else dtype
+    n, c, h, wdt = np.asarray(x).shape if shape is None else shape
+    dtype = np.asarray(x).dtype if dtype is None else dtype
     p, grp = spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wdt)
     if g_out.shape != (n, spec.out_channels, ho, wo):
@@ -411,13 +401,13 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=No
 
     gx = gw = None
     if need_x and spec.depthwise:
-        gx = _depthwise_gx(g_out, _arr(w), spec, (n, c, h, wdt), dtype)
+        gx = _depthwise_gx(g_out, np.asarray(w), spec, (n, c, h, wdt), dtype)
     dense_x = need_x and not spec.depthwise
     if not (dense_x or need_w):
         return gx, gw, gb
     g64 = g_out.astype(np.float64, copy=False)
-    w64 = _arr(w).astype(np.float64, copy=False) if dense_x else None
-    xp = _padded64(_arr(x), p) if need_w else None
+    w64 = np.asarray(w).astype(np.float64, copy=False) if dense_x else None
+    xp = _padded64(np.asarray(x), p) if need_w else None
     gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if dense_x else None
     gw = np.empty(spec.weight_shape()) if need_w else None
     gm = g64.reshape(n, grp, cog, ho * wo)
@@ -445,7 +435,7 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=No
 
 def matmul(a, b) -> np.ndarray:
     """Batched matrix product (..., m, n) @ (..., n, p) with 64-bit accumulation."""
-    a, b = _arr(a), _arr(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     out_dtype = np.result_type(a, b)
@@ -463,15 +453,15 @@ def matmul_vjp(g, a, b, *, need=(True, True), shapes=None, dtypes=None):
     gradient is unflagged. `shapes` and `dtypes` are the (a, b) pairs, read
     from a and b when not given.
     """
-    g64 = _arr(g).astype(np.float64, copy=False)
-    a_shape, b_shape = (_arr(a).shape, _arr(b).shape) if shapes is None else shapes
-    a_dtype, b_dtype = (_arr(a).dtype, _arr(b).dtype) if dtypes is None else dtypes
+    g64 = np.asarray(g).astype(np.float64, copy=False)
+    a_shape, b_shape = (np.asarray(a).shape, np.asarray(b).shape) if shapes is None else shapes
+    a_dtype, b_dtype = (np.asarray(a).dtype, np.asarray(b).dtype) if dtypes is None else dtypes
     ga = gb = None
     if need[0]:
-        ga = np.matmul(g64, np.swapaxes(_arr(b), -1, -2).astype(np.float64, copy=False))
+        ga = np.matmul(g64, np.swapaxes(np.asarray(b), -1, -2).astype(np.float64, copy=False))
         ga = _unbroadcast(ga, a_shape).astype(a_dtype, copy=False)
     if need[1]:
-        gb = np.matmul(np.swapaxes(_arr(a), -1, -2).astype(np.float64, copy=False), g64)
+        gb = np.matmul(np.swapaxes(np.asarray(a), -1, -2).astype(np.float64, copy=False), g64)
         gb = _unbroadcast(gb, b_shape).astype(b_dtype, copy=False)
     return ga, gb
 
@@ -494,7 +484,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def softmax_lastdim(x) -> np.ndarray:
     """Numerically stable softmax over the trailing axis, computed in its output array."""
-    x = _arr(x)
+    x = np.asarray(x)
     y = np.subtract(x, x.max(axis=-1, keepdims=True))
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
@@ -504,7 +494,7 @@ def softmax_lastdim(x) -> np.ndarray:
 
 def softmax_lastdim_vjp(g, y):
     """VJP from the softmax output y: dx = (g - sum(g*y)) * y."""
-    g, y = _arr(g), _arr(y)
+    g, y = np.asarray(g), np.asarray(y)
     dot = (g * y).sum(axis=-1, keepdims=True)
     return (g - dot) * y
 
@@ -519,7 +509,7 @@ def batchnorm_inference(x, gamma, beta, mean, var) -> np.ndarray:
 
     There is no training mode in this library; the statistics are inputs.
     """
-    x = _arr(x)
+    x = np.asarray(x)
     var = np.asarray(var)
     if np.any(var <= 0):
         raise ValueError("batchnorm running variance must be positive")
@@ -535,15 +525,15 @@ def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need=(True, True, True), 
     No gradient reads beta, and only ggamma reads x, so x may be None when
     gamma is unflagged. `dtype` is x's, read from x when not given.
     """
-    g = _arr(g)
+    g = np.asarray(g)
     need_x, need_gamma, need_beta = need
-    dtype = _arr(x).dtype if dtype is None else dtype
+    dtype = np.asarray(x).dtype if dtype is None else dtype
     inv = 1.0 / np.sqrt(np.asarray(var) + NORM_EPS)
     gx = ggamma = gbeta = None
     if need_x:
         gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(dtype, copy=False)
     if need_gamma:
-        xhat = (_arr(x) - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+        xhat = (np.asarray(x) - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
         ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(dtype, copy=False)
     if need_beta:
         gbeta = g.sum(axis=(0, 2, 3)).astype(dtype, copy=False)
@@ -552,7 +542,7 @@ def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need=(True, True, True), 
 
 def layernorm_channels(x, gamma, beta) -> np.ndarray:
     """Layer normalization over the channel axis, per spatial position."""
-    x = _arr(x)
+    x = np.asarray(x)
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     xhat = (x - mu) / np.sqrt(var + NORM_EPS)
@@ -566,7 +556,7 @@ def layernorm_channels_vjp(g, x, gamma, *, need=(True, True, True)):
 
     No gradient reads beta.
     """
-    g, x = _arr(g), _arr(x)
+    g, x = np.asarray(g), np.asarray(x)
     need_x, need_gamma, need_beta = need
     gx = ggamma = gbeta = None
     if need_x or need_gamma:
@@ -608,19 +598,18 @@ def _sigmoid(x):
     return out
 
 
-def _map_tiles(f, dtype, *args):
-    """f(*args) of an element-wise f, evaluated over flat chunks of _TILE elements.
+def _map_tiles(f, *args):
+    """f(*args) of an activation forward f, evaluated over flat chunks of _TILE elements.
 
-    Chunk by chunk, f's temporaries stay in L2. f(*chunks, out=o) writes its
-    chunk of the result, of `dtype`, into o; an operand may be an array that
-    f writes too, such as an activation's dydx. A map of at most two tiles, or
-    one whose operands are not all C-contiguous and of one shape (such as a
-    broadcast g), is evaluated whole, as f(*args).
+    Chunk by chunk, f's temporaries stay in L2. f(x, [dydx,] out=o) writes its
+    chunk of y, of x's dtype, into o and, given dydx, its chunk of the
+    derivative into dydx. A map of at most two tiles, or one with an operand
+    that is not C-contiguous, is evaluated whole, as f(*args).
     """
     shape, size = args[0].shape, args[0].size
-    if size <= 2 * _TILE or any(a.shape != shape or not a.flags.c_contiguous for a in args):
+    if size <= 2 * _TILE or not all(a.flags.c_contiguous for a in args):
         return f(*args)
-    out = np.empty(shape, dtype)
+    out = np.empty(shape, args[0].dtype)
     flat = [a.reshape(-1) for a in (out, *args)]
     for i in range(0, size, _TILE):
         f(*(a[i : i + _TILE] for a in flat[1:]), out=flat[0][i : i + _TILE])
@@ -632,8 +621,8 @@ def _check_dydx(name, dydx, shape, dtype):
         raise ValueError(f"{name}: dydx must be {np.dtype(dtype)} shaped {shape}, got {dydx.dtype} {dydx.shape}")
 
 
-def _silu_dydx(x, s, out=None):
-    """silu'(x) = s * (1 + x * (1 - s)) from s = sigmoid(x), in one buffer (out if given).
+def _silu_dydx(x, s, out):
+    """silu'(x) = s * (1 + x * (1 - s)) from s = sigmoid(x), written into out.
 
     Each in-place step is the same IEEE operation, on the same dtypes, as in
     that expression, so the result is bit-identical to it.
@@ -656,35 +645,22 @@ def silu(x, dydx=None) -> np.ndarray:
     """x * sigmoid(x).
 
     Given `dydx`, an array of x's shape and dtype, silu'(x) is written into
-    it from the same sigmoid, for `silu_vjp(g, dydx=dydx)`.
+    it from the same sigmoid, for `silu_vjp(g, dydx)`.
     """
-    x = _arr(x)
+    x = np.asarray(x)
     _meter(act_elems=x.size)
     if dydx is None:
-        return _map_tiles(_silu, x.dtype, x)
+        return _map_tiles(_silu, x)
     _check_dydx("silu", dydx, x.shape, x.dtype)
-    return _map_tiles(_silu, x.dtype, x, dydx)
+    return _map_tiles(_silu, x, dydx)
 
 
-def _silu_vjp(g, x, out=None):
-    d = _silu_dydx(x, _sigmoid(x))
-    if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
-        return g * d
-    return np.multiply(d, g, out=d if out is None else out)
+def silu_vjp(g, dydx):
+    """g * silu'(x), from the dydx that `silu(x, dydx)` wrote.
 
-
-def silu_vjp(g, x=None, *, dydx=None):
-    """g * silu'(x), bit-identical to g * (s * (1 + x * (1 - s))) with s = sigmoid(x).
-
-    Given `dydx`, the silu'(x) that `silu(x, dydx)` wrote, x is not read and
-    no sigmoid is evaluated. Otherwise silu'(x) is evaluated from x in one
-    buffer besides s.
+    Bit-identical to g * (s * (1 + x * (1 - s))) with s = sigmoid(x).
     """
-    g = _arr(g)
-    if dydx is not None:
-        return g * dydx
-    x = _arr(x)
-    return _map_tiles(_silu_vjp, np.result_type(g, x), g, x)
+    return np.asarray(g) * dydx
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -699,8 +675,8 @@ def _erf1(x):
     return t
 
 
-def _gelu_dydx(x, t, out=None):
-    """gelu'(x) = Phi(x) + x * pdf(x) in f64 (out if given), from t = _erf1(x), which it overwrites.
+def _gelu_dydx(x, t, out):
+    """gelu'(x) = Phi(x) + x * pdf(x), written into the f64 out, from t = _erf1(x), which it overwrites.
 
     Phi(x) is 0.5 * t and pdf(x) is exp(-x * x / 2) / sqrt(2 pi), whose
     exponent is evaluated in x's dtype. The np.float64 constant promotes f32
@@ -734,32 +710,19 @@ def gelu(x, dydx=None) -> np.ndarray:
     is cast into x's dtype, so the result is bit-identical to evaluating that
     expression out of place and casting it back. Given `dydx`, an f64 array
     of x's shape, gelu'(x) is written into it from the same erf, for
-    `gelu_vjp(g, dydx=dydx, dtype=x.dtype)`.
+    `gelu_vjp(g, dydx, x.dtype)`.
     """
-    x = _arr(x)
+    x = np.asarray(x)
     _meter(act_elems=x.size)
     if dydx is None:
-        return _map_tiles(_gelu, x.dtype, x)
+        return _map_tiles(_gelu, x)
     _check_dydx("gelu", dydx, x.shape, np.float64)
-    return _map_tiles(_gelu, x.dtype, x, dydx)
+    return _map_tiles(_gelu, x, dydx)
 
 
-def _gelu_vjp(g, x, out=None):
-    d = _gelu_dydx(x, _erf1(x))
-    if out is None and (g.shape != d.shape or np.result_type(g, d) != d.dtype):
-        return (g * d).astype(x.dtype, copy=False)
-    return np.multiply(d, g, out=d if out is None else out).astype(x.dtype, copy=False)
+def gelu_vjp(g, dydx, dtype):
+    """g * gelu'(x) in f64, from the f64 dydx that `gelu(x, dydx)` wrote, cast into x's `dtype`.
 
-
-def gelu_vjp(g, x=None, *, dydx=None, dtype=None):
-    """g * gelu'(x) in f64, cast to x's dtype; bit-identical to evaluating it out of place.
-
-    Given `dydx`, the f64 gelu'(x) that `gelu(x, dydx)` wrote, x is not read
-    and no erf is evaluated; `dtype` is x's, read from x when not given.
+    Bit-identical to evaluating g * gelu'(x) out of place and casting it back.
     """
-    g = _arr(g)
-    if dydx is not None:
-        dtype = _arr(x).dtype if dtype is None else dtype
-        return np.multiply(g, dydx, out=np.empty(np.broadcast_shapes(g.shape, dydx.shape), dtype))
-    x = _arr(x)
-    return _map_tiles(_gelu_vjp, x.dtype, g, x)
+    return np.multiply(g, dydx, out=np.empty(dydx.shape, dtype))

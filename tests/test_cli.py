@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emo import cli
+from emo import PRESETS, cli, mmb_config_from_dict, mmb_config_to_dict, mmb_instantiate
 from emo.cli import main
 from emo.serialize import save_raw_tensor
 
@@ -31,16 +31,19 @@ def validator():
     return lambda doc: jsonschema.validate(doc, schema)
 
 
+TINY_CONFIG = {
+    "name": "tiny",
+    "depths": [1, 1, 1, 1],
+    "dims": [8, 8, 16, 16],
+    "exp_ratios": [2.0, 2.0, 2.0, 2.0],
+    "num_classes": 10,
+}
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({
-        "name": "tiny",
-        "depths": [1, 1, 1, 1],
-        "dims": [8, 8, 16, 16],
-        "exp_ratios": [2.0, 2.0, 2.0, 2.0],
-        "num_classes": 10,
-    }))
+    path.write_text(json.dumps(TINY_CONFIG))
     return str(path)
 
 
@@ -254,3 +257,130 @@ def test_config_schema_file_accepts_valid_and_rejects_unknown(tiny_config):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"depths": [1, 1, 1, 1], "dims": [8, 8, 8, 8],
                              "exp_ratios": [2, 2, 2, 2], "bogus": 1}, schema)
+
+
+# ---------------------------------------------------------------------------
+# config readers against their schema files: every document below breaks the
+# schema, and the reader must reject it cleanly, so the two cannot drift apart
+
+
+def _schema(name):
+    import jsonschema
+
+    with open(SCHEMA_DIR / name, encoding="utf-8") as fh:
+        return jsonschema.Draft202012Validator(json.load(fh))
+
+
+BAD_VARIANT_CONFIGS = {
+    "depths-float": {"depths": [1.7, 1, 1, 1]},
+    "depths-bool": {"depths": [True, 1, 1, 1]},
+    "depths-string": {"depths": ["8", 1, 1, 1]},
+    "depths-null": {"depths": [None, 1, 1, 1]},
+    "depths-zero": {"depths": [0, 1, 1, 1]},
+    "depths-three": {"depths": [1, 1, 1]},
+    "depths-not-a-list": {"depths": 1},
+    "dims-float": {"dims": [8.5, 8, 16, 16]},
+    "exp-ratio-string": {"exp_ratios": ["2", 2, 2, 2]},
+    "exp-ratio-bool": {"exp_ratios": [True, 2, 2, 2]},
+    "exp-ratio-zero": {"exp_ratios": [0, 2, 2, 2]},
+    "attn-duplicate": {"attn_stages": [3, 3]},
+    "attn-float": {"attn_stages": [2.5]},
+    "attn-bool": {"attn_stages": [True]},
+    "attn-five": {"attn_stages": [5]},
+    "windows-float": {"windows": [2.5, 7, 7, 7]},
+    "windows-zero": {"windows": [0, 7, 7, 7]},
+    "num-classes-zero": {"num_classes": 0},
+    "num-classes-negative": {"num_classes": -1},
+    "num-classes-string": {"num_classes": "10"},
+    "head-dim-zero": {"head_dim": 0},
+    "head-dim-negative": {"head_dim": -5},
+    "head-dim-bool": {"head_dim": True},
+    "head-dim-float": {"head_dim": 32.5},
+    "name-int": {"name": 3},
+    "unknown-field": {"dropout": 0.1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VARIANT_CONFIGS))
+def test_variant_config_breaking_the_schema_exits_2(capsys, validator, tmp_path, case):
+    doc = {**TINY_CONFIG, **BAD_VARIANT_CONFIGS[case]}
+    assert not _schema("variant_config.schema.json").is_valid(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "count", "--config", str(path), "--resolution", "64")
+    assert code == 2, out
+    validator(out)
+    assert out["error"]["code"] == "config"
+
+
+def test_valid_variant_configs_pass_schema_and_reader():
+    schema = _schema("variant_config.schema.json")
+    docs = [TINY_CONFIG, {"depths": [1, 1, 1, 1], "dims": [8, 8, 8, 8], "exp_ratios": [2, 2, 2, 2]}]
+    for cfg in PRESETS.values():
+        docs.append({"name": cfg.name, "depths": list(cfg.depths), "dims": list(cfg.dims),
+                     "exp_ratios": list(cfg.exp_ratios), "attn_stages": sorted(cfg.attn_stages),
+                     "windows": list(cfg.windows), "num_classes": cfg.num_classes, "head_dim": cfg.head_dim})
+        assert cli.parse_variant_config(docs[-1]) == cfg
+    for doc in docs:
+        schema.validate(doc)
+        cli.parse_variant_config(doc)
+
+
+MMB_DOC = {"channels": 8, "expansion_ratio": 2.0, "operator": "ewmhsa_dwconv", "window": 2, "heads": 2}
+BAD_MMB_CONFIGS = {
+    "channels-bool": {"channels": True},
+    "channels-string": {"channels": "8"},
+    "channels-zero": {"channels": 0},
+    "expand-groups-bool": {"expand_groups": True},
+    "kernel-string": {"kernel": "3"},
+    "window-float": {"window": 2.5},
+    "heads-bool": {"heads": True},
+    "heads-zero": {"heads": 0},
+    "ratio-string": {"expansion_ratio": "2"},
+    "ratio-bool": {"expansion_ratio": True},
+    "ratio-zero": {"expansion_ratio": 0},
+    "operator-unknown": {"operator": "conv"},
+    "norm-int": {"pre_norm": 3},
+    "unknown-field": {"dropout": 0.1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MMB_CONFIGS))
+def test_mmb_config_breaking_the_schema_raises_value_error(case):
+    doc = {**MMB_DOC, **BAD_MMB_CONFIGS[case]}
+    assert not _schema("mmb_config.schema.json").is_valid(doc)
+    with pytest.raises(ValueError):
+        mmb_config_from_dict(doc)
+
+
+def test_valid_mmb_configs_pass_schema_and_reader():
+    schema = _schema("mmb_config.schema.json")
+    cfgs = [mmb_config_from_dict(MMB_DOC), mmb_config_from_dict({**MMB_DOC, "window": None}),
+            mmb_instantiate("irb", 8), mmb_instantiate("ffn", 8), mmb_instantiate("mhsa", 8, heads=2)]
+    for cfg in cfgs:
+        doc = mmb_config_to_dict(cfg)
+        schema.validate(doc)
+        assert mmb_config_from_dict(doc) == cfg
+
+
+def test_readers_take_an_integer_literal_where_the_schema_says_integer():
+    # JSON Schema counts 8.0 as an integer; the readers take only 8, so no
+    # float reaches a width, a head count or a window
+    with pytest.raises(ValueError, match="not an integer"):
+        cli.parse_variant_config({**TINY_CONFIG, "head_dim": 32.0})
+    for field, value in (("channels", 8.0), ("heads", 2.0), ("kernel", 3.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            mmb_config_from_dict({**MMB_DOC, field: value})
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_readers_reject_a_non_finite_ratio(capsys, validator, tmp_path, value):
+    # Python's json module reads these literals, which JSON itself does not allow
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(TINY_CONFIG).replace('"exp_ratios": [2.0', f'"exp_ratios": [{value}'))
+    code, out = run_json(capsys, "count", "--config", str(path), "--resolution", "64")
+    assert code == 2, out
+    validator(out)
+    assert "finite" in out["error"]["message"]
+    with pytest.raises(ValueError, match="finite"):
+        mmb_config_from_dict({**MMB_DOC, "expansion_ratio": json.loads(value)})
