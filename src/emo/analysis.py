@@ -397,7 +397,7 @@ class MPLReport:
     kind: str
     resolution: int
     empirical: int | None          # None = unreachable
-    closed_form: int | None        # None for the pure-window O(Inf) case
+    closed_form: int | None        # None for the O(Inf) cases: pure windows, a 1x1 conv
     closed_form_expr: str
 
     @property
@@ -413,6 +413,8 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     growth ceilings; the partitioned-window cascade can exceed its quoted
     ceiling, which the report makes visible rather than hiding.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     W = resolution
     k, w = cfg.kernel, cfg.window
     if cfg.enable_attn and cfg.enable_conv:
@@ -421,8 +423,10 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
         expr = "ceil(2W/(k-1+2w))"
     elif cfg.enable_conv:
         kind = "conv"
-        closed = math.ceil(2 * W / (k - 1))
-        expr = "ceil(2W/(k-1))"
+        if k > 1:
+            closed, expr = math.ceil(2 * W / (k - 1)), "ceil(2W/(k-1))"
+        else:  # a 1x1 conv never moves information
+            closed, expr = None, "O(Inf)"
     elif cfg.enable_attn:
         kind = "attn"
         closed = 1 if w >= W else None

@@ -6,6 +6,10 @@ are masked out of the softmax, so attention rows always sum to 1 over real
 positions - this is what makes the pre-/post-expansion multiplication orders
 agree exactly (biases included) on every map shape, not just divisible ones.
 
+Partition maps (N, C, H, W) straight to per-head tokens (N * num_windows,
+heads, l, C/heads), each head a contiguous block of channels, and merge maps
+them back, so the attention core reads the head count from the token shape.
+
 All functions work on plain arrays and on tape Vars alike. The attention
 core goes through the autograd wrappers. Partition and merge are linear and
 each is the other's transpose (merge drops exactly the zeros partition pads
@@ -71,8 +75,8 @@ class WindowLayout:
         return pad.reshape(self.num_windows, w * w)
 
 
-def _partition(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
-    """Pad (N, C, H, W) at the bottom/right and tile it into (N * num_windows, l, C) tokens."""
+def _partition(x: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
+    """Pad (N, C, H, W) at the bottom/right and tile it into (N * num_windows, heads, l, C/heads) tokens."""
     n, c = x.shape[:2]
     w = layout.window
     if layout.pad_h or layout.pad_w:
@@ -81,29 +85,33 @@ def _partition(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
         x = xp
     t = x.reshape(n, c, layout.grid_h, w, layout.grid_w, w)
     t = t.transpose(0, 2, 4, 3, 5, 1)  # (N, gh, gw, w, w, C)
-    return t.reshape(n * layout.num_windows, w * w, c)
+    t = t.reshape(n * layout.num_windows, w * w, heads, c // heads)
+    return t.transpose(0, 2, 1, 3)  # contiguous channel blocks per head
 
 
 def _merge(tokens: np.ndarray, layout: WindowLayout, batch: int) -> np.ndarray:
-    """Untile (N * num_windows, l, C) tokens into (N, C, H, W), dropping the padding."""
+    """Untile per-head tokens (N * num_windows, heads, l, C/heads) into (N, C, H, W), dropping the padding."""
     w = layout.window
-    c = tokens.shape[-1]
-    t = tokens.reshape(batch, layout.grid_h, layout.grid_w, w, w, c)
+    c = tokens.shape[1] * tokens.shape[3]
+    t = tokens.transpose(0, 2, 1, 3).reshape(batch, layout.grid_h, layout.grid_w, w, w, c)
     t = t.transpose(0, 5, 1, 3, 2, 4)  # (N, C, gh, w, gw, w)
     t = t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)
     return t[:, :, :layout.height, :layout.width]
 
 
-def window_partition(x, window: int):
-    """(N, C, H, W) -> tokens (N * num_windows, l, C) plus the layout."""
-    n, _, h, wd = T.val(x).shape
+def window_partition(x, window: int, heads: int):
+    """(N, C, H, W) -> per-head tokens (N * num_windows, heads, l, C/heads) plus the layout."""
+    n, c, h, wd = T.val(x).shape
+    if c % heads:
+        raise ValueError(f"{heads} heads do not divide {c} channels")
     layout = WindowLayout(h, wd, window)
-    return T.linear(x, _partition(T.val(x), layout), lambda g: _merge(g, layout, n)), layout
+    return T.linear(x, _partition(T.val(x), layout, heads), lambda g: _merge(g, layout, n)), layout
 
 
 def window_merge(tokens, layout: WindowLayout, batch: int):
-    """Inverse of window_partition; strips the padding."""
-    return T.linear(tokens, _merge(T.val(tokens), layout, batch), lambda g: _partition(g, layout))
+    """Inverse of window_partition: per-head tokens back to (N, C, H, W), without the padding."""
+    heads = T.val(tokens).shape[1]
+    return T.linear(tokens, _merge(T.val(tokens), layout, batch), lambda g: _partition(g, layout, heads))
 
 
 def key_padding_bias(layout: WindowLayout, batch: int, dtype) -> np.ndarray | None:
@@ -116,37 +124,19 @@ def key_padding_bias(layout: WindowLayout, batch: int, dtype) -> np.ndarray | No
     return bias.reshape(batch * layout.num_windows, 1, 1, layout.tokens_per_window)
 
 
-def split_heads(tokens, heads: int):
-    """(B, l, C) -> (B, heads, l, C/heads); contiguous channel blocks per head."""
-    b, l, c = T.val(tokens).shape
-    if c % heads:
-        raise ValueError(f"{heads} heads do not divide {c} channels")
-    t = T.reshape(tokens, (b, l, heads, c // heads))
-    return T.transpose(t, (0, 2, 1, 3))
-
-
-def merge_heads(per_head):
-    b, h, l, d = T.val(per_head).shape
-    return T.reshape(T.transpose(per_head, (0, 2, 1, 3)), (b, l, h * d))
-
-
-def attention_weights(q_tokens, k_tokens, heads: int, key_bias=None):
-    """Per-window softmax attention from query/key tokens.
+def attention_weights(q_tokens, k_tokens, key_bias=None):
+    """Per-window, per-head softmax attention from query/key tokens.
 
     Logits are scaled by 1/sqrt(head_dim of Q/K); padded keys (key_bias)
     are pushed to -inf before the softmax.
     """
-    c = T.val(q_tokens).shape[-1]
-    scale = 1.0 / math.sqrt(c // heads)
-    qh = split_heads(q_tokens, heads)
-    kh = split_heads(k_tokens, heads)
-    logits = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), scale)
+    scale = 1.0 / math.sqrt(T.val(q_tokens).shape[-1])
+    logits = T.scale(T.matmul(q_tokens, T.transpose(k_tokens, (0, 1, 3, 2))), scale)
     if key_bias is not None:
         logits = T.add(logits, key_bias)
     return T.softmax_lastdim(logits)
 
 
-def mix_values(attn, v_tokens, heads: int):
-    """Apply the attention matrix to value tokens, head block by head block."""
-    vh = split_heads(v_tokens, heads)
-    return merge_heads(T.matmul(attn, vh))
+def mix_values(attn, v_tokens):
+    """Apply each head's attention matrix to its value tokens."""
+    return T.matmul(attn, v_tokens)

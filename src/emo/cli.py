@@ -281,7 +281,7 @@ def cmd_equiv(args) -> dict:
         args.channels, args.channels, args.lam,
         window=args.window, heads=args.heads, expand_groups=args.groups,
     )
-    hw = (args.hw, args.hw) if args.hw else None
+    hw = (args.hw, args.hw) if args.hw is not None else None
     rep = equivalence_check(cfg, seed=args.seed, hw=hw, precision=args.precision)
     return {
         "command": "equiv",
@@ -381,6 +381,8 @@ def cmd_similarity(args) -> dict:
 
 
 def cmd_bench(args) -> dict:
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     cfg = resolve_model_config(args)
     model = build_emo(cfg, seed=args.seed, precision=args.precision)
     x = Tensor(_make_input(args), precision=args.precision)

@@ -202,14 +202,13 @@ def _attention_mix(u, v, cfg: IRMBConfig, params, prefix):
     """Attention from Q/K of the unexpanded u, multiplied into v (any width)."""
     n = T.val(u).shape[0]
     specs = cfg.conv_specs()
-    heads = cfg.num_heads
     q = T.conv2d(u, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
     k = T.conv2d(u, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
-    qt, layout = window_partition(q, cfg.window)
-    kt, _ = window_partition(k, cfg.window)
-    attn = attention_weights(qt, kt, heads, key_padding_bias(layout, n, T.val(u).dtype))
-    vt, _ = window_partition(v, cfg.window)
-    return window_merge(mix_values(attn, vt, heads), layout, n)
+    qt, layout = window_partition(q, cfg.window, cfg.num_heads)
+    kt, _ = window_partition(k, cfg.window, cfg.num_heads)
+    attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(u).dtype))
+    vt, _ = window_partition(v, cfg.window, cfg.num_heads)
+    return window_merge(mix_values(attn, vt), layout, n)
 
 
 def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
@@ -323,6 +322,8 @@ def equivalence_check(cfg: IRMBConfig, seed: int, hw: tuple[int, int] | None = N
     if not cfg.enable_attn:
         raise ValueError("equivalence_check needs an attention-enabled config")
     h, w = hw if hw is not None else (2 * cfg.window, 2 * cfg.window)
+    if h < 1 or w < 1:
+        raise ValueError(f"equivalence_check needs a non-empty map, got {h}x{w}")
     params = random_block_params(cfg, seed, precision)
     x = Rng(seed ^ 0x5EED).normal("equiv.input", (1, cfg.in_channels, h, w), std=1.0, precision=precision)
     pre = ew_mhsa(x, replace(cfg, attn_pre_expand=True), params)

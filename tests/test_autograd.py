@@ -5,9 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from emo import EMOVariantConfig, build_emo, emo_forward, ops
+from emo import EMOVariantConfig, IRMBConfig, build_emo, emo_forward, ops, random_block_params
 from emo import autograd as T
 from emo.attention import window_merge, window_partition
+from emo.irmb import _attention_mix
 from emo.ops import ConvSpec
 from test_ops import VJP_FORMULAS
 
@@ -48,12 +49,13 @@ def test_window_partition_and_merge_are_adjoint_single_nodes():
     # batch 2, 5x7 map, window 3: padded by one row and two columns
     rng = np.random.default_rng(4)
     x0 = rng.normal(size=(2, 4, 5, 7))
-    tokens, layout = window_partition(x0, 3)
+    tokens, layout = window_partition(x0, 3, 2)
     assert (layout.pad_h, layout.pad_w) == (1, 2)
+    assert tokens.shape == (2 * layout.num_windows, 2, 9, 2)
     t0 = rng.normal(size=tokens.shape)
 
     x = T.Var(x0)
-    part, _ = window_partition(x, 3)
+    part, _ = window_partition(x, 3, 2)
     assert part.node.parents == (x.node,) and part.node.vjp is not None
     gx = T.grad_of(T.backward(part, t0), x)
     assert gx.tobytes() == window_merge(t0, layout, 2).tobytes()
@@ -63,10 +65,34 @@ def test_window_partition_and_merge_are_adjoint_single_nodes():
     assert merged.node.parents == (t.node,) and merged.node.vjp is not None
     cot = rng.normal(size=x0.shape)
     gt = T.grad_of(T.backward(merged, cot), t)
-    assert gt.tobytes() == window_partition(cot, 3)[0].tobytes()
+    assert gt.tobytes() == window_partition(cot, 3, 2)[0].tobytes()
 
     # <partition(x), t> == <x, merge(t)>: the maps are each other's transpose
     assert abs(float((tokens * t0).sum()) - float((x0 * window_merge(t0, layout, 2)).sum())) < 1e-12
+
+
+def _recorded_nodes(root: T.Var) -> int:
+    """Nodes with a VJP in root's graph: what one forward put on the tape."""
+    seen, stack, recorded = set(), [root.node], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            recorded += node.vjp is not None
+            stack += [p for p in node.parents if p is not None]
+    return recorded
+
+
+@pytest.mark.parametrize("hw,nodes", [((5, 7), 12), ((4, 4), 11)], ids=["padded", "unpadded"])
+def test_attention_mix_records_one_node_per_window_map(hw, nodes):
+    # q and k convs, three partitions, k's transpose, the logit matmul and
+    # scale, the key-padding add (padded maps only), softmax, the value
+    # matmul and one merge: no head split or merge on the tape
+    cfg = IRMBConfig(8, 8, 2.0, window=4, heads=2)
+    params = {k: T.Var(v) for k, v in random_block_params(cfg, 0).items()}
+    rng = np.random.default_rng(3)
+    u, v = T.Var(rng.normal(size=(1, 8, *hw))), T.Var(rng.normal(size=(1, 16, *hw)))
+    assert _recorded_nodes(_attention_mix(u, v, cfg, params, "")) == nodes
 
 
 def test_mean_hw_gradient_spreads_uniformly():

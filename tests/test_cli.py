@@ -110,6 +110,22 @@ def test_mpl_command(capsys, validator):
     assert doc["empirical"] is None and doc["reachable"] is False
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("mpl", "--resolution", "0"), 2),
+    (("mpl", "--kind", "conv", "--kernel", "1"), 0),
+    (("bench", "--preset", "emo-1m", "--runs", "0"), 2),
+    (("equiv", "--hw", "0"), 2),
+], ids=["mpl-resolution-0", "mpl-conv-kernel-1", "bench-runs-0", "equiv-hw-0"])
+def test_numeric_edge_cases_exit_cleanly(capsys, validator, argv, code):
+    got, doc = run_json(capsys, *argv)
+    assert got == code, doc
+    validator(doc)
+    if code == 2:
+        assert doc["error"]["code"] == "config"
+    else:  # a 1x1 conv never reaches the far corner, and no closed form bounds it
+        assert doc["empirical"] is None and doc["closed_form"] is None
+
+
 def test_gradcheck_command(capsys, validator):
     code, doc = run_json(capsys, "gradcheck", "--target", "mlp", "--seed", "0")
     assert code == 0
@@ -371,6 +387,11 @@ def test_readers_take_an_integer_literal_where_the_schema_says_integer():
     for field, value in (("channels", 8.0), ("heads", 2.0), ("kernel", 3.0)):
         with pytest.raises(ValueError, match="not an integer"):
             mmb_config_from_dict({**MMB_DOC, field: value})
+    # each schema says so in its $comment, since its "integer" type admits 8.0
+    for name in ("variant_config.schema.json", "mmb_config.schema.json"):
+        schema = _schema(name)
+        schema.check_schema(schema.schema)
+        assert "integer literal" in schema.schema["$comment"]
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])

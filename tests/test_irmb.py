@@ -30,51 +30,106 @@ def rand_x(c, hw, seed=1):
 
 
 def test_single_global_window():
-    x = rand_x(3, (4, 4))
-    tokens, layout = window_partition(x, 4)
-    assert tokens.shape == (1, 16, 3)
-    assert layout.num_windows == 1 and layout.pad_h == layout.pad_w == 0
+    x = rand_x(6, (4, 4))
+    for heads in (1, 2):
+        tokens, layout = window_partition(x, 4, heads)
+        assert tokens.shape == (1, heads, 16, 6 // heads)
+        assert layout.num_windows == 1 and layout.pad_h == layout.pad_w == 0
 
 
 def test_exact_tiling_four_windows():
     x = rand_x(2, (4, 4))
-    tokens, layout = window_partition(x, 2)
-    assert tokens.shape == (4, 4, 2)
-    assert layout.num_windows == 4 and layout.tokens_per_window == 4
+    for heads in (1, 2):
+        tokens, layout = window_partition(x, 2, heads)
+        assert tokens.shape == (4, heads, 4, 2 // heads)
+        assert layout.num_windows == 4 and layout.tokens_per_window == 4
 
 
 def test_padded_partition_round_trip_exact():
-    x = rand_x(5, (5, 5), seed=3)
-    tokens, layout = window_partition(x, 4)
-    assert layout.grid_h == layout.grid_w == 2       # padded to 8x8
-    assert tokens.shape == (4, 16, 5)
-    back = window_merge(tokens, layout, 1)
-    assert np.array_equal(back, x)
+    x = rand_x(6, (5, 5), seed=3)
+    for heads in (1, 2):
+        tokens, layout = window_partition(x, 4, heads)
+        assert layout.grid_h == layout.grid_w == 2       # padded to 8x8
+        assert tokens.shape == (4, heads, 16, 6 // heads)
+        back = window_merge(tokens, layout, 1)
+        assert np.array_equal(back, x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_padded_partition_is_bit_identical_to_the_np_pad_formula(dtype):
-    x = np.random.default_rng(4).normal(size=(2, 3, 5, 5)).astype(dtype)
+    x = np.random.default_rng(4).normal(size=(2, 6, 5, 5)).astype(dtype)
     x[0, 0, 0, :2] = -0.0
-    tokens, layout = window_partition(x, 7)
-    padded = np.pad(x, ((0, 0), (0, 0), (0, layout.pad_h), (0, layout.pad_w)))
-    want = padded.reshape(2, 3, 1, 7, 1, 7).transpose(0, 2, 4, 3, 5, 1).reshape(2, 49, 3)
-    assert tokens.dtype == want.dtype == dtype and tokens.shape == want.shape
-    assert tokens.tobytes() == want.tobytes()
+    for heads in (1, 2):
+        tokens, layout = window_partition(x, 7, heads)
+        padded = np.pad(x, ((0, 0), (0, 0), (0, layout.pad_h), (0, layout.pad_w)))
+        want = padded.reshape(2, 6, 1, 7, 1, 7).transpose(0, 2, 4, 3, 5, 1).reshape(2, 49, 6)
+        want = want.reshape(2, 49, heads, 6 // heads).transpose(0, 2, 1, 3)
+        assert tokens.dtype == want.dtype == dtype and tokens.shape == want.shape
+        assert tokens.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("hw,w", [((4, 4), 4), ((4, 4), 2), ((5, 5), 4), ((7, 3), 2), ((1, 1), 1), ((6, 9), 5)])
 def test_round_trip_exact_all_shapes(hw, w):
-    x = rand_x(3, hw, seed=hw[0] * 10 + w)
-    tokens, layout = window_partition(x, w)
-    assert np.array_equal(window_merge(tokens, layout, 1), x)
+    x = rand_x(6, hw, seed=hw[0] * 10 + w)
+    for heads in (1, 2):
+        tokens, layout = window_partition(x, w, heads)
+        assert tokens.shape == (layout.num_windows, heads, w * w, 6 // heads)
+        assert np.array_equal(window_merge(tokens, layout, 1), x)
+
+
+def test_partition_rejects_heads_that_do_not_divide_the_channels():
+    with pytest.raises(ValueError, match="do not divide"):
+        window_partition(rand_x(3, (4, 4)), 2, 2)
+
+
+def _tile_then_split(x, layout, heads):
+    """The parent's composition: tile into (B, l, C) tokens, then split the heads."""
+    n, c = x.shape[:2]
+    w = layout.window
+    if layout.pad_h or layout.pad_w:
+        xp = np.zeros((n, c, layout.grid_h * w, layout.grid_w * w), x.dtype)
+        xp[:, :, : layout.height, : layout.width] = x
+        x = xp
+    t = x.reshape(n, c, layout.grid_h, w, layout.grid_w, w).transpose(0, 2, 4, 3, 5, 1)
+    t = t.reshape(n * layout.num_windows, w * w, c)
+    return t.reshape(*t.shape[:2], heads, c // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads_then_untile(tokens, layout, batch):
+    """The parent's composition: merge the heads into (B, l, C) tokens, then untile."""
+    b, heads, l, d = tokens.shape
+    t = tokens.transpose(0, 2, 1, 3).reshape(b, l, heads * d)
+    w, c = layout.window, heads * d
+    t = t.reshape(batch, layout.grid_h, layout.grid_w, w, w, c).transpose(0, 5, 1, 3, 2, 4)
+    return t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)[:, :, :layout.height, :layout.width]
+
+
+@pytest.mark.parametrize("hw,w", [((4, 6), 6), ((5, 3), 6), ((5, 7), 3)],
+                         ids=["single-window", "single-window-padded", "multi-window"])
+def test_window_maps_keep_the_tile_then_split_layout(hw, w):
+    # the strides matter as much as the bytes: a channels-last view handed to
+    # the next 1x1 conv takes a different BLAS path than a C-contiguous copy
+    rng = np.random.default_rng(8)
+    heads = 2
+    nchw = rng.normal(size=(2, 4, *hw))
+    channels_last = rng.normal(size=(2, *hw, 4)).transpose(0, 3, 1, 2)  # the layout of a 1x1 conv's output
+    for x in (nchw, channels_last):
+        tokens, layout = window_partition(x, w, heads)
+        want = _tile_then_split(x, layout, heads)
+        assert tokens.tobytes() == want.tobytes() and tokens.strides == want.strides
+
+    per_head = rng.normal(size=tokens.shape)  # C-contiguous, like the matmul that mixes the values
+    for t in (per_head, per_head.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)):
+        merged = window_merge(t, layout, 2)
+        want = _merge_heads_then_untile(t, layout, 2)
+        assert merged.tobytes() == want.tobytes() and merged.strides == want.strides
 
 
 def test_attention_rows_sum_to_one_even_with_padding():
     x = rand_x(4, (5, 7), seed=9)
-    q, _ = window_partition(x, 4)
-    k, layout = window_partition(x, 4)
-    attn = attention_weights(q, k, 2, key_padding_bias(layout, 1, x.dtype))
+    q, _ = window_partition(x, 4, 2)
+    k, layout = window_partition(x, 4, 2)
+    attn = attention_weights(q, k, key_padding_bias(layout, 1, x.dtype))
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
     # padded key slots receive exactly zero weight
     pad = layout.padding_slots()
