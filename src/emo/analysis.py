@@ -131,9 +131,11 @@ class CostReport:
                 "params": self.params,
                 "macs": self.macs,
                 "flops": self.flops,
+                "softmax_elems": self.softmax_elems,
                 "bias_adds": self.bias_adds,
                 "norm_elems": self.norm_elems,
                 "act_elems": self.act_elems,
+                "other_adds": self.other_adds,
             },
             "by_category": self.by_category(),
             "fractions": self.fractions(),
@@ -507,23 +509,31 @@ class GradCheckReport:
     precision: str
 
 
-def _tape_rel_err(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
-    """Worst relative error of `fwd`'s tape gradients against central differences.
+def _tape_gradients(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str):
+    """The analytic pass of `_tape_rel_err`: (leaf gradients, cotangent).
 
-    `fwd` maps a dict like `leaves` to the output. The analytic pass makes
-    every leaf a Var and runs `backward` with a cotangent drawn from the
-    named stream `cot_name` and scaled by 1/sqrt(its size). Each
-    (key, flat index) in `coords` is then moved by +-step in a copy of its
-    leaf. The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
-    |analytic| entry), which keeps finite-difference roundoff on near-zero
-    coordinates from dominating.
+    Every leaf becomes a Var, and `backward` runs with a cotangent drawn from
+    the named stream `cot_name` and scaled by 1/sqrt(its size). The tape dies
+    on return, so it is not held while the perturbed forwards run.
     """
     vars_ = {k: ag.Var(v) for k, v in leaves.items()}
     y = fwd(vars_)
     cot = rng.normal(cot_name, y.shape, precision=precision)
     cot = cot / math.sqrt(cot.size)
     grads = ag.backward(y, cot)
-    analytic = {k: ag.grad_of(grads, v) for k, v in vars_.items()}
+    return {k: ag.grad_of(grads, v) for k, v in vars_.items()}, cot
+
+
+def _tape_rel_err(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
+    """Worst relative error of `fwd`'s tape gradients against central differences.
+
+    `fwd` maps a dict like `leaves` to the output; `_tape_gradients` gives
+    the analytic side. Each (key, flat index) in `coords` is then moved by
+    +-step in a copy of its leaf. The denominator is max(|analytic|,
+    |numeric|, 1e-4 * the largest |analytic| entry), which keeps
+    finite-difference roundoff on near-zero coordinates from dominating.
+    """
+    analytic, cot = _tape_gradients(fwd, leaves, rng, cot_name, precision)
     loss = lambda leafs: float((ag.val(fwd(leafs)) * cot).sum())
 
     gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())

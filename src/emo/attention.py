@@ -65,15 +65,6 @@ class WindowLayout:
     def tokens_per_window(self) -> int:
         return self.window * self.window
 
-    def padding_slots(self) -> np.ndarray:
-        """Boolean (num_windows, l): True where a token slot is padding."""
-        w = self.window
-        rows = np.arange(self.grid_h * w)
-        cols = np.arange(self.grid_w * w)
-        pad = (rows[:, None] >= self.height) | (cols[None, :] >= self.width)
-        pad = pad.reshape(self.grid_h, w, self.grid_w, w).transpose(0, 2, 1, 3)
-        return pad.reshape(self.num_windows, w * w)
-
 
 def _partition(x: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
     """Pad (N, C, H, W) at the bottom/right and tile it into (N * num_windows, heads, l, C/heads) tokens."""
@@ -115,12 +106,15 @@ def window_merge(tokens, layout: WindowLayout, batch: int):
 
 
 def key_padding_bias(layout: WindowLayout, batch: int, dtype) -> np.ndarray | None:
-    """Additive logit bias (N*nW, 1, 1, l) that removes padded keys, or None."""
+    """Additive logit bias (N*nW, 1, 1, l) that removes padded keys, or None.
+
+    A map of ones goes through the same tiling as the tokens: a key slot is
+    padding where its partitioned one is 0.
+    """
     if layout.pad_h == 0 and layout.pad_w == 0:
         return None
-    pad = layout.padding_slots()
-    bias = np.where(pad, MASK_NEG, 0.0).astype(dtype)
-    bias = np.tile(bias[None], (batch, 1, 1))
+    ones = _partition(np.ones((batch, 1, layout.height, layout.width), dtype), layout, 1)
+    bias = np.where(ones == 0, MASK_NEG, 0.0).astype(dtype)
     return bias.reshape(batch * layout.num_windows, 1, 1, layout.tokens_per_window)
 
 

@@ -30,9 +30,9 @@ gradients, and drops each interior cotangent as soon as its node's VJP has
 consumed it, so the dict it returns holds the leaves' cotangents only. No
 VJP writes into its incoming cotangent: add's VJP hands one array to both
 parents, and the reshape and transpose VJPs, like the window maps' adjoints,
-may return views of it. For
-the same reason a fan-in is summed in place only into an array that
-backward itself allocated for an earlier sum, never into a VJP's output.
+may return views of it. So backward owns only the fan-in sums it allocates
+itself: it adds into those in place, hands those to leaves as they are, and
+copies every other leaf cotangent.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
     Returns a dict keyed by id(var) that holds leaves only (Vars built
     directly, not by a wrapper, and still held by the caller); interior
     cotangents are freed as they are used. Each returned array is the
-    caller's to write: one that is read-only or shares memory with the seed
-    or another leaf's is copied. Use `grad_of(grads, var)` to read it. The
-    graph is not changed, so a second call gives the same result.
+    caller's to write: a leaf gets a fan-in sum that backward allocated as
+    it is, and a copy of any other cotangent. Use `grad_of(grads, var)` to
+    read it. The graph is not changed, so a second call gives the same
+    result.
     """
     if not isinstance(root, Var):
         raise TypeError("backward expects a Var root")
@@ -131,21 +132,23 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root.node): seed.astype(root.dtype, copy=False)}
-    # nodes whose cotangent is a sum this loop allocated: only those are added
-    # into in place, never an array a VJP returned, which may be shared or a view
+    # nodes whose cotangent is a sum this loop allocated, the only arrays it owns:
+    # only those are added into in place and handed to a leaf uncopied, never the
+    # seed or an array a VJP returned, which may be shared or a view
     summed: set[int] = set()
     leaves: dict[int, np.ndarray] = {}
     for node in reversed(order):
         # every consumer of node ran before it, so its cotangent is complete
         # and, once passed on, needed no more
         g = grads.pop(id(node), None)
+        owned = id(node) in summed
         summed.discard(id(node))
         if g is None:
             continue
         if node.vjp is None:
             var = node.leaf()
             if var is not None:  # a leaf nobody holds has no gradient to read
-                leaves[id(var)] = g
+                leaves[id(var)] = g if owned else g.copy()
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
             if parent is None or pg is None:
@@ -160,26 +163,7 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
             else:
                 grads[key] = acc + pg
                 summed.add(key)
-    return _owned(leaves, seed)
-
-
-def _owned(leaves: dict[int, np.ndarray], seed: np.ndarray) -> dict[int, np.ndarray]:
-    """Copy each leaf cotangent that is read-only or whose memory is already handed out."""
-    taken = {id(_memory_owner(seed))}
-    for key, g in leaves.items():
-        owner = _memory_owner(g)
-        if not g.flags.writeable or id(owner) in taken:
-            leaves[key] = g.copy()
-        else:
-            taken.add(id(owner))
     return leaves
-
-
-def _memory_owner(a: np.ndarray):
-    """The object whose memory a views: the end of its chain of bases."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a if a.base is None else a.base
 
 
 def grad_of(grads: dict, var: Var) -> np.ndarray:
@@ -189,10 +173,6 @@ def grad_of(grads: dict, var: Var) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # traced wrappers
-
-
-def _unbroadcast(g, shape):
-    return ops._unbroadcast(np.asarray(g), tuple(shape))
 
 
 def _record(y, inputs, save):
@@ -217,7 +197,7 @@ def _record(y, inputs, save):
 def add(a, b):
     def save(need):
         sa, sb = np.shape(val(a)), np.shape(val(b))
-        return lambda g: (_unbroadcast(g, sa) if need[0] else None, _unbroadcast(g, sb) if need[1] else None)
+        return lambda g: (ops._unbroadcast(g, sa) if need[0] else None, ops._unbroadcast(g, sb) if need[1] else None)
 
     return _record(val(a) + val(b), (a, b), save)
 

@@ -36,12 +36,12 @@ place a derivative is evaluated. silu's dydx has x's dtype, gelu's is f64
 without dydx computes no derivative.
 
 The VJPs of primitives with several inputs take `need=`, one flag per
-differentiable input (all True by default). An unflagged gradient is
-returned as None and costs nothing, which is how the tape skips weight
-gradients when only the input is being differentiated. A VJP takes only what
-it reads: an input that no flagged gradient reads may be passed as None,
-with its shape and dtype given by keyword where the VJP needs them, so the
-tape never has to keep it. No VJP writes into its incoming cotangent.
+differentiable input (required). An unflagged gradient is returned as None
+and costs nothing, which is how the tape skips weight gradients when only
+the input is being differentiated. A VJP takes only what it reads: an input
+that no flagged gradient reads may be passed as None, with its shape and
+dtype given by required keywords where the VJP needs them, so the tape never
+has to keep it. No VJP writes into its incoming cotangent.
 
 A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
@@ -376,7 +376,7 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=None, dtype=None):
+def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need, shape, dtype):
     """Gradients of sum(g_out * conv2d(x, w, spec, b)) w.r.t. (x, w, b).
 
     `need` flags which of (x, w, b) to differentiate. An unflagged gradient
@@ -384,13 +384,11 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need=(True, True, True), shape=No
     is neither upcast nor padded. gb is None for a bias-free spec.
 
     Only gw reads x and only gx reads w, so either may be None when that
-    gradient is unflagged. `shape` and `dtype` are x's, read from x when
-    not given.
+    gradient is unflagged. `shape` and `dtype` are x's.
     """
     g_out = np.asarray(g_out)
     need_x, need_w, need_b = need
-    n, c, h, wdt = np.asarray(x).shape if shape is None else shape
-    dtype = np.asarray(x).dtype if dtype is None else dtype
+    n, c, h, wdt = shape
     p, grp = spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wdt)
     if g_out.shape != (n, spec.out_channels, ho, wo):
@@ -445,17 +443,16 @@ def matmul(a, b) -> np.ndarray:
     return y.astype(out_dtype, copy=False)
 
 
-def matmul_vjp(g, a, b, *, need=(True, True), shapes=None, dtypes=None):
+def matmul_vjp(g, a, b, *, need, shapes, dtypes):
     """grad_a = g @ b^T, grad_b = a^T @ g (broadcast batch dims reduced).
 
     `need` flags which of (a, b) to differentiate; the other is None. Only
     grad_b reads a and only grad_a reads b, so either may be None when that
-    gradient is unflagged. `shapes` and `dtypes` are the (a, b) pairs, read
-    from a and b when not given.
+    gradient is unflagged. `shapes` and `dtypes` are the (a, b) pairs.
     """
     g64 = np.asarray(g).astype(np.float64, copy=False)
-    a_shape, b_shape = (np.asarray(a).shape, np.asarray(b).shape) if shapes is None else shapes
-    a_dtype, b_dtype = (np.asarray(a).dtype, np.asarray(b).dtype) if dtypes is None else dtypes
+    a_shape, b_shape = shapes
+    a_dtype, b_dtype = dtypes
     ga = gb = None
     if need[0]:
         ga = np.matmul(g64, np.swapaxes(np.asarray(b), -1, -2).astype(np.float64, copy=False))
@@ -519,15 +516,14 @@ def batchnorm_inference(x, gamma, beta, mean, var) -> np.ndarray:
     return (x * scale + shift).astype(x.dtype, copy=False)
 
 
-def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need=(True, True, True), dtype=None):
+def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need, dtype):
     """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
 
     No gradient reads beta, and only ggamma reads x, so x may be None when
-    gamma is unflagged. `dtype` is x's, read from x when not given.
+    gamma is unflagged. `dtype` is x's.
     """
     g = np.asarray(g)
     need_x, need_gamma, need_beta = need
-    dtype = np.asarray(x).dtype if dtype is None else dtype
     inv = 1.0 / np.sqrt(np.asarray(var) + NORM_EPS)
     gx = ggamma = gbeta = None
     if need_x:
@@ -551,7 +547,7 @@ def layernorm_channels(x, gamma, beta) -> np.ndarray:
     return y.astype(x.dtype, copy=False)
 
 
-def layernorm_channels_vjp(g, x, gamma, *, need=(True, True, True)):
+def layernorm_channels_vjp(g, x, gamma, *, need):
     """Gradients w.r.t. (x, gamma, beta); `need` flags which, the rest are None.
 
     No gradient reads beta.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,8 +127,14 @@ def test_report_text_and_dict_render():
     rep = count_costs(preset("emo-1m"), 224)
     text = rep.as_text()
     assert "attention" in text and "total" in text
-    doc = rep.as_dict()
-    assert doc["totals"]["params"] == rep.params
+    totals = rep.as_dict()["totals"]
+    assert set(totals) == {"params", "macs", "flops", "softmax_elems", "bias_adds", "norm_elems",
+                           "act_elems", "other_adds"}
+    for key, value in totals.items():
+        assert value == getattr(rep, key), key
+    assert totals["softmax_elems"] > 0 and totals["other_adds"] > 0
+    # macs is flops / 2, which counts each softmax element as 1.5 MACs
+    assert totals["macs"] - 1.5 * totals["softmax_elems"] == rep.contraction_macs
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +365,25 @@ def test_mmb_gradcheck():
                     operator_norm="batchnorm", operator_act="silu")
     rep = grad_check(cfg, seed=3, input_hw=(4, 4))
     assert rep.max_rel_err < 1e-4
+
+
+def test_grad_check_frees_its_tape_before_the_finite_differences():
+    # the perturbed forwards run after the analytic pass: holding its tape (every
+    # VJP's saved arrays) through them read 1.10x the peak of a call with no coords
+    cfg = MMBConfig(16, 4.0, operator="ewmhsa_dwconv", window=7, heads=4, pre_norm="layernorm",
+                    expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
+
+    def peak(num_coords):
+        tracemalloc.start()
+        try:
+            grad_check(cfg, seed=0, input_hw=(14, 14), num_coords=num_coords)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0)  # the first call makes one-time allocations
+    analytic_only = peak(0)
+    assert peak(20) <= 1.02 * analytic_only
 
 
 def test_whole_model_gradcheck():

@@ -354,6 +354,24 @@ def test_in_place_fan_in_sums_are_bit_identical_to_out_of_place():
             assert got[key].dtype == g.dtype and got[key].tobytes() == g.tobytes()
 
 
+def test_every_leaf_cotangent_owns_its_memory():
+    # the stem VJP crops the input gradient out of its padded buffer, and add hands
+    # one array to both parents: a leaf gets a fan-in sum backward allocated as it
+    # is and a copy of anything else, so no returned array is a view or shared
+    cfg = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
+    model = build_emo(cfg, seed=3, precision="f64")
+    model = dataclasses.replace(model, params=_all_var_params(model))
+    x = T.Var(np.random.default_rng(8).normal(size=(1, 3, 64, 64)))
+    logits = emo_forward(model, x)
+    seed = np.ones(logits.shape)
+    grads = T.backward(logits, seed)
+    assert id(x) in grads and len(grads) > 1
+    for g in grads.values():
+        assert g.base is None and g.flags.writeable
+        assert not np.shares_memory(g, seed)
+    assert len({id(g) for g in grads.values()}) == len(grads)
+
+
 def test_fan_in_never_writes_the_seed_or_a_shared_cotangent():
     x0 = np.arange(6.0).reshape(2, 3)
     # add hands the read-only seed to both parents and transpose returns views of it:

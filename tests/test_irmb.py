@@ -131,10 +131,14 @@ def test_attention_rows_sum_to_one_even_with_padding():
     k, layout = window_partition(x, 4, 2)
     attn = attention_weights(q, k, key_padding_bias(layout, 1, x.dtype))
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-    # padded key slots receive exactly zero weight
-    pad = layout.padding_slots()
+    # padded key slots (row >= H or column >= W in window coordinates) receive exactly zero weight
+    w, padded = layout.window, 0
     for wi in range(layout.num_windows):
-        assert np.all(attn[wi, :, :, pad[wi]] == 0.0)
+        gy, gx = divmod(wi, layout.grid_w)
+        pad = [s for s in range(w * w) if gy * w + s // w >= 5 or gx * w + s % w >= 7]
+        assert np.all(attn[wi, :, :, pad] == 0.0)
+        padded += len(pad)
+    assert padded == layout.num_windows * w * w - 5 * 7
 
 
 # ---------------------------------------------------------------------------

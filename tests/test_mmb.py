@@ -175,7 +175,9 @@ def test_metered_residual_adds_match_static_count(operator):
                     operator_norm="batchnorm", operator_act="silu")
     with cost_meter() as m:
         mmb_forward(rand_x(cfg, hw=(5, 5)), cfg, build(cfg))
-    assert m.other_adds == count_costs(cfg, 5).other_adds
+    rep = count_costs(cfg, 5)
+    for field in ("macs", "softmax_elems", "bias_adds", "norm_elems", "act_elems", "other_adds"):
+        assert getattr(m, field) == (rep.contraction_macs if field == "macs" else getattr(rep, field)), field
 
 
 def test_activate_dispatcher():

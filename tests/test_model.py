@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,8 +132,19 @@ def test_forward_trace_matches_static_count_every_preset_at_224(name):
     with cost_meter() as meter:
         emo_forward(model, np.zeros((1, 3, 224, 224), dtype=np.float32))
     rep = count_costs(preset(name), 224)
-    assert meter.macs == rep.contraction_macs
+    _assert_meter_equals_static(meter, rep, batch=1)
     assert meter.flops == rep.flops
+
+
+def _assert_meter_equals_static(meter, rep, batch):
+    """Every CostMeter field against batch x the report's count of the same name.
+
+    The report's `macs` is flops / 2, so the meter's contraction MACs meet
+    its `contraction_macs`.
+    """
+    for field in dataclasses.fields(meter):
+        static = rep.contraction_macs if field.name == "macs" else getattr(rep, field.name)
+        assert getattr(meter, field.name) == batch * static, field.name
 
 
 @pytest.mark.parametrize("name, resolution", [(n, 224) for n in sorted(PRESETS)] + [("emo-1m", 160)])
@@ -141,7 +153,7 @@ def test_metered_residual_adds_match_static_count(name, resolution):
     model = build_emo(name, seed=0, precision="f32")
     with cost_meter() as meter:
         emo_forward(model, np.zeros((2, 3, resolution, resolution), dtype=np.float32))
-    assert meter.other_adds == 2 * count_costs(preset(name), resolution).other_adds
+    _assert_meter_equals_static(meter, count_costs(preset(name), resolution), batch=2)
 
 
 def test_lambda_dim_mismatch_names_the_stage():

@@ -232,7 +232,7 @@ def test_depthwise_weight_gradient_bits_are_pinned(case, dt):
     for rows, row_elems in ((ho, wo * c), (h, (wd + 2 * spec.padding) * c)):
         assert len(ops._row_tiles(n, rows, row_elems)) > n  # several row tiles per image
     x, w, _, g = _depthwise_operands(spec, shape, np.dtype(dt), seed=24)
-    _, gw, _ = ops.conv2d_vjp(g, x, w, spec, need=(False, True, False))
+    _, gw, _ = ops.conv2d_vjp(g, x, None, spec, need=(False, True, False), shape=shape, dtype=x.dtype)
     assert gw.dtype == dt
     assert hashlib.sha256(gw.tobytes()).hexdigest() == DEPTHWISE_GW_SHA256[case, dt]
 
@@ -643,7 +643,8 @@ def test_conv_vjp_identity_kernel_passes_upstream_through():
     spec = ConvSpec(c, c, kernel=3, padding=1, groups=c, bias=False)
     x = np.random.default_rng(0).normal(size=(1, c, 5, 5))
     g = np.random.default_rng(1).normal(size=(1, c, 5, 5))
-    gx, _, _ = ops.conv2d_vjp(g, x, identity_dw_kernel(c), spec)
+    gx, _, _ = ops.conv2d_vjp(g, None, identity_dw_kernel(c), spec, need=(True, False, False),
+                              shape=x.shape, dtype=x.dtype)
     np.testing.assert_allclose(gx, g, atol=1e-12)
 
 
@@ -661,7 +662,7 @@ def test_conv_vjp_is_the_adjoint_of_the_loop_oracle(spec):
     w = rng.normal(size=spec.weight_shape())
     ho, wo = spec.out_hw(7, 6)
     g = rng.normal(size=(2, spec.out_channels, ho, wo))
-    gx, gw, gb = ops.conv2d_vjp(g, x, w, spec)
+    gx, gw, gb = ops.conv2d_vjp(g, x, w, spec, need=(True, True, True), shape=x.shape, dtype=x.dtype)
     for _ in range(3):
         v, u = rng.normal(size=x.shape), rng.normal(size=w.shape)
         want_x = float((g * _conv_reference(v, w, spec)).sum())
@@ -735,7 +736,7 @@ def test_matmul_vjp_bilinear_forms_exact():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     g = rng.normal(size=(3, 2))
-    ga, gb = ops.matmul_vjp(g, a, b)
+    ga, gb = ops.matmul_vjp(g, a, b, need=(True, True), shapes=(a.shape, b.shape), dtypes=(a.dtype, b.dtype))
     np.testing.assert_allclose(ga, g @ b.T, atol=1e-12)
     np.testing.assert_allclose(gb, a.T @ g, atol=1e-12)
 
