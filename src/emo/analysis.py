@@ -12,6 +12,8 @@ are reported separately so any FLOP convention can be reconstructed.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,8 +21,8 @@ from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
 from .attention import WindowLayout
-from .irmb import IRMBConfig, block_plan, irmb_forward, random_block_params
-from .mmb import MMBConfig, mmb_forward
+from .irmb import IRMBConfig, block_plan, block_stages, irmb_forward, random_block_params, run_stages
+from .mmb import MMBConfig
 from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, build_emo, emo_forward
 from .ops import ConvSpec
 from .tensor import Rng
@@ -509,32 +511,93 @@ class GradCheckReport:
     precision: str
 
 
-def _tape_gradients(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str):
+def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: str):
     """The analytic pass of `_tape_rel_err`: (leaf gradients, cotangent).
 
-    Every leaf becomes a Var, and `backward` runs with a cotangent drawn from
-    the named stream `cot_name` and scaled by 1/sqrt(its size). The tape dies
-    on return, so it is not held while the perturbed forwards run.
+    Every leaf becomes a Var, every stage runs on them, and `backward` runs
+    with a cotangent drawn from the named stream `cot_name` and scaled by
+    1/sqrt(its size). The tape dies on return, so it is not held while the
+    perturbed forwards run.
     """
     vars_ = {k: ag.Var(v) for k, v in leaves.items()}
-    y = fwd(vars_)
+    y = run_stages(stages, None, vars_)
     cot = rng.normal(cot_name, y.shape, precision=precision)
     cot = cot / math.sqrt(cot.size)
     grads = ag.backward(y, cot)
     return {k: ag.grad_of(grads, v) for k, v in vars_.items()}, cot
 
 
-def _tape_rel_err(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
-    """Worst relative error of `fwd`'s tape gradients against central differences.
+class _FirstReads(Mapping):
+    """Leaves, read-only, noting for each key the first stage that read it by [] or get.
 
-    `fwd` maps a dict like `leaves` to the output; `_tape_gradients` gives
-    the analytic side. Each (key, flat index) in `coords` is then moved by
-    +-step in a copy of its leaf. The denominator is max(|analytic|,
-    |numeric|, 1e-4 * the largest |analytic| entry), which keeps
-    finite-difference roundoff on near-zero coordinates from dominating.
+    `stage` is the index of the stage running; `first` maps each key read
+    so far to the stage that read it first. A membership test is not a read.
     """
-    analytic, cot = _tape_gradients(fwd, leaves, rng, cot_name, precision)
-    loss = lambda leafs: float((ag.val(fwd(leafs)) * cot).sum())
+
+    def __init__(self, leaves: dict):
+        self.leaves, self.stage, self.first = leaves, 0, {}
+
+    def __getitem__(self, key):
+        value = self.leaves[key]
+        self.first.setdefault(key, self.stage)
+        return value
+
+    def __contains__(self, key):
+        return key in self.leaves
+
+    def __iter__(self):
+        return iter(self.leaves)
+
+    def __len__(self):
+        return len(self.leaves)
+
+
+def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict]:
+    """(key -> index of the first stage that reads it, index -> that stage's input state).
+
+    One plain (untaped) pass runs the stages on `leaves` and keeps the input
+    state of each stage that is the first reader of a key in `keys`. A key
+    that no stage reads resumes at len(stages), from the output, so its
+    perturbation changes nothing. A one-stage list needs no pass: every key
+    resumes at 0, from the state None, and neither does an empty `keys`.
+    """
+    if len(stages) == 1 or not keys:
+        return dict.fromkeys(keys, 0), {0: None}
+    reads = _FirstReads(leaves)
+    kept, state = {}, None
+    for i, stage in enumerate(stages):
+        reads.stage = i
+        out = stage(state, reads)
+        if any(reads.first.get(k) == i for k in keys):
+            kept[i] = state
+        state = out
+    start = {k: reads.first.get(k, len(stages)) for k in keys}
+    if len(stages) in start.values():
+        kept[len(stages)] = state
+    return start, kept
+
+
+def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
+    """Worst relative error of the tape gradients of `stages` against central differences.
+
+    `stages` is a list of stage(state, leafs) -> state, folded from the
+    state None to the output; `_tape_gradients` gives the analytic side.
+    Each (key, flat index) in `coords` is then moved by +-step in a copy of
+    its leaf, and each difference resumes at the first stage that reads the
+    key, from the input state a plain pass kept (`_resume_points`): the
+    stages before it would recompute that state unchanged, so every
+    difference is bit-identical to one over the whole forward. The kept
+    states come from that plain pass, never from the tape being checked.
+    The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
+    |analytic| entry), which keeps finite-difference roundoff on near-zero
+    coordinates from dominating.
+    """
+    analytic, cot = _tape_gradients(stages, leaves, rng, cot_name, precision)
+    start, kept = _resume_points(stages, leaves, {key for key, _ in coords})
+
+    def loss(key, leafs):
+        i = start[key]
+        return float((ag.val(run_stages(stages[i:], kept[i], leafs)) * cot).sum())
 
     gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
     floor = 1e-4 * max(gmax, 1e-8)
@@ -545,9 +608,9 @@ def _tape_rel_err(fwd, leaves: dict, rng: Rng, cot_name: str, precision: str, co
         flat = pert[key].reshape(-1)
         orig = flat[idx]
         flat[idx] = orig + step
-        up = loss(pert)
+        up = loss(key, pert)
         flat[idx] = orig - step
-        down = loss(pert)
+        down = loss(key, pert)
         fd = (up - down) / (2 * step)
         an = float(analytic[key].reshape(-1)[idx])
         worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
@@ -567,7 +630,8 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         picker = rng.stream(f"prim.{name}.coords")
         coords = [(k, flat) for k, a in leaves.items()
                   for flat in picker.choice(a.size, size=min(n_coords, a.size), replace=False)]
-        results[name] = _tape_rel_err(fwd, leaves, rng, f"prim.{name}.cot", "f64", coords, step)
+        stages = [lambda _, v: fwd(v)]
+        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", "f64", coords, step)
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
@@ -600,31 +664,27 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     return results
 
 
-def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
-               precision: str = "f64", num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
-    """Analytic VJP vs central finite differences on a random subsample.
+def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -> tuple[str, list, dict]:
+    """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
-    Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
-    the denominator (see `_tape_rel_err`).
+    Leaves are "__input__" and every parameter except the batchnorm
+    buffers, which the stages read from a closure. An IRMB or MMB target is
+    an input stage followed by the block's stages (`irmb.block_stages`);
+    any other target is one stage.
     """
-    h, w = input_hw
-    rng = Rng(seed ^ 0xC0FFEE)
-
-    if isinstance(target, IRMBConfig):
-        name = "irmb"
-        params = random_block_params(target, seed, precision)
-        x0 = rng.normal("gradcheck.x", (1, target.in_channels, h, w), precision=precision)
-        fwd = lambda x, p: irmb_forward(x, target, p)
-    elif isinstance(target, MMBConfig):
-        name = f"mmb[{target.operator}]"
-        params = random_block_params(target._as_irmb(h, w)[0], seed, precision)
-        x0 = rng.normal("gradcheck.x", (1, target.channels, h, w), precision=precision)
-        fwd = lambda x, p: mmb_forward(x, target, p)
+    if isinstance(target, (IRMBConfig, MMBConfig)):
+        if isinstance(target, IRMBConfig):
+            name, cfg, plan = "irmb", target, block_plan(target)
+        else:
+            name, (cfg, plan) = f"mmb[{target.operator}]", target._as_irmb(h, w)
+        params = random_block_params(cfg, seed, precision)
+        x0 = rng.normal("gradcheck.x", (1, cfg.in_channels, h, w), precision=precision)
+        stages = [lambda _, p: (p["__input__"], None, None), *block_stages(cfg, "", plan)]
     elif isinstance(target, EMOModel):
         name = target.cfg.name
         params = dict(target.params)
         x0 = rng.normal("gradcheck.x", (1, IN_CHANNELS, h, w), precision=target.precision)
-        fwd = lambda x, p: emo_forward(replace(target, params=p), x)
+        stages = [lambda _, p: emo_forward(replace(target, params=p), p["__input__"])]
     elif isinstance(target, ConvSpec):
         name = "conv2d"
         params = {
@@ -633,7 +693,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
         if target.bias:
             params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision=precision)
         x0 = rng.normal("gradcheck.x", (1, target.in_channels, h, w), precision=precision)
-        fwd = lambda x, p: ag.conv2d(x, p["w"], target, p.get("b"))
+        stages = [lambda _, p: ag.conv2d(p["__input__"], p["w"], target, p.get("b"))]
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
 
@@ -642,11 +702,24 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
 
     leaves = {"__input__": x0, **{k: v for k, v in params.items() if not is_buffer(k)}}
     buffers = {k: v for k, v in params.items() if is_buffer(k)}
+    # a ChainMap reads each leaf through the stage's mapping, when the stage asks for it
+    return name, [lambda state, leafs, f=f: f(state, ChainMap(leafs, buffers)) for f in stages], leaves
 
-    def run(leafs: dict):
-        p = {k: v for k, v in leafs.items() if k != "__input__"}
-        p.update(buffers)
-        return fwd(leafs["__input__"], p)
+
+def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
+               precision: str = "f64", num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
+    """Analytic VJP vs central finite differences on a random subsample.
+
+    Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
+    the denominator (see `_tape_rel_err`). Each difference resumes at the
+    first stage of the target that reads the perturbed leaf, from a state
+    kept by one plain forward, so a block's differences skip the stages
+    before that reader; every difference is bit-identical to one over the
+    whole forward.
+    """
+    h, w = input_hw
+    rng = Rng(seed ^ 0xC0FFEE)
+    name, stages, leaves = _check_target(target, seed, rng, h, w, precision)
 
     # coordinate sample
     names = sorted(leaves)
@@ -661,5 +734,5 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     for fi in sorted(flat_idx.tolist()):
         li = int(np.searchsorted(offsets, fi, side="right") - 1)
         coords.append((names[li], fi - offsets[li]))
-    return GradCheckReport(name, _tape_rel_err(run, leaves, rng, "gradcheck.cot", precision, coords, step),
+    return GradCheckReport(name, _tape_rel_err(stages, leaves, rng, "gradcheck.cot", precision, coords, step),
                            take, precision)

@@ -14,6 +14,9 @@ windowed transformer block, both on is the full cascade.
 `block_forward` is the one block core, for this block and the meta mobile
 block (mmb.py) alike: next to the config it takes a plan saying where the
 attention matrix mixes and whether the depth-wise conv keeps its inner skip.
+It folds the input through `block_stages`, the block as an ordered list of
+stages (pre-norm, expansion, norm, activation, the mixes, the depth-wise
+stage, shrink + residual), which gradient checking also runs piecewise.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -236,43 +239,93 @@ def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
     return attn_at, cfg.stride == 1
 
 
-def block_forward(x, cfg: IRMBConfig, params, prefix: str, plan: tuple[str | None, bool]):
-    """Expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
+def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list:
+    """The block as an ordered list of stages; `block_forward` folds over it.
+
+    Each stage maps the state (x, u, v) and a parameter mapping to the next
+    state, the last one to the block's output. x is the block input, u the
+    pre-normed input that Q/K read, v the running features. The stages are:
+    pre-norm; expansion (EW-MHSA when attn_at is "expand"); norm_e; the
+    activation; the attention mix at "act"; the depth-wise stage; the mix
+    at "conv"; shrink + residual. A mix or depth-wise stage that `plan` or
+    the config leaves out is not listed. Stages read parameters only
+    through their mapping argument, so a caller that logs the reads learns
+    which stage first reads a leaf. A fold drops each state when the next
+    one is made, so norm_e and the activation are two stages: as one, the
+    expansion's output would stay alive through the activation.
 
     `plan` is (attn_at, inner_skip). attn_at is "expand" (EW-MHSA is the
     expansion stage), "act" (mix the activated expansion), "conv" (mix the
     depth-wise stage's output) or None; inner_skip adds the depth-wise
     stage's input to its output.
     """
-    xv = T.val(x)
-    if xv.shape[1] != cfg.in_channels:
-        raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
     attn_at, inner_skip = plan
     specs = cfg.conv_specs()
     keep_residual = cfg.stride == 1 and cfg.in_channels == cfg.out_channels
 
-    u = _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre")
+    def conv(name, t, params):
+        return T.conv2d(t, params[prefix + name + ".w"], specs[name], params[prefix + name + ".b"])
 
-    if attn_at == "expand":
-        v = ew_mhsa(u, cfg, params, prefix)
-    else:
-        v = T.conv2d(u, params[prefix + "expand.w"], specs["expand"], params[prefix + "expand.b"])
-    v = _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e")
-    v = T.activate(v, cfg.expand_act_kind)
-    if attn_at == "act":
-        v = _attention_mix(u, v, cfg, params, prefix)
+    def pre_norm(state, params):
+        x = state[0]
+        return x, _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre"), None
 
-    if cfg.enable_conv:
-        t = T.conv2d(v, params[prefix + "dw.w"], specs["dw"], params[prefix + "dw.b"])
+    def expand(state, params):
+        x, u, _ = state
+        return x, u, ew_mhsa(u, cfg, params, prefix) if attn_at == "expand" else conv("expand", u, params)
+
+    def norm_e(state, params):
+        x, u, v = state
+        return x, u, _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e")
+
+    def act(state, params):
+        x, u, v = state
+        return x, u, T.activate(v, cfg.expand_act_kind)
+
+    def mix(state, params):
+        x, u, v = state
+        return x, u, _attention_mix(u, v, cfg, params, prefix)
+
+    def depthwise(state, params):
+        x, u, v = state
+        t = conv("dw", v, params)
         t = _norm(t, cfg.conv_norm, params, prefix + "norm_dw")
         t = T.activate(t, cfg.conv_act)
-        v = T.residual_add(v, t) if inner_skip else t
+        return x, u, T.residual_add(v, t) if inner_skip else t
 
+    def shrink(state, params):
+        x, _, v = state
+        y = conv("shrink", v, params)
+        return T.residual_add(x, y) if keep_residual else y
+
+    stages = [pre_norm, expand, norm_e, act]
+    if attn_at == "act":
+        stages.append(mix)
+    if cfg.enable_conv:
+        stages.append(depthwise)
     if attn_at == "conv":
-        v = _attention_mix(u, v, cfg, params, prefix)
+        stages.append(mix)
+    stages.append(shrink)
+    return stages
 
-    y = T.conv2d(v, params[prefix + "shrink.w"], specs["shrink"], params[prefix + "shrink.b"])
-    return T.residual_add(x, y) if keep_residual else y
+
+def run_stages(stages, state, params):
+    """Fold `state` through `stages`, each called as stage(state, params)."""
+    for stage in stages:
+        state = stage(state, params)
+    return state
+
+
+def block_forward(x, cfg: IRMBConfig, params, prefix: str, plan: tuple[str | None, bool]):
+    """Expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
+
+    A fold of (x, None, None) over `block_stages(cfg, prefix, plan)`, which
+    also explains `plan`.
+    """
+    xv = T.val(x)
+    if xv.shape[1] != cfg.in_channels:
+        raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
+    return run_stages(block_stages(cfg, prefix, plan), (x, None, None), params)
 
 
 def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):

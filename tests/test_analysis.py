@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from emo import (
+    EMOModel,
     EMOVariantConfig,
     IRMBConfig,
     MMBConfig,
@@ -19,7 +20,11 @@ from emo import (
     max_path_length,
     preset,
 )
+from emo import analysis
+from emo.irmb import run_stages
+from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
+from emo.tensor import Rng
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +372,80 @@ def test_mmb_gradcheck():
     assert rep.max_rel_err < 1e-4
 
 
+def _grads_model():
+    return build_emo(
+        EMOVariantConfig("grads", (1, 1, 1, 1), (4, 4, 8, 8), (2.0, 2.0, 2.0, 2.0),
+                         num_classes=5, windows=(2, 2, 2, 2)),
+        seed=0, precision="f64",
+    )
+
+
+_CHECK_TARGETS = {
+    "irmb-attn-first": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2),
+    "irmb-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_first=False),
+    "irmb-stride-2": lambda: IRMBConfig(8, 16, 2.0, window=4, heads=2, stride=2),
+    "irmb-mlp": lambda: IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False),
+    **{f"mmb-{op}": lambda op=op: MMBConfig(8, 2.0, operator=op, window=3, heads=2, pre_norm="layernorm",
+                                            expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
+       for op in OPERATORS},
+    "conv": lambda: ConvSpec(4, 6, kernel=3, padding=1),
+    "model": _grads_model,
+}
+
+
+def _same_state(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_state, a, b))
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_CHECK_TARGETS))
+def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
+    # one coordinate per leaf, moved by +-step: the stages before the leaf's first
+    # reader recompute the kept state unchanged, and the forward resumed from that
+    # state gives the full forward's output bit for bit
+    target = _CHECK_TARGETS[name]()
+    hw = (32, 32) if isinstance(target, EMOModel) else (6, 6)
+    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, "f64")
+    start, kept = analysis._resume_points(stages, leaves, set(leaves))
+    if isinstance(target, (IRMBConfig, MMBConfig)):  # an input stage, then the block's stages
+        assert start["__input__"] == 0 and start["shrink.w"] == len(stages) - 1
+        assert set(kept) == set(start.values())
+    else:
+        assert set(start.values()) == {0} and kept == {0: None}
+    for key, leaf in leaves.items():
+        for step in (1e-5, -1e-5):
+            pert = dict(leaves)
+            pert[key] = leaf.copy()
+            pert[key].reshape(-1)[0] += step
+            state = None
+            for i, stage in enumerate(stages):
+                if i in kept and i <= start[key]:
+                    assert _same_state(state, kept[i]), (key, i)
+                state = stage(state, pert)
+            assert _same_state(run_stages(stages[start[key]:], kept[start[key]], pert), state), key
+    # no resumed forward wrote into a kept state
+    again = analysis._resume_points(stages, leaves, set(leaves))[1]
+    assert all(_same_state(kept[i], again[i]) for i in kept)
+
+
+def test_resume_points_of_unread_leaves_and_one_stage_lists():
+    leaves = {"a": np.ones(2), "b": np.full(2, 2.0), "c": np.zeros(2)}
+    stages = [lambda _, p: p["a"] * 3.0, lambda s, p: s + p.get("b")]
+    start, kept = analysis._resume_points(stages, leaves, {"a", "b", "c"})
+    assert start == {"a": 0, "b": 1, "c": 2}  # nothing reads c: it resumes after the last stage
+    assert kept[0] is None and kept[1].tolist() == [3.0, 3.0] and kept[2].tolist() == [5.0, 5.0]
+    start, kept = analysis._resume_points(stages, leaves, {"b"})
+    assert start == {"b": 1} and list(kept) == [1]  # only the states some key resumes from
+
+    def unrun(state, p):
+        raise AssertionError("a one-stage list needs no plain pass")
+
+    assert analysis._resume_points([unrun], leaves, {"a", "c"}) == ({"a": 0, "c": 0}, {0: None})
+
+
 def test_grad_check_frees_its_tape_before_the_finite_differences():
     # the perturbed forwards run after the analytic pass: holding its tape (every
     # VJP's saved arrays) through them read 1.10x the peak of a call with no coords
@@ -387,10 +466,5 @@ def test_grad_check_frees_its_tape_before_the_finite_differences():
 
 
 def test_whole_model_gradcheck():
-    model = build_emo(
-        EMOVariantConfig("grads", (1, 1, 1, 1), (4, 4, 8, 8), (2.0, 2.0, 2.0, 2.0),
-                         num_classes=5, windows=(2, 2, 2, 2)),
-        seed=0, precision="f64",
-    )
-    rep = grad_check(model, seed=0, input_hw=(32, 32), num_coords=60)
+    rep = grad_check(_grads_model(), seed=0, input_hw=(32, 32), num_coords=60)
     assert rep.max_rel_err < 1e-4

@@ -104,8 +104,9 @@ def _merge_heads_then_untile(tokens, layout, batch):
     return t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)[:, :, :layout.height, :layout.width]
 
 
-@pytest.mark.parametrize("hw,w", [((4, 6), 6), ((5, 3), 6), ((5, 7), 3)],
-                         ids=["single-window", "single-window-padded", "multi-window"])
+@pytest.mark.parametrize("hw,w", [((4, 6), 6), ((5, 3), 6), ((5, 7), 3), ((6, 6), 6), ((6, 9), 3)],
+                         ids=["single-window", "single-window-padded", "multi-window",
+                              "single-window-unpadded", "multi-window-unpadded"])
 def test_window_maps_keep_the_tile_then_split_layout(hw, w):
     # the strides matter as much as the bytes: a channels-last view handed to
     # the next 1x1 conv takes a different BLAS path than a C-contiguous copy

@@ -648,6 +648,27 @@ def test_conv_vjp_identity_kernel_passes_upstream_through():
     np.testing.assert_allclose(gx, g, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_pointwise_conv_input_vjp_is_the_zero_buffer_sum_bit_for_bit(groups, dtype):
+    # an unpadded, unstrided 1x1 conv's one tap covers its whole input; its input
+    # cotangent is still 0.0 + (w^T g), as when it was added into zeros, so where
+    # every product is -0.0 (zero cotangent, negative weight) the result is +0.0
+    rng = np.random.default_rng(41)
+    spec = ConvSpec(4, 6, kernel=1, groups=groups)
+    w = -np.abs(rng.normal(size=spec.weight_shape())).astype(dtype)
+    g = rng.normal(size=(2, 6, 3, 5)).astype(dtype)
+    g[:, :, 1] = 0.0
+    g[1] = 0.0
+    gx, _, _ = ops.conv2d_vjp(g, None, w, spec, need=(True, False, False), shape=(2, 4, 3, 5), dtype=dtype)
+    wt = w.astype(np.float64)[:, :, 0, 0].reshape(groups, 6 // groups, 4 // groups).transpose(0, 2, 1)
+    want = np.zeros((2, 4, 3, 5))
+    want += np.matmul(wt, g.astype(np.float64).reshape(2, groups, 6 // groups, 15)).reshape(2, 4, 3, 5)
+    want = want.astype(dtype)
+    assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
+    assert not np.signbit(gx[1]).any()
+
+
 @pytest.mark.parametrize("spec", [
     ConvSpec(4, 4, kernel=3, stride=1, padding=1, groups=4),
     ConvSpec(4, 4, kernel=5, stride=2, padding=2, groups=4, bias=False),
