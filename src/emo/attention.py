@@ -81,22 +81,12 @@ def _partition(x: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
 
 
 def _merge(tokens: np.ndarray, layout: WindowLayout, batch: int) -> np.ndarray:
-    """Untile per-head tokens (N * num_windows, heads, l, C/heads) into (N, C, H, W), dropping the padding.
-
-    The tokens are copied at most once: a single window into a
-    channels-last (N, w, w, C) map, returned as its NCHW transpose view, and
-    several windows straight into an NCHW (N, C, Hp, Wp) map. The layout is
-    part of the result: handed a channels-last view, a grouped 1x1 conv
-    takes another BLAS path, whose f64 sums can differ in the last bit.
-    """
-    w, heads, d = layout.window, tokens.shape[1], tokens.shape[3]
-    gh, gw = layout.grid_h, layout.grid_w
-    if gh == gw == 1:
-        t = tokens.transpose(0, 2, 1, 3).reshape(batch, w, w, heads * d).transpose(0, 3, 1, 2)
-    else:
-        t = np.empty((batch, heads, d, gh, w, gw, w), tokens.dtype)
-        t.transpose(0, 3, 5, 1, 4, 6, 2)[...] = tokens.reshape(batch, gh, gw, heads, w, w, d)
-        t = t.reshape(batch, heads * d, gh * w, gw * w)
+    """Untile per-head tokens (N * num_windows, heads, l, C/heads) into (N, C, H, W), dropping the padding."""
+    w = layout.window
+    c = tokens.shape[1] * tokens.shape[3]
+    t = tokens.transpose(0, 2, 1, 3).reshape(batch, layout.grid_h, layout.grid_w, w, w, c)
+    t = t.transpose(0, 5, 1, 3, 2, 4)  # (N, C, gh, w, gw, w)
+    t = t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)
     return t[:, :, :layout.height, :layout.width]
 
 

@@ -406,8 +406,7 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need, shape, dtype):
     g64 = g_out.astype(np.float64, copy=False)
     w64 = np.asarray(w).astype(np.float64, copy=False) if dense_x else None
     xp = _padded64(np.asarray(x), p) if need_w else None
-    whole = spec.kernel == 1 and spec.stride == 1 and not p  # the one tap reads the whole input
-    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if dense_x and not whole else None
+    gxp = np.zeros((n, c, h + 2 * p, wdt + 2 * p)) if dense_x else None
     gw = np.empty(spec.weight_shape()) if need_w else None
     gm = g64.reshape(n, grp, cog, ho * wo)
     for i, j, win in _taps(spec, ho, wo):
@@ -417,12 +416,7 @@ def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need, shape, dtype):
             continue
         if need_x:
             wt = w64[:, :, i, j].reshape(grp, cog, cig)
-            gxt = np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
-            if whole:
-                gxp = gxt
-                gxp += 0.0  # 0.0 + v, as adding into zeros: -0.0 becomes +0.0
-            else:
-                gxp[win] += gxt
+            gxp[win] += np.matmul(wt.transpose(0, 2, 1), gm).reshape(n, c, ho, wo)
         if need_w:
             xt = xp[win].reshape(n, grp, cig, ho * wo)
             gw[:, :, i, j] = np.matmul(gm, xt.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.out_channels, cig)

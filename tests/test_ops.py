@@ -652,8 +652,8 @@ def test_conv_vjp_identity_kernel_passes_upstream_through():
 @pytest.mark.parametrize("groups", [1, 2])
 def test_pointwise_conv_input_vjp_is_the_zero_buffer_sum_bit_for_bit(groups, dtype):
     # an unpadded, unstrided 1x1 conv's one tap covers its whole input; its input
-    # cotangent is still 0.0 + (w^T g), as when it was added into zeros, so where
-    # every product is -0.0 (zero cotangent, negative weight) the result is +0.0
+    # cotangent is 0.0 + (w^T g), the tap added into zeros, so where every
+    # product is -0.0 (zero cotangent, negative weight) the result is +0.0
     rng = np.random.default_rng(41)
     spec = ConvSpec(4, 6, kernel=1, groups=groups)
     w = -np.abs(rng.normal(size=spec.weight_shape())).astype(dtype)
