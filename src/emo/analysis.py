@@ -1,9 +1,9 @@
 """Cost accounting, closed-form oracles, influence masks, path lengths,
 diagonal similarity, and gradient checking.
 
-The static counter (`count_costs`) walks configurations and enumerates the
-same work the kernels meter at run time, so a forward trace under
-`ops.cost_meter()` reproduces the static numbers exactly: MACs count the
+The static counter (`count_costs`) sums the cost lines of the stage list a
+forward folds over (`model.model_stages`, `irmb.block_stages`), so a trace
+under `ops.cost_meter()` reproduces the static numbers exactly: MACs count the
 contractions of conv/matmul calls, softmax is itemized per attention-matrix
 element (3 flops each), and bias adds / normalization / activation elements
 are reported separately so any FLOP convention can be reconstructed.
@@ -14,17 +14,16 @@ from __future__ import annotations
 import math
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
-from .attention import WindowLayout
 from .irmb import IRMBConfig, block_plan, block_stages, irmb_forward, random_block_params, run_stages
 from .mmb import MMBConfig
-from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, build_emo, emo_forward
-from .ops import ConvSpec
+from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages
+from .ops import ConvSpec, CostLine
 from .tensor import Rng
 
 CATEGORIES = ("stem", "mlp", "attention", "dwconv", "norm", "head")
@@ -32,23 +31,6 @@ CATEGORIES = ("stem", "mlp", "attention", "dwconv", "norm", "head")
 
 # ---------------------------------------------------------------------------
 # cost report
-
-
-@dataclass
-class CostLine:
-    name: str
-    category: str
-    params: int = 0
-    macs: int = 0
-    softmax_elems: int = 0
-    bias_adds: int = 0
-    norm_elems: int = 0
-    act_elems: int = 0
-    other_adds: int = 0
-
-    @property
-    def flops(self) -> int:
-        return 2 * self.macs + 3 * self.softmax_elems
 
 
 @dataclass
@@ -163,102 +145,39 @@ class CostReport:
 # static counting
 
 
-def _attn_matmul_counts(h: int, w: int, window: int, heads: int, c_qk: int, c_v: int):
-    layout = WindowLayout(h, w, window)
-    nw, l = layout.num_windows, layout.tokens_per_window
-    logits = nw * l * l * c_qk
-    av = nw * l * l * c_v
-    softmax = heads * nw * l * l
-    return logits + av, softmax
-
-
-def _irmb_lines(name: str, cfg: IRMBConfig, h: int, w: int, plan: tuple[str | None, bool]) -> list[CostLine]:
-    """Cost lines of `irmb.block_forward(x, cfg, params, prefix, plan)` on an h x w input."""
-    attn_at, inner_skip = plan
-    cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
-    lines: list[CostLine] = []
-    specs = cfg.conv_specs()
-    if cfg.enable_conv:
-        ho, wo = specs["dw"].out_hw(h, w)
-    else:
-        ho, wo = h, w
-    li, lo = h * w, ho * wo
-    # with attention as the only operator, expand and shrink are its V/O projections
-    mlp_cat = "attention" if attn_at and not cfg.enable_conv else "mlp"
-
-    if cfg.pre_norm_kind != "none":
-        lines.append(CostLine(f"{name}.norm_pre", "norm", params=2 * cin, norm_elems=cin * li))
-    if attn_at:
-        for p in ("q", "k"):
-            lines.append(CostLine(f"{name}.{p}", "attention", params=(cin + 1) * cin,
-                                  macs=cin * cin * li, bias_adds=cin * li))
-        c_v = cin if (attn_at == "expand" and cfg.attn_pre_expand) else mid
-        mm, sm = _attn_matmul_counts(h, w, cfg.window, cfg.num_heads, cin, c_v)
-        lines.append(CostLine(f"{name}.attn", "attention", macs=mm, softmax_elems=sm))
-    exp = specs["expand"]
-    lines.append(CostLine(f"{name}.expand", mlp_cat, params=exp.param_count(),
-                          macs=exp.macs(1, 1) * li, bias_adds=mid * li,
-                          act_elems=(mid * li if cfg.expand_act_kind != "none" else 0)))
-    if cfg.expand_norm_kind != "none":
-        lines.append(CostLine(f"{name}.norm_e", "norm", params=2 * mid, norm_elems=mid * li))
-    if cfg.enable_conv:
-        dw = specs["dw"]
-        lines.append(CostLine(f"{name}.dw", "dwconv", params=dw.param_count(),
-                              macs=dw.macs(h, w), bias_adds=mid * lo,
-                              act_elems=(mid * lo if cfg.conv_act != "none" else 0),
-                              other_adds=(mid * lo if inner_skip else 0)))
-        if cfg.conv_norm != "none":
-            lines.append(CostLine(f"{name}.norm_dw", "norm", params=2 * mid, norm_elems=mid * lo))
-    shr = specs["shrink"]
-    lines.append(CostLine(f"{name}.shrink", mlp_cat, params=shr.param_count(),
-                          macs=shr.macs(1, 1) * lo, bias_adds=cout * lo,
-                          other_adds=(cout * lo if (cfg.stride == 1 and cin == cout) else 0)))
-    return lines
+def _block_of(target, h: int, w: int) -> tuple[str, IRMBConfig, tuple[str | None, bool]]:
+    """(report name, iRMB config, plan) of an IRMB or MMB target on an h x w input."""
+    if isinstance(target, IRMBConfig):
+        return "irmb", target, block_plan(target)
+    return (f"mmb[{target.operator}]", *target._as_irmb(h, w))
 
 
 def count_costs(target, resolution: int = 224) -> CostReport:
     """Exact parameter and work counts for a model, block, or bare conv.
 
-    MACs are counted for one batch item.
+    A model or block sums the lines of its stage list. MACs are counted for one batch item.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if isinstance(target, EMOModel):
         target = target.cfg
     if isinstance(target, EMOVariantConfig):
-        from .model import check_resolution
-
         check_resolution(target, resolution, resolution)
-        rep = CostReport(target.name, resolution)
-        stem = target.stem_spec()
-        r = resolution // 2
-        rep.lines.append(CostLine("stem.conv", "stem", params=stem.param_count(),
-                                  macs=stem.macs(resolution, resolution), bias_adds=stem.out_channels * r * r,
-                                  act_elems=stem.out_channels * r * r))
-        rep.lines.append(CostLine("stem.bn", "norm", params=2 * stem.out_channels,
-                                  norm_elems=stem.out_channels * r * r))
-        for name, _stage, bcfg in target.blocks:
-            rep.lines.extend(_irmb_lines(name, bcfg, r, r, block_plan(bcfg)))
-            r //= bcfg.stride
-        head = target.head_spec()
-        rep.lines.append(CostLine("head", "head", params=head.param_count(), macs=head.macs(1, 1),
-                                  bias_adds=head.out_channels, other_adds=head.in_channels * r * r))
-        return rep
-    if isinstance(target, IRMBConfig):
-        rep = CostReport("irmb", resolution)
-        rep.lines.extend(_irmb_lines("block", target, resolution, resolution, block_plan(target)))
-        return rep
-    if isinstance(target, MMBConfig):
-        cfg, plan = target._as_irmb(resolution, resolution)
-        rep = CostReport(f"mmb[{target.operator}]", resolution)
-        rep.lines.extend(_irmb_lines("block", cfg, resolution, resolution, plan))
-        return rep
-    if isinstance(target, ConvSpec):
-        rep = CostReport("conv", resolution)
-        ho, wo = target.out_hw(resolution, resolution)
-        rep.lines.append(CostLine("conv", "dwconv" if target.depthwise else "mlp",
-                                  params=target.param_count(), macs=target.macs(resolution, resolution),
-                                  bias_adds=(target.out_channels * ho * wo if target.bias else 0)))
-        return rep
-    raise TypeError(f"cannot count costs of {type(target).__name__}")
+        name, stages = target.name, model_stages(target)
+    elif isinstance(target, (IRMBConfig, MMBConfig)):
+        name, cfg, plan = _block_of(target, resolution, resolution)
+        stages = block_stages(cfg, "block.", plan)
+    elif isinstance(target, ConvSpec):
+        category = "dwconv" if target.depthwise else "mlp"
+        return CostReport("conv", resolution, [target.cost_line("conv", category, resolution, resolution)])
+    else:
+        raise TypeError(f"cannot count costs of {type(target).__name__}")
+    rep = CostReport(name, resolution)
+    h = w = resolution
+    for stage in stages:
+        rep.lines.extend(stage.lines(h, w))
+        h, w = stage.out_hw(h, w)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +401,9 @@ def diag_similarity(model: EMOModel, stage: int, x) -> np.ndarray:
 
 
 def conv_receptive_radius(cfg: EMOVariantConfig, stage: int) -> dict:
-    """Conv-path receptive field at a stage output, in input and stage pixels."""
+    """Conv-path receptive field at a stage output (stage 1..4), in input and stage pixels."""
+    if stage not in (1, 2, 3, 4):
+        raise ValueError(f"stage must be 1..4, got {stage}")
     radius, jump = 0, 1
     radius += (cfg.stem_spec().kernel - 1) // 2 * jump
     jump *= 2
@@ -668,40 +589,35 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
     """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
     Leaves are "__input__" and every parameter except the batchnorm
-    buffers, which the stages read from a closure. An IRMB or MMB target is
-    an input stage followed by the block's stages (`irmb.block_stages`);
-    any other target is one stage.
+    buffers, which the stages read from a closure. A target is an input
+    stage followed by its stage list: `model.model_stages`,
+    `irmb.block_stages`, or one conv stage.
     """
-    if isinstance(target, (IRMBConfig, MMBConfig)):
-        if isinstance(target, IRMBConfig):
-            name, cfg, plan = "irmb", target, block_plan(target)
-        else:
-            name, (cfg, plan) = f"mmb[{target.operator}]", target._as_irmb(h, w)
-        params = random_block_params(cfg, seed, precision)
-        x0 = rng.normal("gradcheck.x", (1, cfg.in_channels, h, w), precision=precision)
-        stages = [lambda _, p: (p["__input__"], None, None), *block_stages(cfg, "", plan)]
-    elif isinstance(target, EMOModel):
-        name = target.cfg.name
-        params = dict(target.params)
-        x0 = rng.normal("gradcheck.x", (1, IN_CHANNELS, h, w), precision=target.precision)
-        stages = [lambda _, p: emo_forward(replace(target, params=p), p["__input__"])]
+    if isinstance(target, EMOModel):
+        check_resolution(target.cfg, h, w)
+        name, params, body = target.cfg.name, dict(target.params), model_stages(target.cfg)
+        cin, precision = IN_CHANNELS, target.precision  # the input in the model's precision
+    elif isinstance(target, (IRMBConfig, MMBConfig)):
+        name, cfg, plan = _block_of(target, h, w)
+        params, body, cin = random_block_params(cfg, seed, precision), block_stages(cfg, "", plan), cfg.in_channels
     elif isinstance(target, ConvSpec):
-        name = "conv2d"
+        name, cin = "conv2d", target.in_channels
         params = {
             "w": rng.normal("gradcheck.w", target.weight_shape(), std=0.5, precision=precision),
         }
         if target.bias:
             params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision=precision)
-        x0 = rng.normal("gradcheck.x", (1, target.in_channels, h, w), precision=precision)
-        stages = [lambda _, p: ag.conv2d(p["__input__"], p["w"], target, p.get("b"))]
+        body = [lambda x, p: ag.conv2d(x, p["w"], target, p.get("b"))]
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
+    x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision=precision)
 
     def is_buffer(name: str) -> bool:
         return name.endswith(".mean") or name.endswith(".var")
 
     leaves = {"__input__": x0, **{k: v for k, v in params.items() if not is_buffer(k)}}
     buffers = {k: v for k, v in params.items() if is_buffer(k)}
+    stages = [lambda _, p: p["__input__"], *body]
     # a ChainMap reads each leaf through the stage's mapping, when the stage asks for it
     return name, [lambda state, leafs, f=f: f(state, ChainMap(leafs, buffers)) for f in stages], leaves
 
@@ -713,9 +629,9 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
     the denominator (see `_tape_rel_err`). Each difference resumes at the
     first stage of the target that reads the perturbed leaf, from a state
-    kept by one plain forward, so a block's differences skip the stages
-    before that reader; every difference is bit-identical to one over the
-    whole forward.
+    kept by one plain forward, so a model's or block's differences skip the
+    stages before that reader; every difference is bit-identical to one
+    over the whole forward.
     """
     h, w = input_hw
     rng = Rng(seed ^ 0xC0FFEE)

@@ -15,8 +15,8 @@ windowed transformer block, both on is the full cascade.
 block (mmb.py) alike: next to the config it takes a plan saying where the
 attention matrix mixes and whether the depth-wise conv keeps its inner skip.
 It folds the input through `block_stages`, the block as an ordered list of
-stages (pre-norm, expansion, norm, activation, the mixes, the depth-wise
-stage, shrink + residual), which gradient checking also runs piecewise.
+named stages, each carrying the cost lines it executes: the model's stage
+list, the cost counter and gradient checking read the same list.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -27,13 +27,15 @@ groups != heads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autograd as T
-from .attention import attention_weights, key_padding_bias, mix_values, window_merge, window_partition
-from .ops import ConvSpec
+from .attention import (WindowLayout, attention_weights, key_padding_bias, mix_values, window_merge,
+                        window_partition)
+from .ops import ConvSpec, CostLine
 from .tensor import Rng, dtype_of
 
 _NORMS = ("auto", "none", "batchnorm", "layernorm")
@@ -239,20 +241,33 @@ def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
     return attn_at, cfg.stride == 1
 
 
-def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list:
-    """The block as an ordered list of stages; `block_forward` folds over it.
+@dataclass(frozen=True)
+class Stage:
+    """A named fold step, called as stage(state, params), with the cost lines it runs on an h x w map."""
 
-    Each stage maps the state (x, u, v) and a parameter mapping to the next
-    state, the last one to the block's output. x is the block input, u the
-    pre-normed input that Q/K read, v the running features. The stages are:
-    pre-norm; expansion (EW-MHSA when attn_at is "expand"); norm_e; the
-    activation; the attention mix at "act"; the depth-wise stage; the mix
-    at "conv"; shrink + residual. A mix or depth-wise stage that `plan` or
-    the config leaves out is not listed. Stages read parameters only
-    through their mapping argument, so a caller that logs the reads learns
-    which stage first reads a leaf. A fold drops each state when the next
-    one is made, so norm_e and the activation are two stages: as one, the
-    expansion's output would stay alive through the activation.
+    name: str
+    fn: Callable
+    lines: Callable[[int, int], list[CostLine]]
+    out_hw: Callable[[int, int], tuple[int, int]] = lambda h, w: (h, w)
+
+    def __call__(self, state, params):
+        return self.fn(state, params)
+
+
+def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list[Stage]:
+    """The block as its one ordered list of named, costed stages; `block_forward` folds over it.
+
+    Pre-norm maps the block input x to the state (x, u, None), the stages
+    after it map (x, u, v) to (x, u, v'), and shrink + residual maps it to
+    the block's output: u is the pre-normed input that Q/K read, v the
+    running features. The stages, named `prefix` + pre_norm, expand (EW-MHSA
+    when attn_at is "expand"), norm_e, act, mix (at "act"), depthwise, mix
+    (at "conv") and shrink, leave out a mix or depth-wise stage that `plan`
+    or the config leaves out. Stages read parameters only through their
+    mapping argument, so a caller that logs the reads learns which stage
+    first reads a leaf. A fold drops each state when the next one is made,
+    so norm_e and the activation are two stages: as one, the expansion's
+    output would stay alive through the activation.
 
     `plan` is (attn_at, inner_skip). attn_at is "expand" (EW-MHSA is the
     expansion stage), "act" (mix the activated expansion), "conv" (mix the
@@ -261,13 +276,15 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
     """
     attn_at, inner_skip = plan
     specs = cfg.conv_specs()
-    keep_residual = cfg.stride == 1 and cfg.in_channels == cfg.out_channels
+    cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
+    keep_residual = cfg.stride == 1 and cin == cout
+    # with attention as the only operator, expand and shrink are its V/O projections
+    mlp_cat = "attention" if attn_at and not cfg.enable_conv else "mlp"
 
     def conv(name, t, params):
         return T.conv2d(t, params[prefix + name + ".w"], specs[name], params[prefix + name + ".b"])
 
-    def pre_norm(state, params):
-        x = state[0]
+    def pre_norm(x, params):
         return x, _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre"), None
 
     def expand(state, params):
@@ -298,15 +315,44 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         y = conv("shrink", v, params)
         return T.residual_add(x, y) if keep_residual else y
 
-    stages = [pre_norm, expand, norm_e, act]
-    if attn_at == "act":
-        stages.append(mix)
-    if cfg.enable_conv:
-        stages.append(depthwise)
-    if attn_at == "conv":
-        stages.append(mix)
-    stages.append(shrink)
-    return stages
+    def norm_line(slot, kind, width, pixels):
+        return [CostLine(prefix + slot, "norm", params=2 * width, norm_elems=width * pixels)] if kind != "none" else []
+
+    def mix_lines(h, w, c_v):
+        layout = WindowLayout(h, w, cfg.window)
+        pairs = layout.num_windows * layout.tokens_per_window ** 2  # query-key pairs, one head
+        return [*(specs[p].cost_line(prefix + p, "attention", h, w) for p in ("q", "k")),
+                CostLine(prefix + "attn", "attention", macs=pairs * (cin + c_v), softmax_elems=cfg.num_heads * pairs)]
+
+    def expand_lines(h, w):
+        mixed = mix_lines(h, w, cin if cfg.attn_pre_expand else mid) if attn_at == "expand" else []
+        return [*mixed, specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)]
+
+    def act_lines(h, w):
+        return [CostLine(prefix + "act", mlp_cat, act_elems=mid * h * w)] if cfg.expand_act_kind != "none" else []
+
+    def depthwise_lines(h, w):
+        lo = math.prod(specs["dw"].out_hw(h, w))
+        act_elems = mid * lo if cfg.conv_act != "none" else 0
+        return [specs["dw"].cost_line(prefix + "dw", "dwconv", h, w, act_elems=act_elems,
+                                      other_adds=mid * lo if inner_skip else 0),
+                *norm_line("norm_dw", cfg.conv_norm, mid, lo)]
+
+    def shrink_lines(h, w):
+        return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
+                                          other_adds=cout * h * w if keep_residual else 0)]
+
+    mix_stage = [Stage(prefix + "mix", mix, lambda h, w: mix_lines(h, w, mid))]
+    return [
+        Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
+        Stage(prefix + "expand", expand, expand_lines),
+        Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
+        Stage(prefix + "act", act, act_lines),
+        *(mix_stage if attn_at == "act" else []),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"].out_hw)] if cfg.enable_conv else []),
+        *(mix_stage if attn_at == "conv" else []),
+        Stage(prefix + "shrink", shrink, shrink_lines),
+    ]
 
 
 def run_stages(stages, state, params):
@@ -319,13 +365,13 @@ def run_stages(stages, state, params):
 def block_forward(x, cfg: IRMBConfig, params, prefix: str, plan: tuple[str | None, bool]):
     """Expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
 
-    A fold of (x, None, None) over `block_stages(cfg, prefix, plan)`, which
-    also explains `plan`.
+    A fold of x over `block_stages(cfg, prefix, plan)`, which also explains
+    `plan`.
     """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
-    return run_stages(block_stages(cfg, prefix, plan), (x, None, None), params)
+    return run_stages(block_stages(cfg, prefix, plan), x, params)
 
 
 def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):

@@ -6,9 +6,9 @@ Attention is enabled for every block of the configured stages (3 and 4 by
 default), including the strided entry block, where it runs at the input
 resolution before the depth-wise downsampling.
 
-`EMOVariantConfig` is the one description of a model: its block list (built
-once per config), stem and head specs and parameter table are what
-`build_emo`, `load_model`, the forward, the cost counter and the CLI walk.
+`EMOVariantConfig` is the one description of a model, made into weights by
+`build_emo`/`load_model` and into one list of named, costed stages by
+`model_stages`, which the forward folds and `count_costs` walks.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from . import autograd as T
-from .irmb import IRMBConfig, default_heads, init_params, irmb_forward
-from .ops import ConvSpec
+from .irmb import IRMBConfig, Stage, block_plan, block_stages, default_heads, init_params, run_stages
+from .ops import ConvSpec, CostLine
 from .tensor import Rng, as_nchw, dtype_of
 
 STEM_KERNEL = 3
@@ -148,47 +148,60 @@ def check_resolution(cfg: EMOVariantConfig, h: int, w: int) -> None:
         )
 
 
-def _trunk(model: EMOModel, x, last_stage: int):
-    """Validate x, then run the stem and the blocks of stages 1..last_stage."""
-    cfg = model.cfg
-    if isinstance(x, T.Var):
-        xv = x
-    else:
-        xv = as_nchw(x).astype(dtype_of(model.precision), copy=False)
+def _model_input(model: EMOModel, x):
+    """x in the model's precision (a Var as it is), after checking its channels and size."""
+    xv = x if isinstance(x, T.Var) else as_nchw(x).astype(dtype_of(model.precision), copy=False)
     n, c, h, w = T.val(xv).shape
     if c != IN_CHANNELS:
         raise ValueError(f"input has {c} channels, model expects {IN_CHANNELS}")
-    check_resolution(cfg, h, w)
+    check_resolution(model.cfg, h, w)
+    return xv
 
-    p = model.params
-    v = T.conv2d(xv, p["stem.conv.w"], cfg.stem_spec(), p["stem.conv.b"])
-    v = T.batchnorm_inference(v, p["stem.bn.g"], p["stem.bn.b"], p["stem.bn.mean"], p["stem.bn.var"])
-    v = T.silu(v)
 
-    for name, stage, bcfg in cfg.blocks:
-        if stage > last_stage:
-            break
-        v = irmb_forward(v, bcfg, p, prefix=name + ".")
-    return v
+def model_stages(cfg: EMOVariantConfig) -> list[Stage]:
+    """The network as its one ordered list of named, costed stages: the stem
+    (conv + batchnorm + SiLU), each block's `block_stages` under the block's
+    name, the head (pool + classifier). Blocks pass on the bare feature map."""
+    stem, head = cfg.stem_spec(), cfg.head_spec()
+
+    def stem_fn(x, p):
+        v = T.conv2d(x, p["stem.conv.w"], stem, p["stem.conv.b"])
+        v = T.batchnorm_inference(v, p["stem.bn.g"], p["stem.bn.b"], p["stem.bn.mean"], p["stem.bn.var"])
+        return T.silu(v)
+
+    def head_fn(v, p):
+        pooled = T.mean_hw(v)  # (N, C4)
+        n_items, c4 = T.val(pooled).shape
+        logits = T.conv2d(T.reshape(pooled, (n_items, c4, 1, 1)), p["head.w"], head, p["head.b"])
+        return T.reshape(logits, (n_items, cfg.num_classes))
+
+    def stem_lines(h, w):
+        ho, wo = stem.out_hw(h, w)
+        c0 = stem.out_channels
+        return [stem.cost_line("stem.conv", "stem", h, w, act_elems=c0 * ho * wo),
+                CostLine("stem.bn", "norm", params=2 * c0, norm_elems=c0 * ho * wo)]
+
+    def head_lines(h, w):  # the classifier runs on the pooled 1 x 1 map
+        return [head.cost_line("head", "head", 1, 1, other_adds=head.in_channels * h * w)]
+
+    stages = [Stage("stem", stem_fn, stem_lines, stem.out_hw)]
+    for name, _stage, bcfg in cfg.blocks:
+        stages += block_stages(bcfg, name + ".", block_plan(bcfg))
+    return [*stages, Stage("head", head_fn, head_lines)]
 
 
 def emo_forward(model: EMOModel, x):
-    """Run the network; returns (N, num_classes) logits."""
-    cfg, p = model.cfg, model.params
-    v = _trunk(model, x, 4)
-
-    pooled = T.mean_hw(v)  # (N, C4)
-    n_items, c4 = T.val(pooled).shape
-    pooled = T.reshape(pooled, (n_items, c4, 1, 1))
-    logits = T.conv2d(pooled, p["head.w"], cfg.head_spec(), p["head.b"])
-    return T.reshape(logits, (n_items, cfg.num_classes))
+    """Run the network; returns (N, num_classes) logits. A fold over `model_stages`."""
+    return run_stages(model_stages(model.cfg), _model_input(model, x), model.params)
 
 
 def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
-    """Feature map at the output of one stage (1-based); later stages do not run."""
+    """Feature map at the output of one stage (1-based): a fold over `model_stages` up to its last block."""
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"stage must be 1..4, got {stage}")
-    return T.val(_trunk(model, x, stage))
+    stages = model_stages(model.cfg)
+    end = 1 + max(i for i, st in enumerate(stages) if st.name.startswith(f"s{stage}."))
+    return T.val(run_stages(stages[:end], _model_input(model, x), model.params))
 
 
 def save_model(model: EMOModel, path) -> None:

@@ -113,6 +113,25 @@ class CostMeter:
         return 2 * self.macs + 3 * self.softmax_elems
 
 
+@dataclass
+class CostLine:
+    """The static count of one named piece of work, in the meter's fields."""
+
+    name: str
+    category: str
+    params: int = 0
+    macs: int = 0
+    softmax_elems: int = 0
+    bias_adds: int = 0
+    norm_elems: int = 0
+    act_elems: int = 0
+    other_adds: int = 0
+
+    @property
+    def flops(self) -> int:
+        return 2 * self.macs + 3 * self.softmax_elems
+
+
 _METER: contextvars.ContextVar[CostMeter | None] = contextvars.ContextVar("emo_cost_meter", default=None)
 
 
@@ -184,6 +203,12 @@ class ConvSpec:
     def param_count(self) -> int:
         n = self.out_channels * (self.in_channels // self.groups) * self.kernel ** 2
         return n + (self.out_channels if self.bias else 0)
+
+    def cost_line(self, name: str, category: str, h: int, w: int, **counts) -> CostLine:
+        """This conv's cost line on an h x w input; `counts` adds the work fused into it."""
+        ho, wo = self.out_hw(h, w)
+        return CostLine(name, category, params=self.param_count(), macs=self.macs(h, w),
+                        bias_adds=self.out_channels * ho * wo if self.bias else 0, **counts)
 
 
 # Tile of the depth-wise kernels and the activation maps, in elements: 1 << 15

@@ -21,7 +21,7 @@ from emo import (
     preset,
 )
 from emo import analysis
-from emo.irmb import run_stages
+from emo.irmb import block_plan, block_stages, run_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 from emo.tensor import Rng
@@ -99,6 +99,18 @@ def test_direct_dwconv_counts_equal_formula(c, k, res):
 def test_isolated_dwconv_block_params():
     spec = ConvSpec(8, 8, kernel=3, padding=1, groups=8)
     assert count_costs(spec, 4).params == (9 + 1) * 8 == 80
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+@pytest.mark.parametrize("target", [
+    IRMBConfig(8, 8, 2.0, window=4, heads=2, enable_conv=False),  # -3 once read 3456 MACs: (-3)^2 pixels
+    MMBConfig(8, 2.0, operator="ewmhsa_dwconv", window=2, heads=2),
+    ConvSpec(8, 8, kernel=1),
+    preset("emo-1m"),
+], ids=["irmb", "mmb", "conv", "model"])
+def test_count_costs_rejects_a_non_positive_resolution(target, resolution):
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        count_costs(target, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +222,12 @@ def test_conv_radius_grows_exactly_per_block(k):
         assert max(np.abs(ii - 7).max(), np.abs(jj - 7).max()) == depth * (k - 1) // 2
 
 
-def test_executed_work_matches_static_count_across_block_matrix():
+def test_executed_work_matches_static_count_across_block_matrix(fold_metered):
     import itertools
 
     from emo import cost_meter, irmb_forward, random_block_params
 
-    checked = 0
+    checked = stage_field_checks = 0
     for attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm in itertools.product(
         (False, True), (False, True), (1, 2), (True, False), (True, False),
         (8, 12), (2, 3), (6, 7), ("auto", "batchnorm"),
@@ -230,9 +242,12 @@ def test_executed_work_matches_static_count_across_block_matrix():
         params = random_block_params(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(1, 8, res, res))
         with cost_meter() as m:
-            irmb_forward(x, cfg, params)
+            y = irmb_forward(x, cfg, params)
         rep = count_costs(cfg, res)
         key = (attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm)
+        folded, checks = fold_metered(block_stages(cfg, "", block_plan(cfg)), x, params, (res, res))
+        assert folded.tobytes() == y.tobytes(), key
+        stage_field_checks += checks
         assert m.macs == rep.contraction_macs, key
         assert m.flops == rep.flops, key
         assert m.bias_adds == rep.bias_adds, key
@@ -240,7 +255,7 @@ def test_executed_work_matches_static_count_across_block_matrix():
         assert m.act_elems == rep.act_elems, key
         assert m.other_adds == rep.other_adds, key
         checked += 1
-    assert checked >= 100
+    assert checked >= 100 and stage_field_checks >= 30 * checked  # five stages at least
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +350,13 @@ def test_similarity_rejects_bad_stage():
         diag_similarity(model, 5, np.zeros((1, 3, 64, 64), dtype=np.float32))
 
 
+@pytest.mark.parametrize("stage", [-1, 0, 5, 9])
+def test_receptive_radius_rejects_a_stage_outside_1_to_4(stage):
+    # 0 once gave the stem's radius alone and 9 the whole model's (219 px)
+    with pytest.raises(ValueError, match="stage must be 1..4"):
+        conv_receptive_radius(preset("emo-1m"), stage)
+
+
 def test_diag_similarity_guards_zero_vectors():
     sims = diag_similarity_of_features(np.zeros((1, 4, 3, 3)))
     assert sims[0] == 1.0 and np.all(sims[1:] == 0.0)
@@ -410,11 +432,10 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
     hw = (32, 32) if isinstance(target, EMOModel) else (6, 6)
     _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, "f64")
     start, kept = analysis._resume_points(stages, leaves, set(leaves))
-    if isinstance(target, (IRMBConfig, MMBConfig)):  # an input stage, then the block's stages
-        assert start["__input__"] == 0 and start["shrink.w"] == len(stages) - 1
-        assert set(kept) == set(start.values())
-    else:
-        assert set(start.values()) == {0} and kept == {0: None}
+    # an input stage, then the model's, the block's or the conv's stages
+    last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
+    assert start["__input__"] == 0 and start[last] == len(stages) - 1
+    assert set(kept) == set(start.values())
     for key, leaf in leaves.items():
         for step in (1e-5, -1e-5):
             pert = dict(leaves)
@@ -468,3 +489,4 @@ def test_grad_check_frees_its_tape_before_the_finite_differences():
 def test_whole_model_gradcheck():
     rep = grad_check(_grads_model(), seed=0, input_hw=(32, 32), num_coords=60)
     assert rep.max_rel_err < 1e-4
+    assert rep.max_rel_err.hex() == "0x1.05b3937331ba8p-27"  # pinned: the differences keep their bits

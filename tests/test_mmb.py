@@ -141,9 +141,10 @@ def test_config_json_round_trip_and_strictness():
         mmb_config_from_dict({"channels": 8})
 
 
-def test_executed_work_matches_static_count():
+def test_executed_work_matches_static_count(fold_metered):
     # closes the oracle loop: closed form == static walk == metered execution
     from emo import cost_meter
+    from emo.irmb import block_stages
 
     for cfg in (
         MMBConfig(8, 1.0, operator="ewmhsa", heads=1),
@@ -166,6 +167,9 @@ def test_executed_work_matches_static_count():
         assert m.norm_elems == rep.norm_elems, cfg.operator
         assert m.act_elems == rep.act_elems, cfg.operator
         assert m.other_adds == rep.other_adds, cfg.operator
+        irmb_cfg, plan = cfg._as_irmb(4, 4)
+        _, checks = fold_metered(block_stages(irmb_cfg, "", plan), rand_x(cfg), params, (4, 4))
+        assert checks >= 6 * 5, cfg.operator
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

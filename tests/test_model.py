@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,7 +22,9 @@ from emo import (
     irmb_forward,
     stage_features,
 )
+from emo import autograd as ag
 from emo.autograd import conv2d, mean_hw
+from emo.model import model_stages
 
 TINY = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0), num_classes=10)
 
@@ -127,13 +131,19 @@ def test_forward_trace_matches_static_count_exactly():
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_forward_trace_matches_static_count_every_preset_at_224(name):
+def test_forward_trace_matches_static_count_every_preset_at_224(name, fold_metered):
     model = build_emo(name, seed=0, precision="f32")
+    x = np.zeros((1, 3, 224, 224), dtype=np.float32)
     with cost_meter() as meter:
-        emo_forward(model, np.zeros((1, 3, 224, 224), dtype=np.float32))
+        logits = emo_forward(model, x)
     rep = count_costs(preset(name), 224)
     _assert_meter_equals_static(meter, rep, batch=1)
     assert meter.flops == rep.flops
+    # and stage by stage, on every meter field
+    stages = model_stages(model.cfg)
+    folded, checks = fold_metered(stages, x, model.params, (224, 224))
+    assert folded.tobytes() == logits.tobytes()
+    assert checks == 6 * len(stages) == 6 * (2 + 6 * len(model.cfg.blocks))
 
 
 def _assert_meter_equals_static(meter, rep, batch):
@@ -258,3 +268,33 @@ def test_concurrent_forwards_share_the_model_safely():
         parallel = list(pool.map(lambda x: emo_forward(model, x), inputs))
     for a, b in zip(serial, parallel):
         assert a.tobytes() == b.tobytes()
+
+
+# sha256 of bytes that a change of structure must keep: emo-1m (seed 0) at 64 px,
+# batch 2, on the input stream "pin.x" of Rng(7); the saliency cotangent picks
+# classes 3 and 517; the costs are every preset's `as_dict()` at 224 and 320
+PINNED_SHA256 = {
+    "logits-f32": "abb3f8f2afa74369146ad5f5105353b8e50cf290fe928974d51d774390535ca4",
+    "logits-f64": "ff861fccde356bbb3362e816c6068ec5800cdfa614f72490710085ca352d4a88",
+    "saliency-f64": "5eeae4528a450e1977fa05ec4b72e8a8e94b6ccad42feb4fba0d0ba54134d2b2",
+    "costs": "888981b8d10f7fd09bb0f033cf66822da6363f14a2970336611ce51c05723645",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+def test_output_bits_are_pinned(case):
+    if case == "costs":
+        doc = {f"{n}@{r}": count_costs(preset(n), r).as_dict() for n in sorted(PRESETS) for r in (224, 320)}
+        data = json.dumps(doc).encode()
+    else:
+        kind, precision = case.split("-")
+        model = build_emo("emo-1m", seed=0, precision=precision)
+        x = Rng(7).normal("pin.x", (2, 3, 64, 64), precision=precision)
+        if kind == "logits":
+            data = emo_forward(model, x).tobytes()
+        else:
+            xv = ag.Var(x)
+            cot = np.zeros((2, model.cfg.num_classes))
+            cot[[0, 1], [3, 517]] = 1.0
+            data = ag.grad_of(ag.backward(emo_forward(model, xv), cot), xv).tobytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[case]
