@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
-from .irmb import IRMBConfig, block_plan, block_stages, irmb_forward, random_block_params, run_stages
+from .irmb import IRMBConfig, Stage, block_plan, block_stages, irmb_forward, random_block_params, run_stages
 from .mmb import MMBConfig
 from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages
 from .ops import ConvSpec, CostLine
@@ -426,10 +426,21 @@ def conv_receptive_radius(cfg: EMOVariantConfig, stage: int) -> dict:
 
 @dataclass(frozen=True)
 class GradCheckReport:
+    """The worst relative error over the checked coordinates, and where it was.
+
+    `worst_leaf`, `worst_index` and `worst_stage` name the worst coordinate:
+    its leaf, its flat index in that leaf, and the stage that first reads the
+    leaf (e.g. "s3.b1.expand" in a model; None if no stage reads it). All
+    three are None when no coordinate was checked.
+    """
+
     target: str
     max_rel_err: float
     coords_checked: int
     precision: str
+    worst_leaf: str | None
+    worst_index: int | None
+    worst_stage: str | None
 
 
 def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: str):
@@ -473,56 +484,96 @@ class _FirstReads(Mapping):
         return len(self.leaves)
 
 
-def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict]:
-    """(key -> index of the first stage that reads it, index -> that stage's input state).
+def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict, dict]:
+    """(start, kept, base) for resuming the forwards of `_tape_rel_err`.
 
-    One plain (untaped) pass runs the stages on `leaves` and keeps the input
-    state of each stage that is the first reader of a key in `keys`. A key
-    that no stage reads resumes at len(stages), from the output, so its
+    start maps each key in `keys` to the index of the first stage that reads
+    it, and kept maps each such index to that stage's input state, both from
+    one plain (untaped) pass of the stages on `leaves`. base maps the index
+    of each elementwise stage (`Stage.elementwise`) that some key's resumed
+    forward runs through, i.e. that some key's first reader precedes, to the
+    last entries of that stage's input and output states in the same pass.
+    A key that no stage reads resumes at len(stages), from the output, so its
     perturbation changes nothing. A one-stage list needs no pass: every key
     resumes at 0, from the state None, and neither does an empty `keys`.
     """
     if len(stages) == 1 or not keys:
-        return dict.fromkeys(keys, 0), {0: None}
+        return dict.fromkeys(keys, 0), {0: None}, {}
     reads = _FirstReads(leaves)
-    kept, state = {}, None
+    kept, base, state = {}, {}, None
     for i, stage in enumerate(stages):
         reads.stage = i
         out = stage(state, reads)
         if any(reads.first.get(k) == i for k in keys):
             kept[i] = state
+        if stage.elementwise and any(k in reads.first for k in keys):
+            base[i] = state[-1], out[-1]
         state = out
     start = {k: reads.first.get(k, len(stages)) for k in keys}
     if len(stages) in start.values():
         kept[len(stages)] = state
-    return start, kept
+    return start, kept, base
 
 
-def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float) -> float:
-    """Worst relative error of the tape gradients of `stages` against central differences.
+def _rerun_elementwise(stage, state, leafs, base_in, base_out):
+    """stage(state, leafs) for an elementwise stage that mapped base_in to base_out before.
 
-    `stages` is a list of stage(state, leafs) -> state, folded from the
-    state None to the output; `_tape_gradients` gives the analytic side.
-    Each (key, flat index) in `coords` is then moved by +-step in a copy of
-    its leaf, and each difference resumes at the first stage that reads the
-    key, from the input state a plain pass kept (`_resume_points`): the
-    stages before it would recompute that state unchanged, so every
+    Only the entries of the state's last entry whose bits differ from
+    base_in are run through the stage, gathered; a copy of base_out, in
+    base_out's memory order, takes their results. Comparing bits rather than
+    values counts a flipped signed zero and a NaN with new bits as changed.
+    When more than half the entries changed, the copy and the gather cost
+    more than they save, and the stage just runs. Either way the result is
+    bit-identical to stage(state, leafs), and neither base array is written.
+    """
+    *rest, v = state
+    uint = f"u{v.itemsize}"
+    changed = v.view(uint) != base_in.view(uint)
+    if 2 * np.count_nonzero(changed) > v.size:
+        return stage(state, leafs)
+    out = base_out.copy(order="K")
+    out[changed] = stage((*rest, v[changed]), leafs)[-1]
+    return (*rest, out)
+
+
+def _run_from(stages, i: int, state, leafs, base: dict):
+    """Fold `state` through stages[i:] like `run_stages`, rerunning each
+    elementwise stage in `base` (see `_resume_points`) only where its input changed."""
+    for j in range(i, len(stages)):
+        state = _rerun_elementwise(stages[j], state, leafs, *base[j]) if j in base else stages[j](state, leafs)
+    return state
+
+
+def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float):
+    """(worst relative error of the tape gradients of `stages` against central differences, where).
+
+    `stages` is a list of `Stage` records, folded from the state None to the
+    output; `_tape_gradients` gives the analytic side. Each (key, flat index)
+    in `coords` is then moved by +-step in a copy of its leaf, and each
+    difference resumes at the first stage that reads the key, from the input
+    state a plain pass kept (`_resume_points`): the stages before it would
+    recompute that state unchanged. On the way, an elementwise stage (the
+    blocks' activations) recomputes only the entries whose input differs in
+    its bits from that plain pass's (`_rerun_elementwise`). So every
     difference is bit-identical to one over the whole forward. The kept
-    states come from that plain pass, never from the tape being checked.
+    states and activation arrays come from that plain pass, never from the
+    tape being checked, and no difference writes into them.
     The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
     |analytic| entry), which keeps finite-difference roundoff on near-zero
-    coordinates from dominating.
+    coordinates from dominating. "Where" is (key, flat index, name of the
+    stage that first reads the key, or None) of the first worst coordinate,
+    or None for no coordinates.
     """
     analytic, cot = _tape_gradients(stages, leaves, rng, cot_name, precision)
-    start, kept = _resume_points(stages, leaves, {key for key, _ in coords})
+    start, kept, base = _resume_points(stages, leaves, {key for key, _ in coords})
 
     def loss(key, leafs):
         i = start[key]
-        return float((ag.val(run_stages(stages[i:], kept[i], leafs)) * cot).sum())
+        return float((ag.val(_run_from(stages, i, kept[i], leafs, base)) * cot).sum())
 
     gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
     floor = 1e-4 * max(gmax, 1e-8)
-    worst = 0.0
+    worst, where = 0.0, None
     for key, idx in coords:
         pert = dict(leaves)
         pert[key] = np.array(leaves[key])
@@ -534,8 +585,11 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
         down = loss(key, pert)
         fd = (up - down) / (2 * step)
         an = float(analytic[key].reshape(-1)[idx])
-        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
-    return worst
+        err = abs(an - fd) / max(abs(an), abs(fd), floor)
+        if where is None or err > worst or math.isnan(err) > math.isnan(worst):  # a NaN error is the worst
+            reader = stages[start[key]].name if start[key] < len(stages) else None
+            worst, where = err, (key, int(idx), reader)
+    return worst, where
 
 
 def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
@@ -551,8 +605,8 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         picker = rng.stream(f"prim.{name}.coords")
         coords = [(k, flat) for k, a in leaves.items()
                   for flat in picker.choice(a.size, size=min(n_coords, a.size), replace=False)]
-        stages = [lambda _, v: fwd(v)]
-        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", "f64", coords, step)
+        stages = [Stage(name, lambda _, v: fwd(v))]
+        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", "f64", coords, step)[0]
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
@@ -585,13 +639,15 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     return results
 
 
-def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -> tuple[str, list, dict]:
+def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -> tuple[str, list[Stage], dict]:
     """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
     Leaves are "__input__" and every parameter except the batchnorm
     buffers, which the stages read from a closure. A target is an input
     stage followed by its stage list: `model.model_stages`,
-    `irmb.block_stages`, or one conv stage.
+    `irmb.block_stages`, or one conv stage. Each is the `Stage` record it
+    was, names and `elementwise` flags included, reading its parameters
+    through that closure.
     """
     if isinstance(target, EMOModel):
         check_resolution(target.cfg, h, w)
@@ -607,7 +663,7 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
         }
         if target.bias:
             params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision=precision)
-        body = [lambda x, p: ag.conv2d(x, p["w"], target, p.get("b"))]
+        body = [Stage("conv2d", lambda x, p: ag.conv2d(x, p["w"], target, p.get("b")))]
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
     x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision=precision)
@@ -617,9 +673,10 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
 
     leaves = {"__input__": x0, **{k: v for k, v in params.items() if not is_buffer(k)}}
     buffers = {k: v for k, v in params.items() if is_buffer(k)}
-    stages = [lambda _, p: p["__input__"], *body]
+    stages = [Stage("input", lambda _, p: p["__input__"]), *body]
     # a ChainMap reads each leaf through the stage's mapping, when the stage asks for it
-    return name, [lambda state, leafs, f=f: f(state, ChainMap(leafs, buffers)) for f in stages], leaves
+    return name, [replace(st, fn=lambda state, leafs, f=st.fn: f(state, ChainMap(leafs, buffers)))
+                  for st in stages], leaves
 
 
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
@@ -630,8 +687,11 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     the denominator (see `_tape_rel_err`). Each difference resumes at the
     first stage of the target that reads the perturbed leaf, from a state
     kept by one plain forward, so a model's or block's differences skip the
-    stages before that reader; every difference is bit-identical to one
-    over the whole forward.
+    stages before that reader. After it, each block's activation recomputes
+    only the entries whose input changed and takes the rest from that plain
+    forward. Every difference is bit-identical to one over the whole
+    forward. The report names the worst coordinate and the stage that first
+    reads its leaf.
     """
     h, w = input_hw
     rng = Rng(seed ^ 0xC0FFEE)
@@ -650,5 +710,5 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     for fi in sorted(flat_idx.tolist()):
         li = int(np.searchsorted(offsets, fi, side="right") - 1)
         coords.append((names[li], fi - offsets[li]))
-    return GradCheckReport(name, _tape_rel_err(stages, leaves, rng, "gradcheck.cot", precision, coords, step),
-                           take, precision)
+    worst, where = _tape_rel_err(stages, leaves, rng, "gradcheck.cot", precision, coords, step)
+    return GradCheckReport(name, worst, take, precision, *(where or (None, None, None)))

@@ -253,14 +253,13 @@ def cmd_gradcheck(args) -> dict:
     reports = {}
     if args.target in ("primitives", "all"):
         reports["primitives"] = analysis.check_primitives(seed=args.seed)
-    if args.target in ("irmb", "all"):
-        cfg = IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2)
-        r = analysis.grad_check(cfg, seed=args.seed, input_hw=(8, 8))
-        reports["irmb"] = {"max_rel_err": r.max_rel_err, "coords": r.coords_checked}
-    if args.target in ("mlp", "all"):
-        cfg = IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False)
-        r = analysis.grad_check(cfg, seed=args.seed, input_hw=(8, 8))
-        reports["mlp"] = {"max_rel_err": r.max_rel_err, "coords": r.coords_checked}
+    blocks = {"irmb": IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2),
+              "mlp": IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False)}
+    for key, cfg in blocks.items():
+        if args.target in (key, "all"):
+            r = analysis.grad_check(cfg, seed=args.seed, input_hw=(8, 8))
+            reports[key] = {"max_rel_err": r.max_rel_err, "coords": r.coords_checked,
+                            "worst": {"leaf": r.worst_leaf, "index": r.worst_index, "stage": r.worst_stage}}
     if not reports:
         raise ConfigError(f"unknown gradcheck target {args.target!r}")
     worst = 0.0

@@ -243,12 +243,24 @@ def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
 
 @dataclass(frozen=True)
 class Stage:
-    """A named fold step, called as stage(state, params), with the cost lines it runs on an h x w map."""
+    """A named fold step, called as stage(state, params), with the cost lines it runs on an h x w map.
+
+    `lines` defaults to none, for the stages of a gradient check, which
+    nothing counts. An `elementwise` stage reads no parameter and maps the
+    last entry of its tuple state entry by entry, so that entry's value at
+    one position depends only on the entry's input at that position, and it
+    passes the other entries on as they are. Its call on a state whose last
+    entry holds any subset of those inputs, gathered into a 1-D array, gives
+    that subset's outputs bit for bit, which lets a caller that kept an
+    earlier call's input and output recompute only the entries whose input
+    changed.
+    """
 
     name: str
     fn: Callable
-    lines: Callable[[int, int], list[CostLine]]
+    lines: Callable[[int, int], list[CostLine]] = lambda h, w: []
     out_hw: Callable[[int, int], tuple[int, int]] = lambda h, w: (h, w)
+    elementwise: bool = False
 
     def __call__(self, state, params):
         return self.fn(state, params)
@@ -347,7 +359,7 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
         Stage(prefix + "expand", expand, expand_lines),
         Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
-        Stage(prefix + "act", act, act_lines),
+        Stage(prefix + "act", act, act_lines, elementwise=True),
         *(mix_stage if attn_at == "act" else []),
         *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"].out_hw)] if cfg.enable_conv else []),
         *(mix_stage if attn_at == "conv" else []),

@@ -46,7 +46,7 @@ has to keep it. No VJP writes into its incoming cotangent.
 A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
 element-wise work (bias adds, normalization, activation, softmax) of the
-calls it executes.
+calls it executes. Meters nest: a call counts in every meter open around it.
 """
 
 from __future__ import annotations
@@ -132,23 +132,26 @@ class CostLine:
         return 2 * self.macs + 3 * self.softmax_elems
 
 
-_METER: contextvars.ContextVar[CostMeter | None] = contextvars.ContextVar("emo_cost_meter", default=None)
+_METERS: contextvars.ContextVar[tuple[CostMeter, ...]] = contextvars.ContextVar("emo_cost_meters", default=())
 
 
 @contextlib.contextmanager
 def cost_meter():
-    """Context manager that counts the work of every primitive call inside."""
+    """Context manager that counts the work of every primitive call inside.
+
+    A meter opened inside another one counts that work in both, so a
+    per-stage meter inside a caller's meter leaves the caller's totals whole.
+    """
     meter = CostMeter()
-    token = _METER.set(meter)
+    token = _METERS.set((*_METERS.get(), meter))
     try:
         yield meter
     finally:
-        _METER.reset(token)
+        _METERS.reset(token)
 
 
 def _meter(**counts):
-    m = _METER.get()
-    if m is not None:
+    for m in _METERS.get():
         for k, v in counts.items():
             setattr(m, k, getattr(m, k) + int(v))
 

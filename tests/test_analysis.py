@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from emo import (
     max_path_length,
     preset,
 )
-from emo import analysis
-from emo.irmb import block_plan, block_stages, run_stages
+from emo import analysis, cost_meter
+from emo import autograd as ag
+from emo.irmb import Stage, block_plan, block_stages, run_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 from emo.tensor import Rng
@@ -394,17 +396,19 @@ def test_mmb_gradcheck():
     assert rep.max_rel_err < 1e-4
 
 
-def _grads_model():
+def _grads_model(precision="f64"):
     return build_emo(
         EMOVariantConfig("grads", (1, 1, 1, 1), (4, 4, 8, 8), (2.0, 2.0, 2.0, 2.0),
                          num_classes=5, windows=(2, 2, 2, 2)),
-        seed=0, precision="f64",
+        seed=0, precision=precision,
     )
 
 
 _CHECK_TARGETS = {
     "irmb-attn-first": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2),
     "irmb-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_first=False),
+    # at 6x6 the 4x4 windows pad, so the activation reads the window merge's cropped view
+    "irmb-post-expand": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_pre_expand=False),
     "irmb-stride-2": lambda: IRMBConfig(8, 16, 2.0, window=4, heads=2, stride=2),
     "irmb-mlp": lambda: IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False),
     **{f"mmb-{op}": lambda op=op: MMBConfig(8, 2.0, operator=op, window=3, heads=2, pre_norm="layernorm",
@@ -423,19 +427,37 @@ def _same_state(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name", list(_CHECK_TARGETS))
-def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
+def _arrays(state):
+    """The arrays of a stage state: a tuple of arrays and Nones, an array, or None."""
+    if isinstance(state, tuple):
+        return [a for s in state for a in _arrays(s)]
+    return [] if state is None else [state]
+
+
+@pytest.mark.parametrize("name, precision", [pytest.param(n, p, id=n if p == "f64" else f"{n}-{p}")
+                                             for p in ("f64", "f32") for n in _CHECK_TARGETS])
+def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precision):
     # one coordinate per leaf, moved by +-step: the stages before the leaf's first
     # reader recompute the kept state unchanged, and the forward resumed from that
-    # state gives the full forward's output bit for bit
-    target = _CHECK_TARGETS[name]()
+    # state, with each activation rerun only where its input changed, gives the
+    # full forward's output and loss bit for bit
+    target = _grads_model(precision) if name == "model" else _CHECK_TARGETS[name]()
     hw = (32, 32) if isinstance(target, EMOModel) else (6, 6)
-    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, "f64")
-    start, kept = analysis._resume_points(stages, leaves, set(leaves))
+    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, precision)
+    start, kept, base = analysis._resume_points(stages, leaves, set(leaves))
     # an input stage, then the model's, the block's or the conv's stages
     last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
     assert start["__input__"] == 0 and start[last] == len(stages) - 1
     assert set(kept) == set(start.values())
+    # every key's forward runs through every activation after the input stage
+    assert set(base) == {i for i, st in enumerate(stages) if st.elementwise}
+    assert bool(base) != (name == "conv")
+    if name == "irmb-post-expand":
+        assert not any(a.flags.c_contiguous for a, _ in base.values())
+    for a in [a for st in kept.values() for a in _arrays(st)] + [a for pair in base.values() for a in pair]:
+        a.setflags(write=False)  # no resumed forward may write into a kept or base array
+    sample = Rng(1).normal("cot", np.shape(run_stages(stages, None, leaves)), precision=precision)
+    reran = 0
     for key, leaf in leaves.items():
         for step in (1e-5, -1e-5):
             pert = dict(leaves)
@@ -446,25 +468,85 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
                 if i in kept and i <= start[key]:
                     assert _same_state(state, kept[i]), (key, i)
                 state = stage(state, pert)
-            assert _same_state(run_stages(stages[start[key]:], kept[start[key]], pert), state), key
+            i = start[key]
+            with cost_meter() as whole:
+                assert _same_state(run_stages(stages[i:], kept[i], pert), state), key
+            with cost_meter() as resumed:
+                out = analysis._run_from(stages, i, kept[i], pert, base)
+            assert _same_state(out, state), key
+            assert float((out * sample).sum()).hex() == float((state * sample).sum()).hex(), key
+            reran += resumed.act_elems < whole.act_elems
+    assert reran > 0 or not base  # some activation reran only its changed entries
     # no resumed forward wrote into a kept state
     again = analysis._resume_points(stages, leaves, set(leaves))[1]
     assert all(_same_state(kept[i], again[i]) for i in kept)
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("kind", ["gelu", "silu"])
+def test_elementwise_rerun_counts_flipped_zeros_and_nans_as_changed(kind, precision):
+    cfg = IRMBConfig(4, 4, 2.0, enable_attn=False, expand_act=kind)
+    (act,) = [st for st in block_stages(cfg, "", block_plan(cfg)) if st.elementwise]
+    x, u = object(), object()
+    base_in = Rng(0).normal("v", (1, 8, 5, 5), precision=precision)
+    base_in.reshape(-1)[:2] = 0.0
+    base_out = act((x, u, base_in), {})[-1]
+    base_in.setflags(write=False)
+    base_out.setflags(write=False)
+    v = base_in.copy()
+    v.reshape(-1)[:3] = (-0.0, np.nan, 3.5)  # -0.0 == +0.0 as values, not as bits
+    with cost_meter() as m:
+        got = analysis._rerun_elementwise(act, (x, u, v), {}, base_in, base_out)
+    assert m.act_elems == 3  # only the changed entries ran
+    assert got[0] is x and got[1] is u
+    assert got[2].tobytes() == act((x, u, v), {})[-1].tobytes()
+    assert np.signbit(got[2].reshape(-1)[0]) and np.isnan(got[2].reshape(-1)[1])
+    with cost_meter() as m:  # a dense change set just runs the stage
+        got = analysis._rerun_elementwise(act, (x, u, -base_in), {}, base_in, base_out)
+    assert m.act_elems == base_in.size
+    assert got[2].tobytes() == act((x, u, -base_in), {})[-1].tobytes()
+
+
 def test_resume_points_of_unread_leaves_and_one_stage_lists():
     leaves = {"a": np.ones(2), "b": np.full(2, 2.0), "c": np.zeros(2)}
-    stages = [lambda _, p: p["a"] * 3.0, lambda s, p: s + p.get("b")]
-    start, kept = analysis._resume_points(stages, leaves, {"a", "b", "c"})
-    assert start == {"a": 0, "b": 1, "c": 2}  # nothing reads c: it resumes after the last stage
-    assert kept[0] is None and kept[1].tolist() == [3.0, 3.0] and kept[2].tolist() == [5.0, 5.0]
-    start, kept = analysis._resume_points(stages, leaves, {"b"})
-    assert start == {"b": 1} and list(kept) == [1]  # only the states some key resumes from
+    stages = [Stage("a", lambda _, p: (p["a"] * 3.0,)),
+              Stage("neg", lambda s, p: (-s[-1],), elementwise=True),
+              Stage("b", lambda s, p: s[-1] + p.get("b"))]
+    start, kept, base = analysis._resume_points(stages, leaves, {"a", "b", "c"})
+    assert start == {"a": 0, "b": 2, "c": 3}  # nothing reads c: it resumes after the last stage
+    assert kept[0] is None and kept[2][0].tolist() == [-3.0, -3.0] and kept[3].tolist() == [-1.0, -1.0]
+    assert [a.tolist() for a in base[1]] == [[3.0, 3.0], [-3.0, -3.0]]
+    start, kept, base = analysis._resume_points(stages, leaves, {"b"})
+    # only the states some key resumes from, and no activation that no resumed forward runs
+    assert start == {"b": 2} and list(kept) == [2] and base == {}
 
     def unrun(state, p):
         raise AssertionError("a one-stage list needs no plain pass")
 
-    assert analysis._resume_points([unrun], leaves, {"a", "c"}) == ({"a": 0, "c": 0}, {0: None})
+    assert analysis._resume_points([Stage("x", unrun)], leaves, {"a", "c"}) == ({"a": 0, "c": 0}, {0: None}, {})
+
+
+def test_grad_check_names_the_worst_coordinate_and_its_first_reader():
+    # the leaf b gets a VJP 3x too large, so its coordinates are the worst; the
+    # report names b, a checked index of it, and "bad", the first stage reading b
+    leaves = {"x": np.linspace(-1.0, 1.0, 6), "b": np.linspace(0.5, 1.0, 6)}
+    stages = [Stage("input", lambda _, p: p["x"]),
+              Stage("act", lambda s, p: (ag.silu(s),)),
+              Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: 3.0 * g)))]
+    worst, (leaf, index, stage) = analysis._tape_rel_err(
+        stages, leaves, Rng(0), "cot", "f64", [("x", 1), ("b", 4), ("x", 5), ("b", 2)], 1e-5)
+    assert worst > 0.5 and (leaf, stage) == ("b", "bad") and index in (2, 4)
+    # a NaN error is the worst, after a finite one too (max(0.1, nan) is 0.1)
+    stages[2] = Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: g * np.nan)))
+    worst, (leaf, index, stage) = analysis._tape_rel_err(
+        stages, leaves, Rng(0), "cot", "f64", [("x", 1), ("b", 4), ("x", 5)], 1e-5)
+    assert math.isnan(worst) and (leaf, index, stage) == ("b", 4, "bad")
+    # grad_check reports it: a leaf of this block is first read by the stage it is named after
+    rep = grad_check(IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False), seed=1, input_hw=(8, 8))
+    assert rep.worst_stage == ("input" if rep.worst_leaf == "__input__" else rep.worst_leaf.split(".")[0])
+    assert isinstance(rep.worst_index, int)
+    rep = grad_check(ConvSpec(4, 6, kernel=1), num_coords=0)
+    assert (rep.max_rel_err, rep.worst_leaf, rep.worst_index, rep.worst_stage) == (0.0, None, None, None)
 
 
 def test_grad_check_frees_its_tape_before_the_finite_differences():
@@ -484,6 +566,20 @@ def test_grad_check_frees_its_tape_before_the_finite_differences():
     peak(0)  # the first call makes one-time allocations
     analytic_only = peak(0)
     assert peak(20) <= 1.02 * analytic_only
+
+
+def test_every_leaf_of_emo_1m_at_its_real_widths_passes_the_gradient_oracle():
+    # one coordinate of each of the 201 leaves, f64, 64 px; with windows of 3 in
+    # stages 3 and 4, stage 3's 4x4 map has four windows, three of them padded,
+    # and stage 4's 2x2 map one padded window
+    model = build_emo(replace(preset("emo-1m"), windows=(7, 7, 3, 3)), seed=0, precision="f64")
+    rng = Rng(4)
+    _, stages, leaves = analysis._check_target(model, 4, rng, 64, 64, "f64")
+    pick = np.random.default_rng(4)
+    coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items()]
+    assert len(coords) == 201  # the input and every parameter but the 20 batchnorms' mean and var
+    worst, (leaf, index, stage) = analysis._tape_rel_err(stages, leaves, rng, "cot", "f64", coords, 1e-5)
+    assert worst < 1e-4, f"{leaf}[{index}], first read by stage {stage}: rel err {worst:.3g}"
 
 
 def test_whole_model_gradcheck():

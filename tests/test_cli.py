@@ -131,6 +131,8 @@ def test_gradcheck_command(capsys, validator):
     assert code == 0
     validator(doc)
     assert doc["passed"] is True
+    worst = doc["reports"]["mlp"]["worst"]  # a leaf of the block is first read by the stage it is named after
+    assert worst["stage"] == ("input" if worst["leaf"] == "__input__" else worst["leaf"].split(".")[0])
 
 
 def test_similarity_command(capsys, validator, tiny_config):

@@ -335,9 +335,12 @@ def test_matmul_mac_count():
     with cost_meter() as m:
         ops.matmul(np.zeros((3, 4)), np.zeros((4, 2)))
     assert m.macs == 3 * 4 * 2
-    with cost_meter() as m:
-        ops.matmul(np.zeros((5, 2, 3, 4)), np.zeros((5, 2, 4, 6)))
+    with cost_meter() as outer:
+        ops.matmul(np.zeros((3, 4)), np.zeros((4, 2)))
+        with cost_meter() as m:  # a nested meter counts in the outer one too
+            ops.matmul(np.zeros((5, 2, 3, 4)), np.zeros((5, 2, 4, 6)))
     assert m.macs == 5 * 2 * 3 * 4 * 6
+    assert outer.macs == 3 * 4 * 2 + m.macs
 
 
 def test_matmul_linearity():
