@@ -7,6 +7,11 @@ under `ops.cost_meter()` reproduces the static numbers exactly: MACs count the
 contractions of conv/matmul calls, softmax is itemized per attention-matrix
 element (3 flops each), and bias adds / normalization / activation elements
 are reported separately so any FLOP convention can be reconstructed.
+
+The structural analyses fold over the same stages: influence masks and path
+lengths close a reachability map over each stage's attention `window` and
+dilate it by each spatial `conv` (`_reach`), and `conv_receptive_radius` folds
+the convs of `model.stages_through` a stage.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
-from .irmb import IRMBConfig, Stage, block_plan, block_stages, irmb_forward, random_block_params, run_stages
+from .attention import window_merge, window_partition
+from .irmb import IRMBConfig, Stage, block_plan, block_stages, random_block_params, run_stages
 from .mmb import MMBConfig
-from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages
+from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stages_through
 from .ops import ConvSpec, CostLine
 from .tensor import Rng
 
@@ -238,57 +244,46 @@ class InfluenceMask:
 
 
 def _window_closure(mask: np.ndarray, window: int) -> np.ndarray:
-    h, w = mask.shape
-    out = mask.copy()
-    for gi in range(math.ceil(h / window)):
-        for gj in range(math.ceil(w / window)):
-            sl = (slice(gi * window, min((gi + 1) * window, h)),
-                  slice(gj * window, min((gj + 1) * window, w)))
-            if mask[sl].any():
-                out[sl] = True
-    return out
+    """Every pixel of each attention window that holds a True pixel, tiled as the forward tiles."""
+    tokens, layout = window_partition(mask[None, None], window, 1)
+    return window_merge(np.broadcast_to(tokens.any(axis=2, keepdims=True), tokens.shape), layout, 1)[0, 0]
 
 
-def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return mask
-    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    return binary_dilation(mask, structure=structure)
-
-
-def _influence_step(mask: np.ndarray, cfg: IRMBConfig, backward: bool) -> np.ndarray:
-    """One block's spatial reachability (stride 1)."""
-    radius = (cfg.kernel - 1) // 2
-    steps = []
-    if cfg.enable_attn and cfg.attn_first:
-        steps.append(("attn", cfg.window))
-    if cfg.enable_conv:
-        steps.append(("conv", radius))
-    if cfg.enable_attn and not cfg.attn_first:
-        steps.append(("attn", cfg.window))
-    if backward:
-        steps = steps[::-1]
-    for kind, arg in steps:
-        mask = _window_closure(mask, arg) if kind == "attn" else _dilate(mask, arg)
+def _reach(mask: np.ndarray, stages) -> np.ndarray:
+    """Fold a reachability map through `stages` (stride 1), in the order given:
+    each `window` closes it over the attention windows, each `conv` dilates it."""
+    for stage in stages:
+        if stage.window:
+            mask = _window_closure(mask, stage.window)
+        if stage.conv:  # the kernel is odd: a square of side kernel is a radius of (kernel - 1) // 2
+            mask = binary_dilation(mask, structure=np.ones((stage.conv.kernel,) * 2, dtype=bool))
     return mask
+
+
+def _stack_stages(stack) -> list[Stage]:
+    """The stages of a stack of blocks that keep one map: each block's under the name `blk<i>.`."""
+    if not stack:
+        raise ValueError("stack must contain at least one block")
+    width = stack[0].in_channels
+    for cfg in stack:
+        if cfg.stride != 1:
+            raise ValueError("structural analyses are defined for stride-1 blocks")
+        if cfg.in_channels != width or cfg.out_channels != width:
+            raise ValueError("structural analyses need channel-preserving blocks of one width")
+    return [st for i, cfg in enumerate(stack) for st in block_stages(cfg, f"blk{i}.", block_plan(cfg))]
 
 
 def influence_mask(stack, source: tuple[int, int], resolution: int,
                    mode: str = "structural", seed: int = 0) -> InfluenceMask:
     """Which input pixels can affect the output pixel `source` through `stack`.
 
-    `stack` is a sequence of stride-1 IRMBConfigs. Structural mode propagates
-    reachability; vjp mode differentiates a randomly-weighted instantiation
+    `stack` is a sequence of stride-1 IRMBConfigs of one width. Structural
+    mode folds reachability back through the stack's stages (`_reach`); vjp
+    mode differentiates a randomly-weighted instantiation of the same stages
     and marks nonzero input gradients. The two must agree.
     """
     stack = list(stack)
-    if not stack:
-        raise ValueError("stack must contain at least one block")
-    for cfg in stack:
-        if cfg.stride != 1:
-            raise ValueError("influence masks are defined for stride-1 stacks")
-        if cfg.in_channels != cfg.out_channels:
-            raise ValueError("influence masks need channel-preserving blocks")
+    stages = _stack_stages(stack)
     r, c = source
     if not (0 <= r < resolution and 0 <= c < resolution):
         raise ValueError(f"source {source} outside a {resolution}x{resolution} map")
@@ -296,17 +291,13 @@ def influence_mask(stack, source: tuple[int, int], resolution: int,
     if mode == "structural":
         mask = np.zeros((resolution, resolution), dtype=bool)
         mask[r, c] = True
-        for cfg in reversed(stack):
-            mask = _influence_step(mask, cfg, backward=True)
-        return InfluenceMask((r, c), mask, len(stack))
+        return InfluenceMask((r, c), _reach(mask, reversed(stages)), len(stack))
     if mode == "vjp":
         x = ag.Var(Rng(seed ^ 0xA11CE).normal("influence.input",
                                               (1, stack[0].in_channels, resolution, resolution),
                                               precision="f64"))
-        v = x
-        for i, cfg in enumerate(stack):
-            params = random_block_params(cfg, seed + i, precision="f64", prefix=f"blk{i}.")
-            v = irmb_forward(v, cfg, params, prefix=f"blk{i}.")
+        params = ChainMap(*(random_block_params(cfg, seed + i, "f64", f"blk{i}.") for i, cfg in enumerate(stack)))
+        v = run_stages(stages, x, params)
         cot = np.zeros(v.value.shape)
         cot[0, :, r, c] = 1.0
         grads = ag.backward(v, cot)
@@ -338,6 +329,7 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
+    stages = _stack_stages([cfg])
     W = resolution
     k, w = cfg.kernel, cfg.window
     if cfg.enable_attn and cfg.enable_conv:
@@ -362,7 +354,7 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     target = (W - 1, W - 1)
     empirical = None
     for n in range(1, 4 * W + 2):
-        new = _influence_step(mask, cfg, backward=False)
+        new = _reach(mask, stages)
         if new[target]:
             empirical = n
             break
@@ -402,16 +394,11 @@ def diag_similarity(model: EMOModel, stage: int, x) -> np.ndarray:
 
 def conv_receptive_radius(cfg: EMOVariantConfig, stage: int) -> dict:
     """Conv-path receptive field at a stage output (stage 1..4), in input and stage pixels."""
-    if stage not in (1, 2, 3, 4):
-        raise ValueError(f"stage must be 1..4, got {stage}")
     radius, jump = 0, 1
-    radius += (cfg.stem_spec().kernel - 1) // 2 * jump
-    jump *= 2
-    for _name, s, bcfg in cfg.blocks:
-        if s > stage:
-            break
-        radius += (bcfg.kernel - 1) // 2 * jump
-        jump *= bcfg.stride
+    for st in stages_through(cfg, stage):
+        if st.conv:
+            radius += (st.conv.kernel - 1) // 2 * jump
+            jump *= st.conv.stride
     return {
         "radius_input_px": radius,
         "stage_stride": jump,

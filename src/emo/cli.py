@@ -34,7 +34,7 @@ except ImportError:  # not on Windows
 
 from . import analysis
 from .irmb import IRMBConfig, equivalence_check
-from .model import IN_CHANNELS, EMOVariantConfig, PRESETS, build_emo, emo_forward, preset
+from .model import IN_CHANNELS, EMOVariantConfig, PRESETS, build_emo, emo_forward, model_stages, preset
 from .serialize import ContainerError, load_raw_tensor
 from .tensor import Rng, Tensor
 
@@ -177,8 +177,11 @@ def cmd_describe(args) -> dict:
     cfg = resolve_model_config(args)
     rep = analysis.count_costs(cfg, args.resolution)
     by_block = rep.by_block()
+    input_resolution, r = {}, args.resolution
+    for st in model_stages(cfg):  # a block's input is its first stage's
+        input_resolution.setdefault(st.name.rsplit(".", 1)[0], r)
+        r = st.out_hw(r, r)[0]
     blocks = []
-    r = args.resolution // 2
     for name, stage, bcfg in cfg.blocks:
         blocks.append({
             "name": name,
@@ -196,10 +199,9 @@ def cmd_describe(args) -> dict:
             "attn_first": bcfg.attn_first,
             "attn_pre_expand": bcfg.attn_pre_expand,
             "expand_groups": bcfg.expand_groups,
-            "input_resolution": r,
+            "input_resolution": input_resolution[name],
             "costs": by_block[name],
         })
-        r //= bcfg.stride
     return {
         "command": "describe",
         "model": {

@@ -246,24 +246,31 @@ class Stage:
     """A named fold step, called as stage(state, params), with the cost lines it runs on an h x w map.
 
     `lines` defaults to none, for the stages of a gradient check, which
-    nothing counts. An `elementwise` stage reads no parameter and maps the
-    last entry of its tuple state entry by entry, so that entry's value at
-    one position depends only on the entry's input at that position, and it
-    passes the other entries on as they are. Its call on a state whose last
-    entry holds any subset of those inputs, gathered into a 1-D array, gives
-    that subset's outputs bit for bit, which lets a caller that kept an
-    earlier call's input and output recompute only the entries whose input
-    changed.
+    nothing counts. `conv` is the stage's spatial conv (the stem's or the
+    depth-wise one), from which `out_hw` follows, and `window` the attention
+    window of a stage that mixes positions (EW-MHSA's expansion or a mix);
+    None where there is none. The structural analyses read only these two.
+    An `elementwise` stage reads no parameter and maps the last entry of its
+    tuple state entry by entry, so that entry's value at one position depends
+    only on the entry's input at that position, and it passes the other
+    entries on as they are. Its call on a state whose last entry holds any
+    subset of those inputs, gathered into a 1-D array, gives that subset's
+    outputs bit for bit, which lets a caller that kept an earlier call's
+    input and output recompute only the entries whose input changed.
     """
 
     name: str
     fn: Callable
     lines: Callable[[int, int], list[CostLine]] = lambda h, w: []
-    out_hw: Callable[[int, int], tuple[int, int]] = lambda h, w: (h, w)
+    conv: ConvSpec | None = None
+    window: int | None = None
     elementwise: bool = False
 
     def __call__(self, state, params):
         return self.fn(state, params)
+
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
+        return self.conv.out_hw(h, w) if self.conv else (h, w)
 
 
 def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list[Stage]:
@@ -354,14 +361,14 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
                                           other_adds=cout * h * w if keep_residual else 0)]
 
-    mix_stage = [Stage(prefix + "mix", mix, lambda h, w: mix_lines(h, w, mid))]
+    mix_stage = [Stage(prefix + "mix", mix, lambda h, w: mix_lines(h, w, mid), window=cfg.window)]
     return [
         Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
-        Stage(prefix + "expand", expand, expand_lines),
+        Stage(prefix + "expand", expand, expand_lines, window=cfg.window if attn_at == "expand" else None),
         Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
         Stage(prefix + "act", act, act_lines, elementwise=True),
         *(mix_stage if attn_at == "act" else []),
-        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"].out_hw)] if cfg.enable_conv else []),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"])] if cfg.enable_conv else []),
         *(mix_stage if attn_at == "conv" else []),
         Stage(prefix + "shrink", shrink, shrink_lines),
     ]

@@ -184,7 +184,7 @@ def model_stages(cfg: EMOVariantConfig) -> list[Stage]:
     def head_lines(h, w):  # the classifier runs on the pooled 1 x 1 map
         return [head.cost_line("head", "head", 1, 1, other_adds=head.in_channels * h * w)]
 
-    stages = [Stage("stem", stem_fn, stem_lines, stem.out_hw)]
+    stages = [Stage("stem", stem_fn, stem_lines, stem)]
     for name, _stage, bcfg in cfg.blocks:
         stages += block_stages(bcfg, name + ".", block_plan(bcfg))
     return [*stages, Stage("head", head_fn, head_lines)]
@@ -195,13 +195,17 @@ def emo_forward(model: EMOModel, x):
     return run_stages(model_stages(model.cfg), _model_input(model, x), model.params)
 
 
-def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
-    """Feature map at the output of one stage (1-based): a fold over `model_stages` up to its last block."""
+def stages_through(cfg: EMOVariantConfig, stage: int) -> list[Stage]:
+    """`model_stages` from the stem through the last block of one stage (1-based)."""
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"stage must be 1..4, got {stage}")
-    stages = model_stages(model.cfg)
-    end = 1 + max(i for i, st in enumerate(stages) if st.name.startswith(f"s{stage}."))
-    return T.val(run_stages(stages[:end], _model_input(model, x), model.params))
+    stages = model_stages(cfg)
+    return stages[:1 + max(i for i, st in enumerate(stages) if st.name.startswith(f"s{stage}."))]
+
+
+def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
+    """Feature map at the output of one stage (1-based): a fold over `stages_through` it."""
+    return T.val(run_stages(stages_through(model.cfg, stage), _model_input(model, x), model.params))
 
 
 def save_model(model: EMOModel, path) -> None:

@@ -192,14 +192,22 @@ def test_windowed_attention_never_crosses_windows():
     assert np.array_equal(v.mask, want)
 
 
-@pytest.mark.parametrize("kind", ["conv", "attn", "cascade"])
+def cascade(**flags):
+    return IRMBConfig(4, 4, 2.0, kernel=3, window=2, heads=2, expand_groups=2, **flags)
+
+
+@pytest.mark.parametrize("kind", ["conv", "attn", "cascade", "cascade-conv-first", "cascade-post-expand"])
 def test_structural_and_vjp_modes_agree(kind):
     if kind == "conv":
         stack = [conv_only()] * 2
     elif kind == "attn":
         stack = [attn_only(w=3)] * 2
+    elif kind == "cascade-conv-first":
+        stack = [cascade(attn_first=False)] * 2
+    elif kind == "cascade-post-expand":
+        stack = [cascade(attn_pre_expand=False)] * 2
     else:
-        stack = [IRMBConfig(4, 4, 2.0, kernel=3, window=2, heads=2, expand_groups=2)] * 2
+        stack = [cascade()] * 2
     for src in [(0, 0), (3, 4), (6, 6)]:
         a = influence_mask(stack, src, 7, mode="structural")
         b = influence_mask(stack, src, 7, mode="vjp", seed=1)
@@ -298,6 +306,20 @@ def test_cascade_beats_conv_only_whenever_window_exceeds_one():
                 assert casc.empirical < conv.empirical, (k, w, W)
 
 
+@pytest.mark.parametrize("stack, match", [
+    ([IRMBConfig(4, 4, 1.0, enable_attn=False, stride=2)], "stride-1"),  # mpl once gave 7, the stride-1 answer
+    ([IRMBConfig(4, 8, 1.0, enable_attn=False)], "channel-preserving"),
+    ([IRMBConfig(4, 8, 1.0, window=2, heads=1)], "channel-preserving"),
+    ([conv_only(c=4), conv_only(c=8)], "one width"),
+], ids=["stride-2", "widening-conv", "widening-cascade", "two-widths"])
+def test_structural_analyses_reject_a_block_that_changes_the_map(stack, match):
+    with pytest.raises(ValueError, match=match):
+        influence_mask(stack, (0, 0), 8)
+    if len(stack) == 1:
+        with pytest.raises(ValueError, match=match):
+            max_path_length(stack[0], 8)
+
+
 # ---------------------------------------------------------------------------
 # diagonal similarity
 
@@ -350,6 +372,15 @@ def test_similarity_rejects_bad_stage():
     model = build_emo(TINY, seed=0)
     with pytest.raises(ValueError, match="stage"):
         diag_similarity(model, 5, np.zeros((1, 3, 64, 64), dtype=np.float32))
+
+
+@pytest.mark.parametrize("name, want", [
+    ("emo-1m", [(7, 4, 4), (19, 8, 5), (139, 16, 18), (219, 32, 14)]),
+    *((name, [(11, 4, 6), (31, 8, 8), (167, 16, 21), (247, 32, 16)]) for name in ("emo-2m", "emo-5m", "emo-6m")),
+])
+def test_receptive_radius_of_every_preset_and_stage(name, want):
+    got = [conv_receptive_radius(preset(name), stage) for stage in (1, 2, 3, 4)]
+    assert [(rf["radius_input_px"], rf["stage_stride"], rf["disjoint_distance"]) for rf in got] == want
 
 
 @pytest.mark.parametrize("stage", [-1, 0, 5, 9])

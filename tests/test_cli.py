@@ -94,6 +94,16 @@ def test_describe_lists_every_block(capsys, validator):
     assert doc["blocks"][0]["input_resolution"] == 112
 
 
+@pytest.mark.parametrize("resolution, want", [
+    (224, [112, 56, 56, 28, 28, *[14] * 8, 7, 7]),
+    (320, [160, 80, 80, 40, 40, *[20] * 8, 10, 10]),
+])
+def test_describe_pins_every_block_input_resolution(capsys, resolution, want):
+    code, doc = run_json(capsys, "describe", "--preset", "emo-1m", "--resolution", str(resolution))
+    assert code == 0
+    assert [b["input_resolution"] for b in doc["blocks"]] == want
+
+
 def test_influence_command_modes_agree(capsys, validator):
     code, doc = run_json(capsys, "influence", "--blocks", "2", "--kernel", "3",
                          "--resolution", "9", "--source", "4,4", "--attn", "off", "--mode", "both")
