@@ -446,19 +446,22 @@ def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: st
     return {k: ag.grad_of(grads, v) for k, v in vars_.items()}, cot
 
 
-class _FirstReads(Mapping):
-    """Leaves, read-only, noting for each key the first stage that read it by [] or get.
+class _Reads(Mapping):
+    """Leaves, read-only, noting for each key every stage that reads it by [] or get.
 
-    `stage` is the index of the stage running; `first` maps each key read
-    so far to the stage that read it first. A membership test is not a read.
+    `stage` is the index of the stage running; `readers` maps each key read
+    so far to the indices of the stages that read it, in order. A membership
+    test is not a read.
     """
 
     def __init__(self, leaves: dict):
-        self.leaves, self.stage, self.first = leaves, 0, {}
+        self.leaves, self.stage, self.readers = leaves, 0, {}
 
     def __getitem__(self, key):
         value = self.leaves[key]
-        self.first.setdefault(key, self.stage)
+        seen = self.readers.setdefault(key, [])
+        if not seen or seen[-1] != self.stage:
+            seen.append(self.stage)
         return value
 
     def __contains__(self, key):
@@ -471,35 +474,42 @@ class _FirstReads(Mapping):
         return len(self.leaves)
 
 
-def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict, dict]:
-    """(start, kept, base) for resuming the forwards of `_tape_rel_err`.
+def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict, dict, dict]:
+    """(start, kept, base, readers) for resuming the forwards of `_tape_rel_err`.
 
     start maps each key in `keys` to the index of the first stage that reads
-    it, and kept maps each such index to that stage's input state, both from
-    one plain (untaped) pass of the stages on `leaves`. base maps the index
-    of each elementwise stage (`Stage.elementwise`) that some key's resumed
-    forward runs through, i.e. that some key's first reader precedes, to the
-    last entries of that stage's input and output states in the same pass.
-    A key that no stage reads resumes at len(stages), from the output, so its
-    perturbation changes nothing. A one-stage list needs no pass: every key
-    resumes at 0, from the state None, and neither does an empty `keys`.
+    it, readers to the indices of every stage that reads it, and kept maps
+    each first reader's index to that stage's input state, all from one
+    plain (untaped) pass of the stages on `leaves`. base maps the index of
+    each elementwise or local stage (`Stage.elementwise`, `Stage.local`)
+    that some key's resumed forward runs through after that key's first
+    reader, to what the same pass gave it: for an elementwise stage the last
+    entries of its input and output states, for a local stage its whole
+    input state and the last entry of its output. A key that no stage reads
+    resumes at len(stages), from the output, so its perturbation changes
+    nothing. A one-stage list needs no pass: every key resumes at 0, from
+    the state None, and neither does an empty `keys`.
     """
     if len(stages) == 1 or not keys:
-        return dict.fromkeys(keys, 0), {0: None}, {}
-    reads = _FirstReads(leaves)
+        return dict.fromkeys(keys, 0), {0: None}, {}, {k: [0] for k in keys}
+    reads = _Reads(leaves)
     kept, base, state = {}, {}, None
     for i, stage in enumerate(stages):
         reads.stage = i
+        resumed_through = any(k in reads.readers for k in keys)
         out = stage(state, reads)
-        if any(reads.first.get(k) == i for k in keys):
+        if any(reads.readers.get(k, [None])[0] == i for k in keys):
             kept[i] = state
-        if stage.elementwise and any(k in reads.first for k in keys):
+        if resumed_through and stage.elementwise:
             base[i] = state[-1], out[-1]
+        elif resumed_through and stage.local:
+            base[i] = state, out[-1]
         state = out
-    start = {k: reads.first.get(k, len(stages)) for k in keys}
+    readers = {k: reads.readers.get(k, []) for k in keys}
+    start = {k: r[0] if r else len(stages) for k, r in readers.items()}
     if len(stages) in start.values():
         kept[len(stages)] = state
-    return start, kept, base
+    return start, kept, base, readers
 
 
 def _rerun_elementwise(stage, state, leafs, base_in, base_out):
@@ -523,11 +533,79 @@ def _rerun_elementwise(stage, state, leafs, base_in, base_out):
     return (*rest, out)
 
 
-def _run_from(stages, i: int, state, leafs, base: dict):
+def _crop_boxes(stage, changed: np.ndarray):
+    """((y0, y1, x0, x1), (cy0, cy1, cx0, cx1)), or None if no position changed.
+
+    The first box holds the outputs of `stage` that the True positions of
+    the map `changed` reach: like `_reach`, their bounding box snaps to the
+    window grid, then grows by the conv radius, clipped to the map, so it is
+    the bounding box of `_reach(changed, [stage])`. The second is that box
+    plus the conv's halo, the crop of the input that computes it.
+    """
+    ys, xs = np.nonzero(changed)
+    if not ys.size:
+        return None
+    halo = (stage.conv.kernel - 1) // 2 if stage.conv else 0
+
+    def span(lo, hi, size):
+        if stage.window:
+            lo, hi = lo - lo % stage.window, hi + -hi % stage.window
+        lo, hi = max(lo - halo, 0), min(hi + halo, size)
+        return lo, hi, max(lo - halo, 0), min(hi + halo, size)
+
+    (y0, y1, cy0, cy1), (x0, x1, cx0, cx1) = (span(ys[0], ys[-1] + 1, changed.shape[0]),
+                                              span(xs.min(), xs.max() + 1, changed.shape[1]))
+    return (y0, y1, x0, x1), (cy0, cy1, cx0, cx1)
+
+
+def _rerun_local(stage, state, leafs, base_in, base_out):
+    """stage(state, leafs) for a local stage that mapped the state base_in to base_out (its last entry) before.
+
+    Every array of the state is compared by bit pattern with base_in's. The
+    bounding box of the positions changed in any of them, snapped to the
+    stage's windows or grown by its conv radius (`_crop_boxes`), holds every
+    output that can change. The stage runs on views of that box plus the
+    conv's halo, and a copy of base_out, in base_out's memory order, takes
+    the box's results. When that crop covers more than half the map the
+    stage just runs; the last entry, which a change reaches most widely, is
+    compared first, so that such a change needs no further comparing. Either
+    way the result is bit-identical to stage(state, leafs), and neither base
+    is written.
+    """
+    *rest, _ = state
+    h, w = base_out.shape[-2:]
+    changed, boxes = np.zeros((h, w), dtype=bool), None
+    for a, b in zip(reversed(state), reversed(base_in)):
+        if a is not b:
+            uint = f"u{a.itemsize}"
+            changed |= (a.view(uint) != b.view(uint)).any(axis=(0, 1))
+            boxes = _crop_boxes(stage, changed)
+            if boxes:
+                cy0, cy1, cx0, cx1 = boxes[1]
+                if 2 * (cy1 - cy0) * (cx1 - cx0) > h * w:
+                    return stage(state, leafs)
+    if boxes is None:
+        return (*rest, base_out.copy(order="K"))
+    (y0, y1, x0, x1), (cy0, cy1, cx0, cx1) = boxes
+    sub = stage(tuple(a[..., cy0:cy1, cx0:cx1] for a in state), leafs)[-1]
+    out = base_out.copy(order="K")
+    out[..., y0:y1, x0:x1] = sub[..., y0 - cy0 : y1 - cy0, x0 - cx0 : x1 - cx0]
+    return (*rest, out)
+
+
+def _run_from(stages, i: int, state, leafs, base: dict, readers):
     """Fold `state` through stages[i:] like `run_stages`, rerunning each
-    elementwise stage in `base` (see `_resume_points`) only where its input changed."""
+    elementwise or local stage in `base` (see `_resume_points`) only where
+    its input changed. A stage in `readers`, the stages that read the
+    perturbed leaf, always runs whole: its parameters changed everywhere."""
     for j in range(i, len(stages)):
-        state = _rerun_elementwise(stages[j], state, leafs, *base[j]) if j in base else stages[j](state, leafs)
+        stage = stages[j]
+        if j not in base or j in readers:
+            state = stage(state, leafs)
+        elif stage.local:
+            state = _rerun_local(stage, state, leafs, *base[j])
+        else:
+            state = _rerun_elementwise(stage, state, leafs, *base[j])
     return state
 
 
@@ -541,10 +619,14 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
     state a plain pass kept (`_resume_points`): the stages before it would
     recompute that state unchanged. On the way, an elementwise stage (the
     blocks' activations) recomputes only the entries whose input differs in
-    its bits from that plain pass's (`_rerun_elementwise`). So every
-    difference is bit-identical to one over the whole forward. The kept
-    states and activation arrays come from that plain pass, never from the
-    tape being checked, and no difference writes into them.
+    its bits from that plain pass's (`_rerun_elementwise`), and a local
+    stage (a windowed mix, a stride-1 depth-wise stage) that does not read
+    the key only the crop of windows, or of conv footprints, that such
+    entries reach (`_rerun_local`). The contractions over channels rerun
+    whole, since on a crop their bits can differ. So every difference is
+    bit-identical to one over the whole forward. The kept states and
+    arrays come from that plain pass, never from the tape being checked,
+    and no difference writes into them.
     The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
     |analytic| entry), which keeps finite-difference roundoff on near-zero
     coordinates from dominating. "Where" is (key, flat index, name of the
@@ -552,11 +634,11 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
     or None for no coordinates.
     """
     analytic, cot = _tape_gradients(stages, leaves, rng, cot_name, precision)
-    start, kept, base = _resume_points(stages, leaves, {key for key, _ in coords})
+    start, kept, base, readers = _resume_points(stages, leaves, {key for key, _ in coords})
 
     def loss(key, leafs):
         i = start[key]
-        return float((ag.val(_run_from(stages, i, kept[i], leafs, base)) * cot).sum())
+        return float((ag.val(_run_from(stages, i, kept[i], leafs, base, readers[key])) * cot).sum())
 
     gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
     floor = 1e-4 * max(gmax, 1e-8)
@@ -633,8 +715,8 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
     buffers, which the stages read from a closure. A target is an input
     stage followed by its stage list: `model.model_stages`,
     `irmb.block_stages`, or one conv stage. Each is the `Stage` record it
-    was, names and `elementwise` flags included, reading its parameters
-    through that closure.
+    was, names, `elementwise` and `local` flags included, reading its
+    parameters through that closure.
     """
     if isinstance(target, EMOModel):
         check_resolution(target.cfg, h, w)
@@ -675,11 +757,21 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     first stage of the target that reads the perturbed leaf, from a state
     kept by one plain forward, so a model's or block's differences skip the
     stages before that reader. After it, each block's activation recomputes
-    only the entries whose input changed and takes the rest from that plain
-    forward. Every difference is bit-identical to one over the whole
-    forward. The report names the worst coordinate and the stage that first
-    reads its leaf.
+    only the entries whose input changed, and each windowed mix and stride-1
+    depth-wise stage that does not read the leaf only the windows or conv
+    footprints those entries reach; the rest comes from that plain forward.
+    Every difference is bit-identical to one over the whole forward. The
+    report names the worst coordinate and the stage that first reads its
+    leaf. A step that is not a finite number > 0, a negative `num_coords`
+    and an `input_hw` that is not a positive (height, width) raise
+    ValueError.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a finite number > 0, got {step}")
+    if num_coords < 0:
+        raise ValueError(f"num_coords must be >= 0, got {num_coords}")
+    if len(input_hw) != 2 or min(input_hw) < 1:
+        raise ValueError(f"input_hw must be a positive (height, width), got {input_hw}")
     h, w = input_hw
     rng = Rng(seed ^ 0xC0FFEE)
     name, stages, leaves = _check_target(target, seed, rng, h, w, precision)

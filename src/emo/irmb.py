@@ -203,17 +203,25 @@ def _norm(x, kind, params, key):
     return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
-def _attention_mix(u, v, cfg: IRMBConfig, params, prefix):
-    """Attention from Q/K of the unexpanded u, multiplied into v (any width)."""
-    n = T.val(u).shape[0]
+def _qk(u, cfg: IRMBConfig, params, prefix):
+    """(Q, K): the two 1x1 projections of the unexpanded u."""
     specs = cfg.conv_specs()
-    q = T.conv2d(u, params[prefix + "q.w"], specs["q"], params[prefix + "q.b"])
-    k = T.conv2d(u, params[prefix + "k.w"], specs["k"], params[prefix + "k.b"])
+    return tuple(T.conv2d(u, params[prefix + p + ".w"], specs[p], params[prefix + p + ".b"]) for p in ("q", "k"))
+
+
+def _windowed_mix(q, k, v, cfg: IRMBConfig):
+    """Windowed attention from Q/K multiplied into v (any width): partition, masked attention, merge."""
+    n = T.val(q).shape[0]
     qt, layout = window_partition(q, cfg.window, cfg.num_heads)
     kt, _ = window_partition(k, cfg.window, cfg.num_heads)
-    attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(u).dtype))
+    attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(q).dtype))
     vt, _ = window_partition(v, cfg.window, cfg.num_heads)
     return window_merge(mix_values(attn, vt), layout, n)
+
+
+def _attention_mix(u, v, cfg: IRMBConfig, params, prefix):
+    """Attention from Q/K of the unexpanded u, multiplied into v (any width)."""
+    return _windowed_mix(*_qk(u, cfg, params, prefix), v, cfg)
 
 
 def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
@@ -250,6 +258,7 @@ class Stage:
     depth-wise one), from which `out_hw` follows, and `window` the attention
     window of a stage that mixes positions (EW-MHSA's expansion or a mix);
     None where there is none. The structural analyses read only these two.
+
     An `elementwise` stage reads no parameter and maps the last entry of its
     tuple state entry by entry, so that entry's value at one position depends
     only on the entry's input at that position, and it passes the other
@@ -257,6 +266,21 @@ class Stage:
     subset of those inputs, gathered into a 1-D array, gives that subset's
     outputs bit for bit, which lets a caller that kept an earlier call's
     input and output recompute only the entries whose input changed.
+
+    A `local` stage, too, writes only the last entry of its tuple state. It
+    computes each position of that entry from the position's footprint: the
+    `window` that holds it, or the k x k neighbourhood of its stride-1
+    `conv`. It runs no BLAS contraction over the map: the depth-wise conv,
+    norms and activations work position by position, and the attention
+    products are one matrix product per window and head, each of one
+    window's shape. So its call on views of any crop of the state that
+    contains a position's footprint (whole windows, or the conv's halo)
+    gives that position's bits, and a caller that kept an earlier call's
+    input state and output can rerun only the crop that a change reaches.
+    Contractions over channels (the 1x1 expand, shrink and Q/K projections,
+    the stem) are never local: BLAS blocks such a product by the shape of
+    the whole map, so one pixel's output computed on a crop can differ in
+    its last bits from the same pixel's on the whole map.
     """
 
     name: str
@@ -265,6 +289,7 @@ class Stage:
     conv: ConvSpec | None = None
     window: int | None = None
     elementwise: bool = False
+    local: bool = False
 
     def __call__(self, state, params):
         return self.fn(state, params)
@@ -279,10 +304,13 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
     Pre-norm maps the block input x to the state (x, u, None), the stages
     after it map (x, u, v) to (x, u, v'), and shrink + residual maps it to
     the block's output: u is the pre-normed input that Q/K read, v the
-    running features. The stages, named `prefix` + pre_norm, expand (EW-MHSA
-    when attn_at is "expand"), norm_e, act, mix (at "act"), depthwise, mix
-    (at "conv") and shrink, leave out a mix or depth-wise stage that `plan`
-    or the config leaves out. Stages read parameters only through their
+    running features. The qk stage replaces u by the projections (q, k) that
+    the windowed mix after it reads, and the stages after it pass them on.
+    The stages, named `prefix` + pre_norm, expand (EW-MHSA when attn_at is
+    "expand"), norm_e, act, qk and mix (at "act"), depthwise, qk and mix (at
+    "conv") and shrink, leave out the qk, mix or depth-wise stages that
+    `plan` or the config leaves out. The mix and the stride-1 depth-wise
+    stage are `local`. Stages read parameters only through their
     mapping argument, so a caller that logs the reads learns which stage
     first reads a leaf. A fold drops each state when the next one is made,
     so norm_e and the activation are two stages: as one, the expansion's
@@ -318,33 +346,40 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         x, u, v = state
         return x, u, T.activate(v, cfg.expand_act_kind)
 
-    def mix(state, params):
+    def qk(state, params):
         x, u, v = state
-        return x, u, _attention_mix(u, v, cfg, params, prefix)
+        return (x, *_qk(u, cfg, params, prefix), v)
+
+    def mix(state, params):
+        x, q, k, v = state
+        return x, q, k, _windowed_mix(q, k, v, cfg)
 
     def depthwise(state, params):
-        x, u, v = state
+        *rest, v = state
         t = conv("dw", v, params)
         t = _norm(t, cfg.conv_norm, params, prefix + "norm_dw")
         t = T.activate(t, cfg.conv_act)
-        return x, u, T.residual_add(v, t) if inner_skip else t
+        return (*rest, T.residual_add(v, t) if inner_skip else t)
 
     def shrink(state, params):
-        x, _, v = state
+        x, *_, v = state
         y = conv("shrink", v, params)
         return T.residual_add(x, y) if keep_residual else y
 
     def norm_line(slot, kind, width, pixels):
         return [CostLine(prefix + slot, "norm", params=2 * width, norm_elems=width * pixels)] if kind != "none" else []
 
-    def mix_lines(h, w, c_v):
+    def qk_lines(h, w):
+        return [specs[p].cost_line(prefix + p, "attention", h, w) for p in ("q", "k")]
+
+    def attn_lines(h, w, c_v):
         layout = WindowLayout(h, w, cfg.window)
         pairs = layout.num_windows * layout.tokens_per_window ** 2  # query-key pairs, one head
-        return [*(specs[p].cost_line(prefix + p, "attention", h, w) for p in ("q", "k")),
-                CostLine(prefix + "attn", "attention", macs=pairs * (cin + c_v), softmax_elems=cfg.num_heads * pairs)]
+        return [CostLine(prefix + "attn", "attention", macs=pairs * (cin + c_v), softmax_elems=cfg.num_heads * pairs)]
 
     def expand_lines(h, w):
-        mixed = mix_lines(h, w, cin if cfg.attn_pre_expand else mid) if attn_at == "expand" else []
+        c_v = cin if cfg.attn_pre_expand else mid
+        mixed = [*qk_lines(h, w), *attn_lines(h, w, c_v)] if attn_at == "expand" else []
         return [*mixed, specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)]
 
     def act_lines(h, w):
@@ -361,15 +396,17 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
                                           other_adds=cout * h * w if keep_residual else 0)]
 
-    mix_stage = [Stage(prefix + "mix", mix, lambda h, w: mix_lines(h, w, mid), window=cfg.window)]
+    mix_stages = [Stage(prefix + "qk", qk, qk_lines),
+                  Stage(prefix + "mix", mix, lambda h, w: attn_lines(h, w, mid), window=cfg.window, local=True)]
     return [
         Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
         Stage(prefix + "expand", expand, expand_lines, window=cfg.window if attn_at == "expand" else None),
         Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
         Stage(prefix + "act", act, act_lines, elementwise=True),
-        *(mix_stage if attn_at == "act" else []),
-        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"])] if cfg.enable_conv else []),
-        *(mix_stage if attn_at == "conv" else []),
+        *(mix_stages if attn_at == "act" else []),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"], local=cfg.stride == 1)]
+          if cfg.enable_conv else []),
+        *(mix_stages if attn_at == "conv" else []),
         Stage(prefix + "shrink", shrink, shrink_lines),
     ]
 

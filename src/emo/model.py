@@ -85,6 +85,11 @@ class EMOVariantConfig:
             cin = cout
         return tuple(out)
 
+    @cached_property
+    def stages(self) -> tuple[Stage, ...]:
+        """The `model_stages` of this config; built once per config."""
+        return tuple(_build_stages(self))
+
     def stem_spec(self) -> ConvSpec:
         return ConvSpec(IN_CHANNELS, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
 
@@ -158,10 +163,16 @@ def _model_input(model: EMOModel, x):
     return xv
 
 
-def model_stages(cfg: EMOVariantConfig) -> list[Stage]:
-    """The network as its one ordered list of named, costed stages: the stem
+def model_stages(cfg: EMOVariantConfig) -> tuple[Stage, ...]:
+    """The network as its one ordered tuple of named, costed stages: the stem
     (conv + batchnorm + SiLU), each block's `block_stages` under the block's
-    name, the head (pool + classifier). Blocks pass on the bare feature map."""
+    name, the head (pool + classifier). Blocks pass on the bare feature map.
+    The tuple is built once per config (`EMOVariantConfig.stages`)."""
+    return cfg.stages
+
+
+def _build_stages(cfg: EMOVariantConfig) -> list[Stage]:
+    """The stages `model_stages` returns."""
     stem, head = cfg.stem_spec(), cfg.head_spec()
 
     def stem_fn(x, p):
@@ -195,11 +206,11 @@ def emo_forward(model: EMOModel, x):
     return run_stages(model_stages(model.cfg), _model_input(model, x), model.params)
 
 
-def stages_through(cfg: EMOVariantConfig, stage: int) -> list[Stage]:
+def stages_through(cfg: EMOVariantConfig, stage: int) -> tuple[Stage, ...]:
     """`model_stages` from the stem through the last block of one stage (1-based)."""
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"stage must be 1..4, got {stage}")
-    stages = model_stages(cfg)
+    stages = cfg.stages
     return stages[:1 + max(i for i, st in enumerate(stages) if st.name.startswith(f"s{stage}."))]
 
 

@@ -435,6 +435,7 @@ def _grads_model(precision="f64"):
     )
 
 
+_MMB_BINDINGS = dict(heads=2, pre_norm="layernorm", expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
 _CHECK_TARGETS = {
     "irmb-attn-first": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2),
     "irmb-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_first=False),
@@ -442,11 +443,30 @@ _CHECK_TARGETS = {
     "irmb-post-expand": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_pre_expand=False),
     "irmb-stride-2": lambda: IRMBConfig(8, 16, 2.0, window=4, heads=2, stride=2),
     "irmb-mlp": lambda: IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False),
-    **{f"mmb-{op}": lambda op=op: MMBConfig(8, 2.0, operator=op, window=3, heads=2, pre_norm="layernorm",
-                                            expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
-       for op in OPERATORS},
+    **{f"mmb-{op}": lambda op=op: MMBConfig(8, 2.0, operator=op, window=3, **_MMB_BINDINGS) for op in OPERATORS},
     "conv": lambda: ConvSpec(4, 6, kernel=3, padding=1),
     "model": _grads_model,
+    # maps on which a change reaches only part of a local stage's map, so the
+    # difference reruns it on a crop: several windows, padded windows, a map
+    # one window wide, kernel 5
+    "mmb-ewmhsa_dwconv-windows": lambda: MMBConfig(8, 2.0, operator="ewmhsa_dwconv", window=3, **_MMB_BINDINGS),
+    "mmb-dwconv_ewmhsa-padded": lambda: MMBConfig(8, 2.0, operator="dwconv_ewmhsa", window=4, **_MMB_BINDINGS),
+    "mmb-ewmhsa-one-window-wide": lambda: MMBConfig(8, 2.0, operator="ewmhsa", window=7, **_MMB_BINDINGS),
+    "mmb-ewmhsa_dwconv-k5": lambda: MMBConfig(8, 2.0, operator="ewmhsa_dwconv", kernel=5, window=3,
+                                              **_MMB_BINDINGS),
+    "mmb-dwconv-k5": lambda: MMBConfig(8, 2.0, operator="dwconv", kernel=5, **_MMB_BINDINGS),
+    "irmb-k5-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=3, heads=2, attn_first=False),
+    "irmb-k5-attn-first": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=4, heads=2),
+}
+# map sizes of the targets that must rerun some local stage on a crop; the rest run at 6x6
+_CROP_HW = {
+    "mmb-ewmhsa_dwconv-windows": (9, 12),
+    "mmb-dwconv_ewmhsa-padded": (10, 9),
+    "mmb-ewmhsa-one-window-wide": (7, 21),
+    "mmb-ewmhsa_dwconv-k5": (12, 12),
+    "mmb-dwconv-k5": (11, 13),
+    "irmb-k5-attn-after-conv": (9, 9),
+    "irmb-k5-attn-first": (16, 16),
 }
 
 
@@ -465,35 +485,48 @@ def _arrays(state):
     return [] if state is None else [state]
 
 
+def _edge_positions(h, w, window):
+    """Flat indices into an (h, w) map: the corners, and the pixels on both sides of each window edge."""
+    def axis(n):
+        return sorted({0, n - 1, *(e for m in range(window or n, n, window or n) for e in (m - 1, m))})
+    return [r * w + c for r in axis(h) for c in axis(w)]
+
+
 @pytest.mark.parametrize("name, precision", [pytest.param(n, p, id=n if p == "f64" else f"{n}-{p}")
                                              for p in ("f64", "f32") for n in _CHECK_TARGETS])
 def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precision):
-    # one coordinate per leaf, moved by +-step: the stages before the leaf's first
-    # reader recompute the kept state unchanged, and the forward resumed from that
-    # state, with each activation rerun only where its input changed, gives the
-    # full forward's output and loss bit for bit
+    # one coordinate per parameter leaf and input pixels at the corners and on
+    # window edges, moved by +-step: the stages before the leaf's first reader
+    # recompute the kept state unchanged, and the forward resumed from that
+    # state, with each activation rerun only where its input changed and each
+    # local stage only on the crop the change reaches, gives the full
+    # forward's output and loss bit for bit
     target = _grads_model(precision) if name == "model" else _CHECK_TARGETS[name]()
-    hw = (32, 32) if isinstance(target, EMOModel) else (6, 6)
+    hw = (32, 32) if isinstance(target, EMOModel) else _CROP_HW.get(name, (6, 6))
     _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, precision)
-    start, kept, base = analysis._resume_points(stages, leaves, set(leaves))
+    start, kept, base, readers = analysis._resume_points(stages, leaves, set(leaves))
     # an input stage, then the model's, the block's or the conv's stages
     last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
     assert start["__input__"] == 0 and start[last] == len(stages) - 1
     assert set(kept) == set(start.values())
-    # every key's forward runs through every activation after the input stage
-    assert set(base) == {i for i, st in enumerate(stages) if st.elementwise}
+    assert all(r[0] == start[k] for k, r in readers.items())
+    # every key's forward runs through every activation and local stage after the input stage
+    assert set(base) == {i for i, st in enumerate(stages) if st.elementwise or st.local}
     assert bool(base) != (name == "conv")
     if name == "irmb-post-expand":
-        assert not any(a.flags.c_contiguous for a, _ in base.values())
-    for a in [a for st in kept.values() for a in _arrays(st)] + [a for pair in base.values() for a in pair]:
+        assert not any(a.flags.c_contiguous for i, (a, _) in base.items() if stages[i].elementwise)
+    for a in [a for st in kept.values() for a in _arrays(st)] + [a for pair in base.values() for a in _arrays(pair)]:
         a.setflags(write=False)  # no resumed forward may write into a kept or base array
     sample = Rng(1).normal("cot", np.shape(run_stages(stages, None, leaves)), precision=precision)
-    reran = 0
-    for key, leaf in leaves.items():
+    window = getattr(target, "window", None)
+    coords = [(key, 0) for key in leaves] + [("__input__", c * hw[0] * hw[1] % leaves["__input__"].size + p)
+                                             for c, p in enumerate(_edge_positions(*hw, window))]
+    reran = cropped = 0
+    for key, idx in coords:
         for step in (1e-5, -1e-5):
             pert = dict(leaves)
-            pert[key] = leaf.copy()
-            pert[key].reshape(-1)[0] += step
+            pert[key] = leaves[key].copy()
+            pert[key].reshape(-1)[idx] += step
             state = None
             for i, stage in enumerate(stages):
                 if i in kept and i <= start[key]:
@@ -503,14 +536,69 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precisi
             with cost_meter() as whole:
                 assert _same_state(run_stages(stages[i:], kept[i], pert), state), key
             with cost_meter() as resumed:
-                out = analysis._run_from(stages, i, kept[i], pert, base)
-            assert _same_state(out, state), key
-            assert float((out * sample).sum()).hex() == float((state * sample).sum()).hex(), key
+                out = analysis._run_from(stages, i, kept[i], pert, base, readers[key])
+            assert _same_state(out, state), (key, idx)
+            assert float((out * sample).sum()).hex() == float((state * sample).sum()).hex(), (key, idx)
             reran += resumed.act_elems < whole.act_elems
-    assert reran > 0 or not base  # some activation reran only its changed entries
+            cropped += resumed.softmax_elems < whole.softmax_elems or resumed.macs < whole.macs
+    assert reran > 0 or not any(st.elementwise for st in stages)  # some activation reran only its changed entries
+    assert cropped > 0 or name not in _CROP_HW  # some local stage reran on a crop
     # no resumed forward wrote into a kept state
     again = analysis._resume_points(stages, leaves, set(leaves))[1]
     assert all(_same_state(kept[i], again[i]) for i in kept)
+
+
+def _box(mask):
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+
+
+@pytest.mark.parametrize("window, kernel", [(w, None) for w in (1, 2, 3, 7)] + [(None, k) for k in (1, 3, 5)])
+def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
+    # a probe stage marks the positions it ran on; _rerun_local pastes exactly
+    # the bounding box of the reach of the changed positions, unless its crop
+    # (that box plus the conv's halo) covers more than half the map, when the
+    # stage runs whole
+    h, w, c = 23, 30, 3
+    conv = ConvSpec(c, c, kernel=kernel, padding=(kernel - 1) // 2, groups=c) if kernel else None
+    probe = Stage("probe", lambda s, p: (*s[:-1], np.ones_like(s[-1])), conv=conv, window=window, local=True)
+    halo = (kernel - 1) // 2 if kernel else 0
+    base_in, base_out = np.zeros((1, c, h, w)), np.zeros((1, c, h, w))
+    gen = np.random.default_rng([window or 0, kernel or 0])
+    cropped = 0
+    for _ in range(60):
+        y0, x0 = gen.integers(h), gen.integers(w)
+        y1, x1 = y0 + 1 + gen.integers(min(h - y0, 9)), x0 + 1 + gen.integers(min(w - x0, 9))
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y0:y1, x0:x1] = gen.random((y1 - y0, x1 - x0)) < 0.3
+        mask[gen.integers(y0, y1), gen.integers(x0, x1)] = True
+        x = base_in.copy()
+        rows, cols = np.nonzero(mask)
+        x[0, gen.integers(c, size=rows.size), rows, cols] = 1.0  # each changed position in one channel
+        out = analysis._rerun_local(probe, (x,), {}, (base_in,), base_out)[-1]
+        assert out.shape == base_out.shape and not base_out.any()
+        b0, b1, a0, a1 = _box(analysis._reach(mask, [probe]))
+        crop = (min(b1 + halo, h) - max(b0 - halo, 0)) * (min(a1 + halo, w) - max(a0 - halo, 0))
+        if 2 * crop > h * w:
+            assert out.all()
+            continue
+        cropped += 1
+        assert _box(out.any(axis=(0, 1))) == (b0, b1, a0, a1)
+        assert out[..., b0:b1, a0:a1].all() and out.sum() == c * (b1 - b0) * (a1 - a0)
+    assert cropped >= 30
+    # no change: the kept output, copied
+    out = analysis._rerun_local(probe, (base_in.copy(),), {}, (base_in,), base_out)[-1]
+    assert out is not base_out and not out.any()
+
+
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"step": 0}, "step"), ({"step": -1e-5}, "step"), ({"step": float("nan")}, "step"),
+    ({"step": float("inf")}, "step"), ({"num_coords": -1}, "num_coords"), ({"input_hw": (0, 8)}, "input_hw"),
+    ({"input_hw": (8, -2)}, "input_hw"), ({"input_hw": (8,)}, "input_hw"), ({"input_hw": (8, 8, 8)}, "input_hw"),
+])
+def test_grad_check_rejects_bad_arguments(kwargs, argument):
+    with pytest.raises(ValueError, match=argument):
+        grad_check(IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False), **kwargs)
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -543,18 +631,20 @@ def test_resume_points_of_unread_leaves_and_one_stage_lists():
     stages = [Stage("a", lambda _, p: (p["a"] * 3.0,)),
               Stage("neg", lambda s, p: (-s[-1],), elementwise=True),
               Stage("b", lambda s, p: s[-1] + p.get("b"))]
-    start, kept, base = analysis._resume_points(stages, leaves, {"a", "b", "c"})
+    start, kept, base, readers = analysis._resume_points(stages, leaves, {"a", "b", "c"})
     assert start == {"a": 0, "b": 2, "c": 3}  # nothing reads c: it resumes after the last stage
+    assert readers == {"a": [0], "b": [2], "c": []}
     assert kept[0] is None and kept[2][0].tolist() == [-3.0, -3.0] and kept[3].tolist() == [-1.0, -1.0]
     assert [a.tolist() for a in base[1]] == [[3.0, 3.0], [-3.0, -3.0]]
-    start, kept, base = analysis._resume_points(stages, leaves, {"b"})
+    start, kept, base, _ = analysis._resume_points(stages, leaves, {"b"})
     # only the states some key resumes from, and no activation that no resumed forward runs
     assert start == {"b": 2} and list(kept) == [2] and base == {}
 
     def unrun(state, p):
         raise AssertionError("a one-stage list needs no plain pass")
 
-    assert analysis._resume_points([Stage("x", unrun)], leaves, {"a", "c"}) == ({"a": 0, "c": 0}, {0: None}, {})
+    assert analysis._resume_points([Stage("x", unrun)], leaves, {"a", "c"}) == (
+        {"a": 0, "c": 0}, {0: None}, {}, {"a": [0], "c": [0]})
 
 
 def test_grad_check_names_the_worst_coordinate_and_its_first_reader():

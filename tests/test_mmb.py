@@ -168,8 +168,13 @@ def test_executed_work_matches_static_count(fold_metered):
         assert m.act_elems == rep.act_elems, cfg.operator
         assert m.other_adds == rep.other_adds, cfg.operator
         irmb_cfg, plan = cfg._as_irmb(4, 4)
-        _, checks = fold_metered(block_stages(irmb_cfg, "", plan), rand_x(cfg), params, (4, 4))
+        stages = block_stages(irmb_cfg, "", plan)
+        _, checks = fold_metered(stages, rand_x(cfg), params, (4, 4))
         assert checks >= 6 * 5, cfg.operator
+        # the Q/K projections' lines sit on the qk stage, the attention matrix's on the mix
+        lines = {st.name: [ln.name for ln in st.lines(4, 4)] for st in stages}
+        if cfg.uses_attention:
+            assert lines["qk"] == ["q", "k"] and lines["mix"] == ["attn"], cfg.operator
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

@@ -24,7 +24,7 @@ from emo import (
 )
 from emo import autograd as ag
 from emo.autograd import conv2d, mean_hw
-from emo.model import model_stages
+from emo.model import model_stages, stages_through
 
 TINY = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0), num_classes=10)
 
@@ -243,6 +243,15 @@ def test_stage_features_stop_at_the_requested_stage():
     with cost_meter() as last:
         stage_features(model, x, 4)
     assert first.macs < last.macs < full.macs  # the head never runs
+
+
+def test_the_stage_list_is_built_once_per_config():
+    cfg = dataclasses.replace(TINY, windows=(7, 7, 3, 3))
+    stages = model_stages(cfg)
+    assert isinstance(stages, tuple) and model_stages(cfg) is stages
+    assert model_stages(dataclasses.replace(TINY, windows=(7, 7, 3, 3))) is not stages  # a config of its own
+    assert stages_through(cfg, 4) == stages[:-1]
+    assert stages_through(cfg, 1) == stages[:1 + sum(st.name.startswith("s1.") for st in stages)]
 
 
 def test_weights_are_read_only():
