@@ -541,20 +541,28 @@ def _crop_boxes(stage, changed: np.ndarray):
     window grid, then grows by the conv radius, clipped to the map, so it is
     the bounding box of `_reach(changed, [stage])`. The second is that box
     plus the conv's halo, the crop of the input that computes it.
+
+    A padded crop one window column wide tiles into a view, where a map of
+    several window columns tiles into a copy, and on a view the value
+    product can round differently. So on such a map, such a box takes the
+    next window column, or at the right edge the previous one.
     """
     ys, xs = np.nonzero(changed)
     if not ys.size:
         return None
+    (h, w), win = changed.shape, stage.window
+    y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs.min(), xs.max() + 1
+    if win:
+        y0, y1, x0, x1 = y0 - y0 % win, min(y1 + -y1 % win, h), x0 - x0 % win, min(x1 + -x1 % win, w)
+        if x1 - x0 <= win < w and ((y1 - y0) % win or (x1 - x0) % win):
+            x0, x1 = (x0 - win, x1) if x1 == w else (x0, min(x1 + win, w))
     halo = (stage.conv.kernel - 1) // 2 if stage.conv else 0
 
     def span(lo, hi, size):
-        if stage.window:
-            lo, hi = lo - lo % stage.window, hi + -hi % stage.window
         lo, hi = max(lo - halo, 0), min(hi + halo, size)
         return lo, hi, max(lo - halo, 0), min(hi + halo, size)
 
-    (y0, y1, cy0, cy1), (x0, x1, cx0, cx1) = (span(ys[0], ys[-1] + 1, changed.shape[0]),
-                                              span(xs.min(), xs.max() + 1, changed.shape[1]))
+    (y0, y1, cy0, cy1), (x0, x1, cx0, cx1) = span(y0, y1, h), span(x0, x1, w)
     return (y0, y1, x0, x1), (cy0, cy1, cx0, cx1)
 
 
@@ -715,8 +723,8 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
     buffers, which the stages read from a closure. A target is an input
     stage followed by its stage list: `model.model_stages`,
     `irmb.block_stages`, or one conv stage. Each is the `Stage` record it
-    was, names, `elementwise` and `local` flags included, reading its
-    parameters through that closure.
+    was, names, windows, convs and `elementwise` flags included, reading
+    its parameters through that closure.
     """
     if isinstance(target, EMOModel):
         check_resolution(target.cfg, h, w)

@@ -12,11 +12,12 @@ degenerates to a pure MLP block, conv only is an IRB, attention only is a
 windowed transformer block, both on is the full cascade.
 
 `block_forward` is the one block core, for this block and the meta mobile
-block (mmb.py) alike: next to the config it takes a plan saying where the
-attention matrix mixes and whether the depth-wise conv keeps its inner skip.
+block (mmb.py) alike: next to the config it takes a plan saying which stage
+the attention follows and whether the depth-wise conv keeps its inner skip.
 It folds the input through `block_stages`, the block as an ordered list of
 named stages, each carrying the cost lines it executes: the model's stage
-list, the cost counter and gradient checking read the same list.
+list, the cost counter and gradient checking read the same list. EW-MHSA
+runs only as its qk + mix stage pair, which `ew_mhsa` folds too.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -203,50 +204,31 @@ def _norm(x, kind, params, key):
     return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
-def _qk(u, cfg: IRMBConfig, params, prefix):
-    """(Q, K): the two 1x1 projections of the unexpanded u."""
-    specs = cfg.conv_specs()
-    return tuple(T.conv2d(u, params[prefix + p + ".w"], specs[p], params[prefix + p + ".b"]) for p in ("q", "k"))
-
-
-def _windowed_mix(q, k, v, cfg: IRMBConfig):
-    """Windowed attention from Q/K multiplied into v (any width): partition, masked attention, merge."""
-    n = T.val(q).shape[0]
-    qt, layout = window_partition(q, cfg.window, cfg.num_heads)
-    kt, _ = window_partition(k, cfg.window, cfg.num_heads)
-    attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(q).dtype))
-    vt, _ = window_partition(v, cfg.window, cfg.num_heads)
-    return window_merge(mix_values(attn, vt), layout, n)
-
-
-def _attention_mix(u, v, cfg: IRMBConfig, params, prefix):
-    """Attention from Q/K of the unexpanded u, multiplied into v (any width)."""
-    return _windowed_mix(*_qk(u, cfg, params, prefix), v, cfg)
+def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
+    """The iRMB's plan: EW-MHSA after pre_norm or expand (`attn_first`, by `attn_pre_expand`), else
+    after the conv (the activation without one); the inner skip wherever the conv keeps the resolution."""
+    attn_at = None
+    if cfg.enable_attn and cfg.attn_first:
+        attn_at = "pre_norm" if cfg.attn_pre_expand else "expand"
+    elif cfg.enable_attn:
+        attn_at = "depthwise" if cfg.enable_conv else "act"
+    return attn_at, cfg.stride == 1
 
 
 def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
     """Expanded-window attention stage: unexpanded Q/K, expanded values.
 
-    Returns the expanded features (cfg.mid channels) at the input resolution.
+    Returns the expanded features (cfg.mid channels) at the input resolution,
+    folding the block's qk, mix and expand stages from the state (x, x, x).
     With `attn_pre_expand` the per-head attention matrices multiply the raw
     head slices of x and the expansion MLP runs afterwards; otherwise the
     expansion runs first and attention mixes its output.
     """
     if not cfg.enable_attn:
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
-    spec = cfg.conv_specs()["expand"]
-    if cfg.attn_pre_expand:
-        mixed = _attention_mix(x, x, cfg, params, prefix)
-        return T.conv2d(mixed, params[prefix + "expand.w"], spec, params[prefix + "expand.b"])
-    v = T.conv2d(x, params[prefix + "expand.w"], spec, params[prefix + "expand.b"])
-    return _attention_mix(x, v, cfg, params, prefix)
-
-
-def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
-    """The iRMB's plan: attention in the expansion stage (`attn_first`) or
-    after the conv; the inner skip wherever the conv keeps the resolution."""
-    attn_at = ("expand" if cfg.attn_first else "conv") if cfg.enable_attn else None
-    return attn_at, cfg.stride == 1
+    names = {prefix + name for name in ("qk", "mix", "expand")}
+    stages = block_stages(cfg, prefix, block_plan(replace(cfg, attn_first=True)))
+    return run_stages([st for st in stages if st.name in names], (x, x, x), params)[-1]
 
 
 @dataclass(frozen=True)
@@ -256,8 +238,8 @@ class Stage:
     `lines` defaults to none, for the stages of a gradient check, which
     nothing counts. `conv` is the stage's spatial conv (the stem's or the
     depth-wise one), from which `out_hw` follows, and `window` the attention
-    window of a stage that mixes positions (EW-MHSA's expansion or a mix);
-    None where there is none. The structural analyses read only these two.
+    window of a stage that mixes positions (an EW-MHSA mix); None where there
+    is none. The structural analyses read only these two.
 
     An `elementwise` stage reads no parameter and maps the last entry of its
     tuple state entry by entry, so that entry's value at one position depends
@@ -267,20 +249,21 @@ class Stage:
     outputs bit for bit, which lets a caller that kept an earlier call's
     input and output recompute only the entries whose input changed.
 
-    A `local` stage, too, writes only the last entry of its tuple state. It
-    computes each position of that entry from the position's footprint: the
-    `window` that holds it, or the k x k neighbourhood of its stride-1
-    `conv`. It runs no BLAS contraction over the map: the depth-wise conv,
-    norms and activations work position by position, and the attention
-    products are one matrix product per window and head, each of one
-    window's shape. So its call on views of any crop of the state that
-    contains a position's footprint (whole windows, or the conv's halo)
-    gives that position's bits, and a caller that kept an earlier call's
-    input state and output can rerun only the crop that a change reaches.
-    Contractions over channels (the 1x1 expand, shrink and Q/K projections,
-    the stem) are never local: BLAS blocks such a product by the shape of
-    the whole map, so one pixel's output computed on a crop can differ in
-    its last bits from the same pixel's on the whole map.
+    A `local` stage, one with a window or a stride-1 depth-wise conv, too,
+    writes only the last entry of its tuple state. It computes each position
+    of that entry from the position's footprint: the `window` that holds it,
+    or the k x k neighbourhood of its stride-1 `conv`. It runs no BLAS
+    contraction over the map: the depth-wise conv, norms and activations
+    work position by position, and the attention products are one matrix
+    product per window and head, each of one window's shape. So its call on
+    views of any crop of the state that contains a position's footprint
+    (whole windows, or the conv's halo) gives that position's bits, bar one
+    padded crop that `analysis._crop_boxes` avoids, and a caller that kept
+    an earlier call's input state and output can rerun only the crop that a
+    change reaches. Contractions over channels (the 1x1 expand, shrink and
+    Q/K projections, the stem) are never local: BLAS blocks such a product
+    by the shape of the whole map, so one pixel's output computed on a crop
+    can differ in its last bits from the same pixel's on the whole map.
     """
 
     name: str
@@ -289,10 +272,13 @@ class Stage:
     conv: ConvSpec | None = None
     window: int | None = None
     elementwise: bool = False
-    local: bool = False
 
     def __call__(self, state, params):
         return self.fn(state, params)
+
+    @property
+    def local(self) -> bool:
+        return self.window is not None or (self.conv is not None and self.conv.depthwise and self.conv.stride == 1)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         return self.conv.out_hw(h, w) if self.conv else (h, w)
@@ -301,25 +287,22 @@ class Stage:
 def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list[Stage]:
     """The block as its one ordered list of named, costed stages; `block_forward` folds over it.
 
-    Pre-norm maps the block input x to the state (x, u, None), the stages
-    after it map (x, u, v) to (x, u, v'), and shrink + residual maps it to
-    the block's output: u is the pre-normed input that Q/K read, v the
-    running features. The qk stage replaces u by the projections (q, k) that
-    the windowed mix after it reads, and the stages after it pass them on.
-    The stages, named `prefix` + pre_norm, expand (EW-MHSA when attn_at is
-    "expand"), norm_e, act, qk and mix (at "act"), depthwise, qk and mix (at
-    "conv") and shrink, leave out the qk, mix or depth-wise stages that
-    `plan` or the config leaves out. The mix and the stride-1 depth-wise
-    stage are `local`. Stages read parameters only through their
-    mapping argument, so a caller that logs the reads learns which stage
-    first reads a leaf. A fold drops each state when the next one is made,
-    so norm_e and the activation are two stages: as one, the expansion's
-    output would stay alive through the activation.
+    The stages, named `prefix` + pre_norm, expand, norm_e, act, depthwise
+    (if the config has the conv) and shrink, come in that order. Pre-norm
+    maps the block input x to the state (x, u, u), the stages after it map
+    (..., v) to (..., v'), and shrink + residual maps it to the block's
+    output: u is the pre-normed input that Q/K read, v the running
+    features. EW-MHSA is the pair qk, which replaces u by its projections
+    (q, k), and mix, which multiplies their windowed attention into v; the
+    stages after it pass q and k on. Stages read parameters only through
+    their mapping argument, so a caller that logs the reads learns which
+    stage first reads a leaf. A fold drops each state when the next one is
+    made, so norm_e and the activation are two stages: as one, the
+    expansion's output would stay alive through the activation.
 
-    `plan` is (attn_at, inner_skip). attn_at is "expand" (EW-MHSA is the
-    expansion stage), "act" (mix the activated expansion), "conv" (mix the
-    depth-wise stage's output) or None; inner_skip adds the depth-wise
-    stage's input to its output.
+    `plan` is (attn_at, inner_skip). attn_at names the stage the qk + mix
+    pair follows (pre_norm, expand, act or depthwise), or is None for no
+    attention; inner_skip adds the depth-wise stage's input to its output.
     """
     attn_at, inner_skip = plan
     specs = cfg.conv_specs()
@@ -332,27 +315,33 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         return T.conv2d(t, params[prefix + name + ".w"], specs[name], params[prefix + name + ".b"])
 
     def pre_norm(x, params):
-        return x, _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre"), None
+        u = _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre")
+        return x, u, u
 
     def expand(state, params):
-        x, u, _ = state
-        return x, u, ew_mhsa(u, cfg, params, prefix) if attn_at == "expand" else conv("expand", u, params)
+        *rest, v = state
+        return (*rest, conv("expand", v, params))
 
     def norm_e(state, params):
-        x, u, v = state
-        return x, u, _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e")
+        *rest, v = state
+        return (*rest, _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e"))
 
     def act(state, params):
-        x, u, v = state
-        return x, u, T.activate(v, cfg.expand_act_kind)
+        *rest, v = state
+        return (*rest, T.activate(v, cfg.expand_act_kind))
 
     def qk(state, params):
         x, u, v = state
-        return (x, *_qk(u, cfg, params, prefix), v)
+        return x, conv("q", u, params), conv("k", u, params), v
 
     def mix(state, params):
         x, q, k, v = state
-        return x, q, k, _windowed_mix(q, k, v, cfg)
+        n = T.val(q).shape[0]
+        qt, layout = window_partition(q, cfg.window, cfg.num_heads)
+        kt, _ = window_partition(k, cfg.window, cfg.num_heads)
+        attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(q).dtype))
+        vt, _ = window_partition(v, cfg.window, cfg.num_heads)
+        return x, q, k, window_merge(mix_values(attn, vt), layout, n)
 
     def depthwise(state, params):
         *rest, v = state
@@ -372,15 +361,11 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
     def qk_lines(h, w):
         return [specs[p].cost_line(prefix + p, "attention", h, w) for p in ("q", "k")]
 
-    def attn_lines(h, w, c_v):
+    def attn_lines(h, w):
         layout = WindowLayout(h, w, cfg.window)
         pairs = layout.num_windows * layout.tokens_per_window ** 2  # query-key pairs, one head
+        c_v = cin if attn_at == "pre_norm" else mid  # the values' width before or after the expansion
         return [CostLine(prefix + "attn", "attention", macs=pairs * (cin + c_v), softmax_elems=cfg.num_heads * pairs)]
-
-    def expand_lines(h, w):
-        c_v = cin if cfg.attn_pre_expand else mid
-        mixed = [*qk_lines(h, w), *attn_lines(h, w, c_v)] if attn_at == "expand" else []
-        return [*mixed, specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)]
 
     def act_lines(h, w):
         return [CostLine(prefix + "act", mlp_cat, act_elems=mid * h * w)] if cfg.expand_act_kind != "none" else []
@@ -396,19 +381,18 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
                                           other_adds=cout * h * w if keep_residual else 0)]
 
-    mix_stages = [Stage(prefix + "qk", qk, qk_lines),
-                  Stage(prefix + "mix", mix, lambda h, w: attn_lines(h, w, mid), window=cfg.window, local=True)]
-    return [
+    stages = [
         Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
-        Stage(prefix + "expand", expand, expand_lines, window=cfg.window if attn_at == "expand" else None),
+        Stage(prefix + "expand", expand, lambda h, w: [specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)]),
         Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
         Stage(prefix + "act", act, act_lines, elementwise=True),
-        *(mix_stages if attn_at == "act" else []),
-        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"], local=cfg.stride == 1)]
-          if cfg.enable_conv else []),
-        *(mix_stages if attn_at == "conv" else []),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"])] if cfg.enable_conv else []),
         Stage(prefix + "shrink", shrink, shrink_lines),
     ]
+    if attn_at:
+        at = 1 + [st.name for st in stages].index(prefix + attn_at)  # ValueError for a stage the block lacks
+        stages[at:at] = [Stage(prefix + "qk", qk, qk_lines), Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
+    return stages
 
 
 def run_stages(stages, state, params):

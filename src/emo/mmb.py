@@ -27,13 +27,13 @@ from .autograd import val
 from .irmb import IRMBConfig, block_forward, irmb_init_params
 from .tensor import Rng
 
-# operator -> (where attention mixes, depth-wise inner skip); see irmb.block_forward
+# operator -> (the stage attention follows, depth-wise inner skip); see irmb.block_stages
 _PLANS = {
     "identity": (None, False),
     "dwconv": (None, False),
     "ewmhsa": ("act", False),
     "ewmhsa_dwconv": ("act", True),
-    "dwconv_ewmhsa": ("conv", True),
+    "dwconv_ewmhsa": ("depthwise", True),
 }
 OPERATORS = tuple(_PLANS)
 

@@ -457,6 +457,10 @@ _CHECK_TARGETS = {
     "mmb-dwconv-k5": lambda: MMBConfig(8, 2.0, operator="dwconv", kernel=5, **_MMB_BINDINGS),
     "irmb-k5-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=3, heads=2, attn_first=False),
     "irmb-k5-attn-first": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=4, heads=2),
+    # value heads 4 wide: a padded crop one window column wide tiles into a
+    # view, on which the value product can round differently
+    "mmb-ewmhsa-padded-narrow-heads": lambda: MMBConfig(8, 1.0, operator="ewmhsa", window=4, heads=2,
+                                                        pre_norm="layernorm", expand_act="gelu"),
 }
 # map sizes of the targets that must rerun some local stage on a crop; the rest run at 6x6
 _CROP_HW = {
@@ -467,6 +471,9 @@ _CROP_HW = {
     "mmb-dwconv-k5": (11, 13),
     "irmb-k5-attn-after-conv": (9, 9),
     "irmb-k5-attn-first": (16, 16),
+    "irmb-attn-first": (9, 12),
+    "irmb-post-expand": (9, 12),
+    "mmb-ewmhsa-padded-narrow-heads": (6, 6),
 }
 
 
@@ -558,14 +565,16 @@ def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
     # a probe stage marks the positions it ran on; _rerun_local pastes exactly
     # the bounding box of the reach of the changed positions, unless its crop
     # (that box plus the conv's halo) covers more than half the map, when the
-    # stage runs whole
+    # stage runs whole. A window box one window column wide that needs padding
+    # takes the next window column, or the previous one at the right edge
     h, w, c = 23, 30, 3
     conv = ConvSpec(c, c, kernel=kernel, padding=(kernel - 1) // 2, groups=c) if kernel else None
-    probe = Stage("probe", lambda s, p: (*s[:-1], np.ones_like(s[-1])), conv=conv, window=window, local=True)
+    probe = Stage("probe", lambda s, p: (*s[:-1], np.ones_like(s[-1])), conv=conv, window=window)
+    assert probe.local
     halo = (kernel - 1) // 2 if kernel else 0
     base_in, base_out = np.zeros((1, c, h, w)), np.zeros((1, c, h, w))
     gen = np.random.default_rng([window or 0, kernel or 0])
-    cropped = 0
+    cropped = widened = 0
     for _ in range(60):
         y0, x0 = gen.integers(h), gen.integers(w)
         y1, x1 = y0 + 1 + gen.integers(min(h - y0, 9)), x0 + 1 + gen.integers(min(w - x0, 9))
@@ -578,6 +587,9 @@ def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
         out = analysis._rerun_local(probe, (x,), {}, (base_in,), base_out)[-1]
         assert out.shape == base_out.shape and not base_out.any()
         b0, b1, a0, a1 = _box(analysis._reach(mask, [probe]))
+        if window and a1 - a0 <= window < w and ((b1 - b0) % window or (a1 - a0) % window):
+            a0, a1 = (a0 - window, a1) if a1 == w else (a0, min(a1 + window, w))
+            widened += 1
         crop = (min(b1 + halo, h) - max(b0 - halo, 0)) * (min(a1 + halo, w) - max(a0 - halo, 0))
         if 2 * crop > h * w:
             assert out.all()
@@ -586,6 +598,7 @@ def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
         assert _box(out.any(axis=(0, 1))) == (b0, b1, a0, a1)
         assert out[..., b0:b1, a0:a1].all() and out.sum() == c * (b1 - b0) * (a1 - a0)
     assert cropped >= 30
+    assert widened > 0 or window in (None, 1)  # the map's 23 rows pad under windows of 2, 3 and 7
     # no change: the kept output, copied
     out = analysis._rerun_local(probe, (base_in.copy(),), {}, (base_in,), base_out)[-1]
     assert out is not base_out and not out.any()

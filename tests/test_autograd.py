@@ -8,7 +8,7 @@ import pytest
 from emo import EMOVariantConfig, IRMBConfig, build_emo, emo_forward, ops, random_block_params
 from emo import autograd as T
 from emo.attention import window_merge, window_partition
-from emo.irmb import _attention_mix
+from emo.irmb import block_plan, block_stages, run_stages
 from emo.ops import ConvSpec
 from test_ops import VJP_FORMULAS
 
@@ -85,14 +85,16 @@ def _recorded_nodes(root: T.Var) -> int:
 
 @pytest.mark.parametrize("hw,nodes", [((5, 7), 12), ((4, 4), 11)], ids=["padded", "unpadded"])
 def test_attention_mix_records_one_node_per_window_map(hw, nodes):
-    # q and k convs, three partitions, k's transpose, the logit matmul and
-    # scale, the key-padding add (padded maps only), softmax, the value
-    # matmul and one merge: no head split or merge on the tape
+    # the block's qk + mix stages: q and k convs, three partitions, k's
+    # transpose, the logit matmul and scale, the key-padding add (padded maps
+    # only), softmax, the value matmul and one merge: no head split or merge
+    # on the tape
     cfg = IRMBConfig(8, 8, 2.0, window=4, heads=2)
     params = {k: T.Var(v) for k, v in random_block_params(cfg, 0).items()}
     rng = np.random.default_rng(3)
     u, v = T.Var(rng.normal(size=(1, 8, *hw))), T.Var(rng.normal(size=(1, 16, *hw)))
-    assert _recorded_nodes(_attention_mix(u, v, cfg, params, "")) == nodes
+    qk, mix = [st for st in block_stages(cfg, "", block_plan(cfg)) if st.name in ("qk", "mix")]
+    assert _recorded_nodes(run_stages([qk, mix], (None, u, v), params)[-1]) == nodes
 
 
 def test_mean_hw_gradient_spreads_uniformly():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from emo import MMBConfig, Rng, cost_meter, count_costs, mmb_forward, mmb_init_params, mmb_instantiate
+from emo import (IRMBConfig, MMBConfig, Rng, cost_meter, count_costs, irmb_forward, mmb_forward, mmb_init_params,
+                 mmb_instantiate, random_block_params)
 from emo import autograd as ag, ops
+from emo.irmb import block_plan, block_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 
@@ -142,11 +144,9 @@ def test_config_json_round_trip_and_strictness():
 
 
 def test_executed_work_matches_static_count(fold_metered):
-    # closes the oracle loop: closed form == static walk == metered execution
-    from emo import cost_meter
-    from emo.irmb import block_stages
-
-    for cfg in (
+    # closes the oracle loop: closed form == static walk == metered execution,
+    # for the MMB operators and the iRMB plans (5x5 under 2x2 windows pads them)
+    mmbs = (
         MMBConfig(8, 1.0, operator="ewmhsa", heads=1),
         MMBConfig(8, 2.0, operator="ewmhsa_dwconv", window=2, heads=2,
                   pre_norm="layernorm", expand_act="gelu",
@@ -155,26 +155,40 @@ def test_executed_work_matches_static_count(fold_metered):
         *(MMBConfig(8, 2.0, operator=op, window=2, heads=2, pre_norm="layernorm",
                     expand_norm="layernorm", expand_act="gelu",
                     operator_norm="layernorm", operator_act="silu") for op in OPERATORS),
-    ):
-        params = build(cfg)
+    )
+    irmbs = (
+        IRMBConfig(8, 8, 2.0, window=2, heads=2),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_pre_expand=False),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_first=False),
+        IRMBConfig(8, 16, 2.0, window=2, heads=2, stride=2, expand_groups=2),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, enable_conv=False, attn_first=False),
+        IRMBConfig(8, 8, 2.0, enable_attn=False),
+    )
+    cases = [(cfg, 4, build(cfg), mmb_forward, *cfg._as_irmb(4, 4)) for cfg in mmbs]
+    cases += [(cfg, 5, random_block_params(cfg, 0), irmb_forward, cfg, block_plan(cfg)) for cfg in irmbs]
+    for cfg, res, params, forward, irmb_cfg, plan in cases:
+        x = Rng(1).normal("x", (1, irmb_cfg.in_channels, res, res), precision="f64")
         with cost_meter() as m:
-            mmb_forward(rand_x(cfg), cfg, params)
-        rep = count_costs(cfg, 4)
-        assert m.macs == rep.contraction_macs, cfg.operator
-        assert m.flops == rep.flops, cfg.operator
-        assert m.softmax_elems == rep.softmax_elems, cfg.operator
-        assert m.bias_adds == rep.bias_adds, cfg.operator
-        assert m.norm_elems == rep.norm_elems, cfg.operator
-        assert m.act_elems == rep.act_elems, cfg.operator
-        assert m.other_adds == rep.other_adds, cfg.operator
-        irmb_cfg, plan = cfg._as_irmb(4, 4)
+            forward(x, cfg, params)
+        rep = count_costs(cfg, res)
+        assert m.macs == rep.contraction_macs, cfg
+        assert m.flops == rep.flops, cfg
+        assert m.softmax_elems == rep.softmax_elems, cfg
+        assert m.bias_adds == rep.bias_adds, cfg
+        assert m.norm_elems == rep.norm_elems, cfg
+        assert m.act_elems == rep.act_elems, cfg
+        assert m.other_adds == rep.other_adds, cfg
         stages = block_stages(irmb_cfg, "", plan)
-        _, checks = fold_metered(stages, rand_x(cfg), params, (4, 4))
-        assert checks >= 6 * 5, cfg.operator
-        # the Q/K projections' lines sit on the qk stage, the attention matrix's on the mix
-        lines = {st.name: [ln.name for ln in st.lines(4, 4)] for st in stages}
-        if cfg.uses_attention:
-            assert lines["qk"] == ["q", "k"] and lines["mix"] == ["attn"], cfg.operator
+        _, checks = fold_metered(stages, x, params, (res, res))
+        assert checks >= 6 * 5, cfg
+        # the Q/K projections' lines sit on the qk stage, the attention matrix's
+        # on the mix, and the expansion stage runs only its conv
+        lines = {st.name: [ln.name for ln in st.lines(res, res)] for st in stages}
+        assert lines["expand"] == ["expand"], cfg
+        if irmb_cfg.enable_attn:
+            assert lines["qk"] == ["q", "k"] and lines["mix"] == ["attn"], cfg
+        else:
+            assert "qk" not in lines and "mix" not in lines, cfg
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

@@ -138,7 +138,8 @@ def test_forward_trace_matches_static_count_every_preset_at_224(name, fold_meter
     # stage by stage, on every meter field, each stage's meter nested in the whole fold's
     with cost_meter() as meter:
         folded, checks = fold_metered(stages, x, model.params, (224, 224))
-    assert checks == 6 * len(stages) == 6 * (2 + 6 * len(model.cfg.blocks))
+    # the stem, the head, six stages per block and the qk + mix pair of each attention block
+    assert checks == 6 * len(stages) == 6 * (2 + sum(6 + 2 * bcfg.enable_attn for *_, bcfg in model.cfg.blocks))
     rep = count_costs(preset(name), 224)
     _assert_meter_equals_static(meter, rep, batch=1)
     assert meter.flops == rep.flops
