@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import binary_dilation
@@ -322,13 +322,14 @@ class MPLReport:
 def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     """Blocks needed for corner-to-corner influence, plus the closed form.
 
+    That path needs two corners, so a resolution below 2 raises ValueError.
     The simulation propagates influence through the actual block structure
     (partitioned windows, conv dilation). The closed forms are order-of-
     growth ceilings; the partitioned-window cascade can exceed its quoted
     ceiling, which the report makes visible rather than hiding.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2 for a corner-to-corner path, got {resolution}")
     stages = _stack_stages([cfg])
     W = resolution
     k, w = cfg.kernel, cfg.window
@@ -435,8 +436,9 @@ def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: st
 
     Every leaf becomes a Var, every stage runs on them, and `backward` runs
     with a cotangent drawn from the named stream `cot_name` and scaled by
-    1/sqrt(its size). The tape dies on return, so it is not held while the
-    perturbed forwards run.
+    1/sqrt(its size). A batchnorm buffer, which the stages read as a
+    constant, gets zeros. The tape dies on return, so it is not held while
+    the perturbed forwards run.
     """
     vars_ = {k: ag.Var(v) for k, v in leaves.items()}
     y = run_stages(stages, None, vars_)
@@ -474,42 +476,17 @@ class _Reads(Mapping):
         return len(self.leaves)
 
 
-def _resume_points(stages, leaves: dict, keys) -> tuple[dict, dict, dict, dict]:
-    """(start, kept, base, readers) for resuming the forwards of `_tape_rel_err`.
+def _plain_pass(stages, leaves: dict) -> tuple[list, dict]:
+    """(states, readers) of one plain (untaped) fold of `stages` on `leaves`.
 
-    start maps each key in `keys` to the index of the first stage that reads
-    it, readers to the indices of every stage that reads it, and kept maps
-    each first reader's index to that stage's input state, all from one
-    plain (untaped) pass of the stages on `leaves`. base maps the index of
-    each elementwise or local stage (`Stage.elementwise`, `Stage.local`)
-    that some key's resumed forward runs through after that key's first
-    reader, to what the same pass gave it: for an elementwise stage the last
-    entries of its input and output states, for a local stage its whole
-    input state and the last entry of its output. A key that no stage reads
-    resumes at len(stages), from the output, so its perturbation changes
-    nothing. A one-stage list needs no pass: every key resumes at 0, from
-    the state None, and neither does an empty `keys`.
+    states[i] is stage i's input state, from None, and states[-1] the
+    output; readers is what `_Reads` logged.
     """
-    if len(stages) == 1 or not keys:
-        return dict.fromkeys(keys, 0), {0: None}, {}, {k: [0] for k in keys}
-    reads = _Reads(leaves)
-    kept, base, state = {}, {}, None
+    reads, states = _Reads(leaves), [None]
     for i, stage in enumerate(stages):
         reads.stage = i
-        resumed_through = any(k in reads.readers for k in keys)
-        out = stage(state, reads)
-        if any(reads.readers.get(k, [None])[0] == i for k in keys):
-            kept[i] = state
-        if resumed_through and stage.elementwise:
-            base[i] = state[-1], out[-1]
-        elif resumed_through and stage.local:
-            base[i] = state, out[-1]
-        state = out
-    readers = {k: reads.readers.get(k, []) for k in keys}
-    start = {k: r[0] if r else len(stages) for k, r in readers.items()}
-    if len(stages) in start.values():
-        kept[len(stages)] = state
-    return start, kept, base, readers
+        states.append(stage(states[-1], reads))
+    return states, reads.readers
 
 
 def _rerun_elementwise(stage, state, leafs, base_in, base_out):
@@ -601,19 +578,21 @@ def _rerun_local(stage, state, leafs, base_in, base_out):
     return (*rest, out)
 
 
-def _run_from(stages, i: int, state, leafs, base: dict, readers):
-    """Fold `state` through stages[i:] like `run_stages`, rerunning each
-    elementwise or local stage in `base` (see `_resume_points`) only where
-    its input changed. A stage in `readers`, the stages that read the
-    perturbed leaf, always runs whole: its parameters changed everywhere."""
+def _run_from(stages, i: int, states: list, leafs, readers):
+    """Fold states[i] through stages[i:] like `run_stages`, where `states`
+    is what a plain pass gave each stage (`_plain_pass`) and `readers` the
+    stages that read the perturbed leaf. A reader runs whole: its parameters
+    changed everywhere. Every other elementwise or local stage reruns only
+    where its input differs from its plain-pass input."""
+    state = states[i]
     for j in range(i, len(stages)):
         stage = stages[j]
-        if j not in base or j in readers:
+        if j in readers or not (stage.elementwise or stage.local):
             state = stage(state, leafs)
         elif stage.local:
-            state = _rerun_local(stage, state, leafs, *base[j])
+            state = _rerun_local(stage, state, leafs, states[j], states[j + 1][-1])
         else:
-            state = _rerun_elementwise(stage, state, leafs, *base[j])
+            state = _rerun_elementwise(stage, state, leafs, states[j][-1], states[j + 1][-1])
     return state
 
 
@@ -621,20 +600,21 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
     """(worst relative error of the tape gradients of `stages` against central differences, where).
 
     `stages` is a list of `Stage` records, folded from the state None to the
-    output; `_tape_gradients` gives the analytic side. Each (key, flat index)
-    in `coords` is then moved by +-step in a copy of its leaf, and each
-    difference resumes at the first stage that reads the key, from the input
-    state a plain pass kept (`_resume_points`): the stages before it would
-    recompute that state unchanged. On the way, an elementwise stage (the
-    blocks' activations) recomputes only the entries whose input differs in
-    its bits from that plain pass's (`_rerun_elementwise`), and a local
-    stage (a windowed mix, a stride-1 depth-wise stage) that does not read
-    the key only the crop of windows, or of conv footprints, that such
-    entries reach (`_rerun_local`). The contractions over channels rerun
-    whole, since on a crop their bits can differ. So every difference is
-    bit-identical to one over the whole forward. The kept states and
-    arrays come from that plain pass, never from the tape being checked,
-    and no difference writes into them.
+    output, that read every parameter from the one mapping `leaves`;
+    `_tape_gradients` gives the analytic side. Each (key, flat index) in
+    `coords` is then moved by +-step in a copy of its leaf, and each
+    difference resumes at the first stage that reads the key (a key that no
+    stage reads, at the output), from the list of states of one plain pass
+    (`_plain_pass`): the stages before it would recompute that state
+    unchanged. On the way, an elementwise stage (the blocks' activations)
+    recomputes only the entries whose input differs in its bits from that
+    pass's (`_rerun_elementwise`), and a local stage (a windowed mix, a
+    stride-1 depth-wise stage) that does not read the key only the crop of
+    windows, or of conv footprints, that such entries reach (`_rerun_local`).
+    The contractions over channels rerun whole, since on a crop their bits
+    can differ. So every difference is bit-identical to one over the whole
+    forward. The states come from that plain pass, never from the tape
+    being checked, and no difference writes into them.
     The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
     |analytic| entry), which keeps finite-difference roundoff on near-zero
     coordinates from dominating. "Where" is (key, flat index, name of the
@@ -642,11 +622,11 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
     or None for no coordinates.
     """
     analytic, cot = _tape_gradients(stages, leaves, rng, cot_name, precision)
-    start, kept, base, readers = _resume_points(stages, leaves, {key for key, _ in coords})
+    states, readers = _plain_pass(stages, leaves)
 
     def loss(key, leafs):
-        i = start[key]
-        return float((ag.val(_run_from(stages, i, kept[i], leafs, base, readers[key])) * cot).sum())
+        reads = readers.get(key, [len(stages)])
+        return float((ag.val(_run_from(stages, reads[0], states, leafs, reads)) * cot).sum())
 
     gmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in analytic.values())
     floor = 1e-4 * max(gmax, 1e-8)
@@ -664,7 +644,7 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
         an = float(analytic[key].reshape(-1)[idx])
         err = abs(an - fd) / max(abs(an), abs(fd), floor)
         if where is None or err > worst or math.isnan(err) > math.isnan(worst):  # a NaN error is the worst
-            reader = stages[start[key]].name if start[key] < len(stages) else None
+            reader = stages[readers[key][0]].name if key in readers else None
             worst, where = err, (key, int(idx), reader)
     return worst, where
 
@@ -716,19 +696,23 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     return results
 
 
+def _is_buffer(name: str) -> bool:
+    """Whether a leaf is a batchnorm buffer, which the stages read but no gradient flows to."""
+    return name.endswith((".mean", ".var"))
+
+
 def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -> tuple[str, list[Stage], dict]:
     """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
-    Leaves are "__input__" and every parameter except the batchnorm
-    buffers, which the stages read from a closure. A target is an input
-    stage followed by its stage list: `model.model_stages`,
-    `irmb.block_stages`, or one conv stage. Each is the `Stage` record it
-    was, names, windows, convs and `elementwise` flags included, reading
-    its parameters through that closure.
+    The leaves are one mapping: "__input__" and every parameter, the
+    batchnorm buffers (`_is_buffer`) included. The stages are an input stage
+    that reads "__input__", then the target's stage list: `model.model_stages`
+    itself, `irmb.block_stages`, or one conv stage. Each stage reads its
+    parameters from the mapping it is called with, as in the forward.
     """
     if isinstance(target, EMOModel):
         check_resolution(target.cfg, h, w)
-        name, params, body = target.cfg.name, dict(target.params), model_stages(target.cfg)
+        name, params, body = target.cfg.name, target.params, model_stages(target.cfg)
         cin, precision = IN_CHANNELS, target.precision  # the input in the model's precision
     elif isinstance(target, (IRMBConfig, MMBConfig)):
         name, cfg, plan = _block_of(target, h, w)
@@ -744,16 +728,7 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
     x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision=precision)
-
-    def is_buffer(name: str) -> bool:
-        return name.endswith(".mean") or name.endswith(".var")
-
-    leaves = {"__input__": x0, **{k: v for k, v in params.items() if not is_buffer(k)}}
-    buffers = {k: v for k, v in params.items() if is_buffer(k)}
-    stages = [Stage("input", lambda _, p: p["__input__"]), *body]
-    # a ChainMap reads each leaf through the stage's mapping, when the stage asks for it
-    return name, [replace(st, fn=lambda state, leafs, f=st.fn: f(state, ChainMap(leafs, buffers)))
-                  for st in stages], leaves
+    return name, [Stage("input", lambda _, p: p["__input__"]), *body], {"__input__": x0, **params}
 
 
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
@@ -761,18 +736,19 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     """Analytic VJP vs central finite differences on a random subsample.
 
     Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
-    the denominator (see `_tape_rel_err`). Each difference resumes at the
-    first stage of the target that reads the perturbed leaf, from a state
-    kept by one plain forward, so a model's or block's differences skip the
-    stages before that reader. After it, each block's activation recomputes
-    only the entries whose input changed, and each windowed mix and stride-1
-    depth-wise stage that does not read the leaf only the windows or conv
-    footprints those entries reach; the rest comes from that plain forward.
-    Every difference is bit-identical to one over the whole forward. The
-    report names the worst coordinate and the stage that first reads its
-    leaf. A step that is not a finite number > 0, a negative `num_coords`
-    and an `input_hw` that is not a positive (height, width) raise
-    ValueError.
+    the denominator (see `_tape_rel_err`). Coordinates are drawn from every
+    leaf of the one mapping the stages read (`_check_target`) but the
+    batchnorm buffers. Each difference resumes at the first stage that reads
+    the perturbed leaf, from the list of states of one plain forward, so a
+    model's or block's differences skip the stages before it. After it,
+    each block's activation recomputes only the entries whose input
+    changed, and each windowed mix and stride-1 depth-wise stage that does
+    not read the leaf only the windows or conv footprints those entries
+    reach; the rest comes from that plain forward. Every difference is
+    bit-identical to one over the whole forward. The report names the worst
+    coordinate and the stage that first reads its leaf. A step that is not
+    a finite number > 0, a negative `num_coords` and an `input_hw` that is
+    not a positive (height, width) raise ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")
@@ -785,7 +761,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     name, stages, leaves = _check_target(target, seed, rng, h, w, precision)
 
     # coordinate sample
-    names = sorted(leaves)
+    names = sorted(k for k in leaves if not _is_buffer(k))
     sizes = np.array([leaves[k].size for k in names])
     total = int(sizes.sum())
     picker = rng.stream("gradcheck.coords")

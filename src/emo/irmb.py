@@ -235,8 +235,10 @@ def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
 class Stage:
     """A named fold step, called as stage(state, params), with the cost lines it runs on an h x w map.
 
-    `lines` defaults to none, for the stages of a gradient check, which
-    nothing counts. `conv` is the stage's spatial conv (the stem's or the
+    `lines` defaults to none, for the stages that only a gradient check
+    builds and nothing counts: its input stage, and a primitive's or a bare
+    conv's one stage. A model's or block's stages are checked as they are,
+    lines included. `conv` is the stage's spatial conv (the stem's or the
     depth-wise one), from which `out_hw` follows, and `window` the attention
     window of a stage that mixes positions (an EW-MHSA mix); None where there
     is none. The structural analyses read only these two.

@@ -306,6 +306,17 @@ def test_cascade_beats_conv_only_whenever_window_exceeds_one():
                 assert casc.empirical < conv.empirical, (k, w, W)
 
 
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+@pytest.mark.parametrize("cfg", [IRMBConfig(4, 4, 1.0, kernel=1, enable_attn=False),
+                                 IRMBConfig(4, 4, 1.0, kernel=3, window=2, heads=1)], ids=["conv-k1", "cascade"])
+def test_path_length_needs_two_corners(cfg, resolution):
+    # a 1x1 map has one corner: a k=1 conv once read empirical=1, reachable,
+    # next to its O(Inf) closed form
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        max_path_length(cfg, resolution)
+    assert max_path_length(cfg, 2).empirical == (None if cfg.kernel == 1 else 1)
+
+
 @pytest.mark.parametrize("stack, match", [
     ([IRMBConfig(4, 4, 1.0, enable_attn=False, stride=2)], "stride-1"),  # mpl once gave 7, the stride-1 answer
     ([IRMBConfig(4, 8, 1.0, enable_attn=False)], "channel-preserving"),
@@ -511,48 +522,44 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precisi
     target = _grads_model(precision) if name == "model" else _CHECK_TARGETS[name]()
     hw = (32, 32) if isinstance(target, EMOModel) else _CROP_HW.get(name, (6, 6))
     _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, precision)
-    start, kept, base, readers = analysis._resume_points(stages, leaves, set(leaves))
+    states, readers = analysis._plain_pass(stages, leaves)
     # an input stage, then the model's, the block's or the conv's stages
     last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
-    assert start["__input__"] == 0 and start[last] == len(stages) - 1
-    assert set(kept) == set(start.values())
-    assert all(r[0] == start[k] for k, r in readers.items())
-    # every key's forward runs through every activation and local stage after the input stage
-    assert set(base) == {i for i, st in enumerate(stages) if st.elementwise or st.local}
-    assert bool(base) != (name == "conv")
+    assert readers["__input__"] == [0] and readers[last] == [len(stages) - 1]
+    assert len(states) == len(stages) + 1 and states[0] is None
     if name == "irmb-post-expand":
-        assert not any(a.flags.c_contiguous for i, (a, _) in base.items() if stages[i].elementwise)
-    for a in [a for st in kept.values() for a in _arrays(st)] + [a for pair in base.values() for a in _arrays(pair)]:
-        a.setflags(write=False)  # no resumed forward may write into a kept or base array
-    sample = Rng(1).normal("cot", np.shape(run_stages(stages, None, leaves)), precision=precision)
+        assert not any(states[i][-1].flags.c_contiguous for i, st in enumerate(stages) if st.elementwise)
+    for a in [a for st in states for a in _arrays(st)]:
+        a.setflags(write=False)  # no resumed forward may write into a plain-pass state
+    sample = Rng(1).normal("cot", np.shape(states[-1]), precision=precision)
     window = getattr(target, "window", None)
-    coords = [(key, 0) for key in leaves] + [("__input__", c * hw[0] * hw[1] % leaves["__input__"].size + p)
-                                             for c, p in enumerate(_edge_positions(*hw, window))]
+    coords = [(key, 0) for key in leaves if not analysis._is_buffer(key)]
+    coords += [("__input__", c * hw[0] * hw[1] % leaves["__input__"].size + p)
+               for c, p in enumerate(_edge_positions(*hw, window))]
     reran = cropped = 0
     for key, idx in coords:
+        i = readers[key][0]
         for step in (1e-5, -1e-5):
             pert = dict(leaves)
             pert[key] = leaves[key].copy()
             pert[key].reshape(-1)[idx] += step
             state = None
-            for i, stage in enumerate(stages):
-                if i in kept and i <= start[key]:
-                    assert _same_state(state, kept[i]), (key, i)
+            for j, stage in enumerate(stages):
+                if j <= i:
+                    assert _same_state(state, states[j]), (key, j)
                 state = stage(state, pert)
-            i = start[key]
             with cost_meter() as whole:
-                assert _same_state(run_stages(stages[i:], kept[i], pert), state), key
+                assert _same_state(run_stages(stages[i:], states[i], pert), state), key
             with cost_meter() as resumed:
-                out = analysis._run_from(stages, i, kept[i], pert, base, readers[key])
+                out = analysis._run_from(stages, i, states, pert, readers[key])
             assert _same_state(out, state), (key, idx)
             assert float((out * sample).sum()).hex() == float((state * sample).sum()).hex(), (key, idx)
             reran += resumed.act_elems < whole.act_elems
             cropped += resumed.softmax_elems < whole.softmax_elems or resumed.macs < whole.macs
     assert reran > 0 or not any(st.elementwise for st in stages)  # some activation reran only its changed entries
     assert cropped > 0 or name not in _CROP_HW  # some local stage reran on a crop
-    # no resumed forward wrote into a kept state
-    again = analysis._resume_points(stages, leaves, set(leaves))[1]
-    assert all(_same_state(kept[i], again[i]) for i in kept)
+    # no resumed forward wrote into a plain-pass state
+    assert all(map(_same_state, states, analysis._plain_pass(stages, leaves)[0]))
 
 
 def _box(mask):
@@ -639,25 +646,27 @@ def test_elementwise_rerun_counts_flipped_zeros_and_nans_as_changed(kind, precis
     assert got[2].tobytes() == act((x, u, -base_in), {})[-1].tobytes()
 
 
-def test_resume_points_of_unread_leaves_and_one_stage_lists():
-    leaves = {"a": np.ones(2), "b": np.full(2, 2.0), "c": np.zeros(2)}
-    stages = [Stage("a", lambda _, p: (p["a"] * 3.0,)),
-              Stage("neg", lambda s, p: (-s[-1],), elementwise=True),
-              Stage("b", lambda s, p: s[-1] + p.get("b"))]
-    start, kept, base, readers = analysis._resume_points(stages, leaves, {"a", "b", "c"})
-    assert start == {"a": 0, "b": 2, "c": 3}  # nothing reads c: it resumes after the last stage
-    assert readers == {"a": [0], "b": [2], "c": []}
-    assert kept[0] is None and kept[2][0].tolist() == [-3.0, -3.0] and kept[3].tolist() == [-1.0, -1.0]
-    assert [a.tolist() for a in base[1]] == [[3.0, 3.0], [-3.0, -3.0]]
-    start, kept, base, _ = analysis._resume_points(stages, leaves, {"b"})
-    # only the states some key resumes from, and no activation that no resumed forward runs
-    assert start == {"b": 2} and list(kept) == [2] and base == {}
+def test_plain_pass_lists_states_and_readers_and_an_unread_leaf_resumes_from_the_output():
+    leaves = {"a": np.ones(2), "b": np.full(2, 4.0), "c": np.zeros(2)}
+    calls = []
 
-    def unrun(state, p):
-        raise AssertionError("a one-stage list needs no plain pass")
+    def stage(name, fn, **kwargs):
+        return Stage(name, lambda s, p: calls.append(name) or fn(s, p), **kwargs)
 
-    assert analysis._resume_points([Stage("x", unrun)], leaves, {"a", "c"}) == (
-        {"a": 0, "c": 0}, {0: None}, {}, {"a": [0], "c": [0]})
+    stages = [stage("a", lambda _, p: (ag.scale(p["a"], 3.0),)),
+              stage("neg", lambda s, p: (ag.scale(s[-1], -1.0),), elementwise=True),
+              stage("b", lambda s, p: ag.add(s[-1], ag.add(p.get("b"), p["a"])))]
+    states, readers = analysis._plain_pass(stages, leaves)
+    assert readers == {"a": [0, 2], "b": [2]}  # [] and get read, once per stage; nothing reads c
+    assert states[0] is None and states[1][0].tolist() == [3.0, 3.0] and states[2][0].tolist() == [-3.0, -3.0]
+    assert states[3].tolist() == [2.0, 2.0]  # the output
+    # after the taped and the plain pass, each difference runs the stages from
+    # the key's first reader on: an unread key's none, from the output
+    for key, ran, reader in (("c", [], None), ("b", ["b"], "b"), ("a", ["a", "neg", "b"], "a")):
+        calls.clear()
+        worst, where = analysis._tape_rel_err(stages, leaves, Rng(0), "cot", "f64", [(key, 1)], 1e-5)
+        assert calls == ["a", "neg", "b"] * 2 + ran * 2, key
+        assert worst < 1e-8 and where == (key, 1, reader)
 
 
 def test_grad_check_names_the_worst_coordinate_and_its_first_reader():
@@ -710,7 +719,7 @@ def test_every_leaf_of_emo_1m_at_its_real_widths_passes_the_gradient_oracle():
     rng = Rng(4)
     _, stages, leaves = analysis._check_target(model, 4, rng, 64, 64, "f64")
     pick = np.random.default_rng(4)
-    coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items()]
+    coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items() if not analysis._is_buffer(key)]
     assert len(coords) == 201  # the input and every parameter but the 20 batchnorms' mean and var
     worst, (leaf, index, stage) = analysis._tape_rel_err(stages, leaves, rng, "cot", "f64", coords, 1e-5)
     assert worst < 1e-4, f"{leaf}[{index}], first read by stage {stage}: rel err {worst:.3g}"

@@ -122,16 +122,20 @@ def test_mpl_command(capsys, validator):
 
 @pytest.mark.parametrize("argv, code", [
     (("mpl", "--resolution", "0"), 2),
+    (("mpl", "--resolution", "1"), 2),  # one corner: no corner-to-corner path
+    (("mpl", "--kind", "conv", "--kernel", "1", "--resolution", "1"), 2),
     (("mpl", "--kind", "conv", "--kernel", "1"), 0),
     (("bench", "--preset", "emo-1m", "--runs", "0"), 2),
     (("equiv", "--hw", "0"), 2),
-], ids=["mpl-resolution-0", "mpl-conv-kernel-1", "bench-runs-0", "equiv-hw-0"])
+], ids=["mpl-resolution-0", "mpl-resolution-1", "mpl-conv-kernel-1-resolution-1", "mpl-conv-kernel-1",
+        "bench-runs-0", "equiv-hw-0"])
 def test_numeric_edge_cases_exit_cleanly(capsys, validator, argv, code):
     got, doc = run_json(capsys, *argv)
     assert got == code, doc
     validator(doc)
     if code == 2:
         assert doc["error"]["code"] == "config"
+        assert argv[0] != "mpl" or "resolution" in doc["error"]["message"]
     else:  # a 1x1 conv never reaches the far corner, and no closed form bounds it
         assert doc["empirical"] is None and doc["closed_form"] is None
 
