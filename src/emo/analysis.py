@@ -425,13 +425,12 @@ class GradCheckReport:
     target: str
     max_rel_err: float
     coords_checked: int
-    precision: str
     worst_leaf: str | None
     worst_index: int | None
     worst_stage: str | None
 
 
-def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: str):
+def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str):
     """The analytic pass of `_tape_rel_err`: (leaf gradients, cotangent).
 
     Every leaf becomes a Var, every stage runs on them, and `backward` runs
@@ -442,7 +441,7 @@ def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str, precision: st
     """
     vars_ = {k: ag.Var(v) for k, v in leaves.items()}
     y = run_stages(stages, None, vars_)
-    cot = rng.normal(cot_name, y.shape, precision=precision)
+    cot = rng.normal(cot_name, y.shape, precision="f64")
     cot = cot / math.sqrt(cot.size)
     grads = ag.backward(y, cot)
     return {k: ag.grad_of(grads, v) for k, v in vars_.items()}, cot
@@ -596,7 +595,7 @@ def _run_from(stages, i: int, states: list, leafs, readers):
     return state
 
 
-def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str, coords, step: float):
+def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: float):
     """(worst relative error of the tape gradients of `stages` against central differences, where).
 
     `stages` is a list of `Stage` records, folded from the state None to the
@@ -621,7 +620,7 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, precision: str,
     stage that first reads the key, or None) of the first worst coordinate,
     or None for no coordinates.
     """
-    analytic, cot = _tape_gradients(stages, leaves, rng, cot_name, precision)
+    analytic, cot = _tape_gradients(stages, leaves, rng, cot_name)
     states, readers = _plain_pass(stages, leaves)
 
     def loss(key, leafs):
@@ -663,7 +662,7 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         coords = [(k, flat) for k, a in leaves.items()
                   for flat in picker.choice(a.size, size=min(n_coords, a.size), replace=False)]
         stages = [Stage(name, lambda _, v: fwd(v))]
-        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", "f64", coords, step)[0]
+        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", coords, step)[0]
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
@@ -701,7 +700,7 @@ def _is_buffer(name: str) -> bool:
     return name.endswith((".mean", ".var"))
 
 
-def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -> tuple[str, list[Stage], dict]:
+def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, list[Stage], dict]:
     """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
     The leaves are one mapping: "__input__" and every parameter, the
@@ -709,32 +708,35 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int, precision: str) -
     that reads "__input__", then the target's stage list: `model.model_stages`
     itself, `irmb.block_stages`, or one conv stage. Each stage reads its
     parameters from the mapping it is called with, as in the forward.
+    Every leaf is f64; a model's parameters are upcast (its f64 twin).
     """
     if isinstance(target, EMOModel):
         check_resolution(target.cfg, h, w)
-        name, params, body = target.cfg.name, target.params, model_stages(target.cfg)
-        cin, precision = IN_CHANNELS, target.precision  # the input in the model's precision
+        name, body, cin = target.cfg.name, model_stages(target.cfg), IN_CHANNELS
+        params = {k: v.astype(np.float64, copy=False) for k, v in target.params.items()}
     elif isinstance(target, (IRMBConfig, MMBConfig)):
         name, cfg, plan = _block_of(target, h, w)
-        params, body, cin = random_block_params(cfg, seed, precision), block_stages(cfg, "", plan), cfg.in_channels
+        params, body, cin = random_block_params(cfg, seed), block_stages(cfg, "", plan), cfg.in_channels
     elif isinstance(target, ConvSpec):
         name, cin = "conv2d", target.in_channels
         params = {
-            "w": rng.normal("gradcheck.w", target.weight_shape(), std=0.5, precision=precision),
+            "w": rng.normal("gradcheck.w", target.weight_shape(), std=0.5, precision="f64"),
         }
         if target.bias:
-            params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision=precision)
+            params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision="f64")
         body = [Stage("conv2d", lambda x, p: ag.conv2d(x, p["w"], target, p.get("b")))]
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
-    x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision=precision)
+    x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision="f64")
     return name, [Stage("input", lambda _, p: p["__input__"]), *body], {"__input__": x0, **params}
 
 
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
-               precision: str = "f64", num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
-    """Analytic VJP vs central finite differences on a random subsample.
+               num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
+    """Analytic VJP vs central finite differences on a random subsample, in f64.
 
+    In f32 a central difference at this step is mostly roundoff, so a model
+    target is checked through its f64 twin (its parameters upcast to f64).
     Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
     the denominator (see `_tape_rel_err`). Coordinates are drawn from every
     leaf of the one mapping the stages read (`_check_target`) but the
@@ -758,7 +760,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
         raise ValueError(f"input_hw must be a positive (height, width), got {input_hw}")
     h, w = input_hw
     rng = Rng(seed ^ 0xC0FFEE)
-    name, stages, leaves = _check_target(target, seed, rng, h, w, precision)
+    name, stages, leaves = _check_target(target, seed, rng, h, w)
 
     # coordinate sample
     names = sorted(k for k in leaves if not _is_buffer(k))
@@ -773,5 +775,5 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     for fi in sorted(flat_idx.tolist()):
         li = int(np.searchsorted(offsets, fi, side="right") - 1)
         coords.append((names[li], fi - offsets[li]))
-    worst, where = _tape_rel_err(stages, leaves, rng, "gradcheck.cot", precision, coords, step)
-    return GradCheckReport(name, worst, take, precision, *(where or (None, None, None)))
+    worst, where = _tape_rel_err(stages, leaves, rng, "gradcheck.cot", coords, step)
+    return GradCheckReport(name, worst, take, *(where or (None, None, None)))

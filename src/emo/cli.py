@@ -264,9 +264,8 @@ def cmd_gradcheck(args) -> dict:
                             "worst": {"leaf": r.worst_leaf, "index": r.worst_index, "stage": r.worst_stage}}
     if not reports:
         raise ConfigError(f"unknown gradcheck target {args.target!r}")
-    worst = 0.0
-    for rep in reports.values():
-        worst = max(worst, rep["max_rel_err"] if "max_rel_err" in rep else max(rep.values()))
+    errs = [e for rep in reports.values() for e in ([rep["max_rel_err"]] if "max_rel_err" in rep else rep.values())]
+    worst = max(errs, key=lambda e: (math.isnan(e), e))  # a NaN error is the worst
     return {
         "command": "gradcheck",
         "target": args.target,
@@ -430,10 +429,11 @@ def _add_model_args(p, resolution=224):
     p.add_argument("--resolution", type=int, default=resolution)
 
 
-def _add_common(p):
+def _add_input_args(p):
+    """The flags `_make_input` reads; the model is built from the same seed and precision."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision", choices=("f32", "f64"), default="f32")
-    p.add_argument("--out", help="also write the JSON document to this path")
+    p.add_argument("--input", default="noise", help="zeros | noise | const:<v> | path to a raw tensor file")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,38 +450,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="block-by-block model description with cost rollup")
     _add_model_args(p)
-    _add_common(p)
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("count", help="parameter / MAC report")
     _add_model_args(p)
-    _add_common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("forward", help="run a forward pass")
     _add_model_args(p)
-    _add_common(p)
-    p.add_argument("--input", default="noise",
-                   help="zeros | noise | const:<v> | path to a raw tensor file")
+    _add_input_args(p)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("gradcheck", help="analytic VJPs vs central differences")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="all", choices=("primitives", "irmb", "mlp", "all"))
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("equiv", help="order-exchange equivalence of EW-MHSA")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--groups", type=int, default=4)
     p.add_argument("--lambda", type=float, default=2.0, dest="lam", help="expansion ratio")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--hw", type=int, default=None, help="input side length (default 2*window)")
-    p.set_defaults(fn=cmd_equiv, precision="f64")
+    p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("influence", help="which input pixels reach an output pixel")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--kernel", type=int, default=3)
@@ -494,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_influence)
 
     p = sub.add_parser("mpl", help="empirical corner-to-corner path length vs closed form")
-    _add_common(p)
     p.add_argument("--kind", choices=("cascade", "conv", "attn"), default="cascade")
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--window", type=int, default=2)
@@ -503,17 +499,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="diagonal cosine-similarity profile of a stage")
     _add_model_args(p)
-    _add_common(p)
+    _add_input_args(p)
     p.add_argument("--stage", type=int, default=3, choices=(1, 2, 3, 4))
-    p.add_argument("--input", default="noise")
     p.set_defaults(fn=cmd_similarity)
 
     p = sub.add_parser("bench", help="local forward-pass timing")
     _add_model_args(p)
-    _add_common(p)
+    _add_input_args(p)
     p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--input", default="noise")
     p.set_defaults(fn=cmd_bench)
+
+    for p in sub.choices.values():  # each subcommand takes --out and only the flags its handler reads
+        p.add_argument("--out", help="also write the JSON document to this path")
 
     return ap
 
@@ -528,14 +525,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # -h / --help
         return 0 if exc.code in (0, None) else EXIT_CONFIG
     try:
-        doc = args.fn(args)
+        emit(args.fn(args), args.out)  # a non-finite result is an invariant breach too
     except (ConfigError, ValueError) as exc:
-        emit({"error": {"code": "config", "message": str(exc)}}, getattr(args, "out", None))
+        emit({"error": {"code": "config", "message": str(exc)}}, args.out)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - invariant breaches
+    except Exception as exc:  # invariant breaches
         emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}, None)
         return EXIT_INTERNAL
-    emit(doc, args.out)
     return EXIT_OK
 
 

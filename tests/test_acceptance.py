@@ -147,7 +147,7 @@ def test_c05_gradient_correctness():
     worst_prim = max(prim.values())
     cfg = IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2,
                      enable_attn=True, enable_conv=True)
-    block = grad_check(cfg, seed=0, input_hw=(8, 8), precision="f64")
+    block = grad_check(cfg, seed=0, input_hw=(8, 8))
     elapsed = time.time() - t0
     ok = worst_prim < 1e-4 and block.max_rel_err < 1e-4
     report("C5 gradient correctness", ok and elapsed < 60.0,

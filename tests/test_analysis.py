@@ -438,11 +438,11 @@ def test_mmb_gradcheck():
     assert rep.max_rel_err < 1e-4
 
 
-def _grads_model(precision="f64"):
+def _grads_model():
     return build_emo(
         EMOVariantConfig("grads", (1, 1, 1, 1), (4, 4, 8, 8), (2.0, 2.0, 2.0, 2.0),
                          num_classes=5, windows=(2, 2, 2, 2)),
-        seed=0, precision=precision,
+        seed=0, precision="f64",
     )
 
 
@@ -510,18 +510,17 @@ def _edge_positions(h, w, window):
     return [r * w + c for r in axis(h) for c in axis(w)]
 
 
-@pytest.mark.parametrize("name, precision", [pytest.param(n, p, id=n if p == "f64" else f"{n}-{p}")
-                                             for p in ("f64", "f32") for n in _CHECK_TARGETS])
-def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precision):
+@pytest.mark.parametrize("name", _CHECK_TARGETS)
+def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
     # one coordinate per parameter leaf and input pixels at the corners and on
     # window edges, moved by +-step: the stages before the leaf's first reader
     # recompute the kept state unchanged, and the forward resumed from that
     # state, with each activation rerun only where its input changed and each
     # local stage only on the crop the change reaches, gives the full
     # forward's output and loss bit for bit
-    target = _grads_model(precision) if name == "model" else _CHECK_TARGETS[name]()
+    target = _CHECK_TARGETS[name]()
     hw = (32, 32) if isinstance(target, EMOModel) else _CROP_HW.get(name, (6, 6))
-    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw, precision)
+    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw)
     states, readers = analysis._plain_pass(stages, leaves)
     # an input stage, then the model's, the block's or the conv's stages
     last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
@@ -531,7 +530,7 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precisi
         assert not any(states[i][-1].flags.c_contiguous for i, st in enumerate(stages) if st.elementwise)
     for a in [a for st in states for a in _arrays(st)]:
         a.setflags(write=False)  # no resumed forward may write into a plain-pass state
-    sample = Rng(1).normal("cot", np.shape(states[-1]), precision=precision)
+    sample = Rng(1).normal("cot", np.shape(states[-1]), precision="f64")
     window = getattr(target, "window", None)
     coords = [(key, 0) for key in leaves if not analysis._is_buffer(key)]
     coords += [("__input__", c * hw[0] * hw[1] % leaves["__input__"].size + p)
@@ -560,6 +559,20 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name, precisi
     assert cropped > 0 or name not in _CROP_HW  # some local stage reran on a crop
     # no resumed forward wrote into a plain-pass state
     assert all(map(_same_state, states, analysis._plain_pass(stages, leaves)[0]))
+
+
+@pytest.mark.parametrize("name", _CHECK_TARGETS)
+def test_every_check_target_passes_the_f64_gradient_oracle(name):
+    # every leaf grad_check differences is f64, and on each target's map the
+    # analytic gradient meets the central differences; the worst coordinate
+    # is named by a leaf of the target and a stage that reads it
+    target = _CHECK_TARGETS[name]()
+    hw = (32, 32) if isinstance(target, EMOModel) else _CROP_HW.get(name, (6, 6))
+    _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw)
+    assert {leaf.dtype for leaf in leaves.values()} == {np.dtype(np.float64)}
+    rep = grad_check(target, seed=0, input_hw=hw, num_coords=40)
+    assert rep.coords_checked == 40 and rep.max_rel_err < 1e-4, rep
+    assert rep.worst_leaf in leaves and rep.worst_stage in {st.name for st in stages}
 
 
 def _box(mask):
@@ -664,7 +677,7 @@ def test_plain_pass_lists_states_and_readers_and_an_unread_leaf_resumes_from_the
     # the key's first reader on: an unread key's none, from the output
     for key, ran, reader in (("c", [], None), ("b", ["b"], "b"), ("a", ["a", "neg", "b"], "a")):
         calls.clear()
-        worst, where = analysis._tape_rel_err(stages, leaves, Rng(0), "cot", "f64", [(key, 1)], 1e-5)
+        worst, where = analysis._tape_rel_err(stages, leaves, Rng(0), "cot", [(key, 1)], 1e-5)
         assert calls == ["a", "neg", "b"] * 2 + ran * 2, key
         assert worst < 1e-8 and where == (key, 1, reader)
 
@@ -677,12 +690,12 @@ def test_grad_check_names_the_worst_coordinate_and_its_first_reader():
               Stage("act", lambda s, p: (ag.silu(s),)),
               Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: 3.0 * g)))]
     worst, (leaf, index, stage) = analysis._tape_rel_err(
-        stages, leaves, Rng(0), "cot", "f64", [("x", 1), ("b", 4), ("x", 5), ("b", 2)], 1e-5)
+        stages, leaves, Rng(0), "cot", [("x", 1), ("b", 4), ("x", 5), ("b", 2)], 1e-5)
     assert worst > 0.5 and (leaf, stage) == ("b", "bad") and index in (2, 4)
     # a NaN error is the worst, after a finite one too (max(0.1, nan) is 0.1)
     stages[2] = Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: g * np.nan)))
     worst, (leaf, index, stage) = analysis._tape_rel_err(
-        stages, leaves, Rng(0), "cot", "f64", [("x", 1), ("b", 4), ("x", 5)], 1e-5)
+        stages, leaves, Rng(0), "cot", [("x", 1), ("b", 4), ("x", 5)], 1e-5)
     assert math.isnan(worst) and (leaf, index, stage) == ("b", 4, "bad")
     # grad_check reports it: a leaf of this block is first read by the stage it is named after
     rep = grad_check(IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False), seed=1, input_hw=(8, 8))
@@ -717,11 +730,11 @@ def test_every_leaf_of_emo_1m_at_its_real_widths_passes_the_gradient_oracle():
     # and stage 4's 2x2 map one padded window
     model = build_emo(replace(preset("emo-1m"), windows=(7, 7, 3, 3)), seed=0, precision="f64")
     rng = Rng(4)
-    _, stages, leaves = analysis._check_target(model, 4, rng, 64, 64, "f64")
+    _, stages, leaves = analysis._check_target(model, 4, rng, 64, 64)
     pick = np.random.default_rng(4)
     coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items() if not analysis._is_buffer(key)]
     assert len(coords) == 201  # the input and every parameter but the 20 batchnorms' mean and var
-    worst, (leaf, index, stage) = analysis._tape_rel_err(stages, leaves, rng, "cot", "f64", coords, 1e-5)
+    worst, (leaf, index, stage) = analysis._tape_rel_err(stages, leaves, rng, "cot", coords, 1e-5)
     assert worst < 1e-4, f"{leaf}[{index}], first read by stage {stage}: rel err {worst:.3g}"
 
 

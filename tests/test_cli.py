@@ -1,10 +1,12 @@
+import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emo import PRESETS, cli, mmb_config_from_dict, mmb_config_to_dict, mmb_instantiate
+from emo import PRESETS, analysis, cli, mmb_config_from_dict, mmb_config_to_dict, mmb_instantiate
 from emo.cli import main
 from emo.serialize import save_raw_tensor
 
@@ -149,6 +151,19 @@ def test_gradcheck_command(capsys, validator):
     assert worst["stage"] == ("input" if worst["leaf"] == "__input__" else worst["leaf"].split(".")[0])
 
 
+def test_gradcheck_nan_error_fails_and_exits_internal(capsys, validator, monkeypatch):
+    # max(0.0, nan) is 0.0, so the fold must take a NaN error as the worst; and
+    # a NaN that reaches the JSON layer is an internal error document, not a traceback
+    nan_report = analysis.GradCheckReport("irmb", math.nan, 200, "expand.w", 0, "expand")
+    monkeypatch.setattr(cli.analysis, "grad_check", lambda *args, **kwargs: nan_report)
+    doc = cli.cmd_gradcheck(argparse.Namespace(target="mlp", seed=0))
+    assert math.isnan(doc["max_rel_err"]) and doc["passed"] is False
+    code, doc = run_json(capsys, "gradcheck", "--target", "mlp")
+    assert code == 3
+    validator(doc)
+    assert doc["error"]["code"] == "internal" and "non-finite" in doc["error"]["message"]
+
+
 def test_similarity_command(capsys, validator, tiny_config):
     code, doc = run_json(capsys, "similarity", "--config", tiny_config,
                          "--resolution", "224", "--stage", "3", "--seed", "1")
@@ -188,6 +203,38 @@ def test_out_flag_writes_same_document(capsys, tmp_path, tiny_config):
 
 # ---------------------------------------------------------------------------
 # error paths
+
+
+# the options of each subcommand: --out, and the flags its handler reads
+_MODEL = {"--preset", "--config", "--resolution"}
+_OPTIONS = {
+    "describe": {*_MODEL, "--out"},
+    "count": {*_MODEL, "--out"},
+    "forward": {*_MODEL, "--seed", "--precision", "--input", "--out"},
+    "gradcheck": {"--seed", "--target", "--out"},
+    "equiv": {"--seed", "--precision", "--channels", "--heads", "--groups", "--lambda", "--window", "--hw",
+              "--out"},
+    "influence": {"--seed", "--blocks", "--channels", "--kernel", "--window", "--attn", "--conv",
+                  "--resolution", "--source", "--mode", "--out"},
+    "mpl": {"--kind", "--kernel", "--window", "--resolution", "--out"},
+    "similarity": {*_MODEL, "--seed", "--precision", "--stage", "--input", "--out"},
+    "bench": {*_MODEL, "--seed", "--precision", "--runs", "--input", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_its_handler_reads():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == _OPTIONS
+
+
+@pytest.mark.parametrize("argv", [("count", "--precision", "f64"), ("mpl", "--seed", "1")])
+def test_a_flag_the_command_does_not_read_is_config_error(capsys, validator, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    validator(doc)
+    assert doc["error"]["code"] == "config" and argv[1] in doc["error"]["message"]
 
 
 def test_unknown_preset_is_config_error(capsys, validator):

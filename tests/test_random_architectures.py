@@ -2,9 +2,10 @@
 
 Each draw is a variant-config document, the one `emo --config` reads. Its
 model runs through: per-stage static == metered, the fold's bits against
-`emo_forward`'s, an f64 `grad_check`, a save/load round trip, and
-`emo describe`'s block input sizes against the fold's map sizes. A failing
-draw prints its document, so `emo <command> --config` can rerun it.
+`emo_forward`'s, `grad_check` (an f32 model's through its f64 twin), a
+save/load round trip, and `emo describe`'s block input sizes against the
+fold's map sizes. A failing draw prints its document, so
+`emo <command> --config` can rerun it.
 """
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from emo import build_emo, emo_forward, grad_check
-from emo.model import load_model, model_stages, save_model
+from emo.model import EMOModel, load_model, model_stages, save_model
 from emo.cli import main, parse_variant_config
 from emo.tensor import dtype_of
 
@@ -60,8 +61,7 @@ def _check_draw(doc: dict, resolution: int, precision: str, tmp_path, capsys, fo
                           (resolution, resolution), batch=2)
     assert out.tobytes() == emo_forward(model, x).tobytes()
 
-    f64 = model if precision == "f64" else build_emo(cfg, seed=1, precision="f64")
-    rep = grad_check(f64, seed=3, input_hw=(resolution, resolution), num_coords=16)
+    rep = grad_check(model, seed=3, input_hw=(resolution, resolution), num_coords=16)
     assert rep.max_rel_err < 1e-4, rep
 
     path = tmp_path / "model.emo"
@@ -85,3 +85,16 @@ def test_random_architecture_passes_every_oracle(i, tmp_path, capsys, fold_meter
     except Exception as exc:
         raise AssertionError(f"draw {i} ({precision}, {resolution} px) fails; its config document:\n"
                              f"{json.dumps(doc)}") from exc
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_an_f32_model_is_gradient_checked_through_its_f64_twin(i):
+    # the twin is the same config with the f32 weights upcast: its report is
+    # the f32 model's, bit for bit, and it passes the f64 bound
+    doc, resolution = _draw(i)
+    model = build_emo(parse_variant_config(doc), seed=1, precision="f32")
+    twin = EMOModel(model.cfg, "f64", model.seed, {k: v.astype(np.float64) for k, v in model.params.items()})
+    reps = [grad_check(m, seed=3, input_hw=(resolution, resolution), num_coords=16) for m in (model, twin)]
+    got, want = ((r.max_rel_err.hex(), r.worst_leaf, r.worst_index, r.worst_stage) for r in reps)
+    assert got == want
+    assert reps[0].max_rel_err < 1e-4, reps[0]
