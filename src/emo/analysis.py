@@ -26,13 +26,15 @@ from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
 from .attention import window_merge, window_partition
-from .irmb import IRMBConfig, Stage, block_plan, block_stages, random_block_params, run_stages
+from .irmb import IRMBConfig, Stage, block_stages, random_block_params, run_stages
 from .mmb import MMBConfig
 from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stages_through
 from .ops import ConvSpec, CostLine
 from .tensor import Rng
 
 CATEGORIES = ("stem", "mlp", "attention", "dwconv", "norm", "head")
+_FD_STEP = 1e-5  # the central-difference step: check_primitives', and grad_check's default
+_PRIMITIVE_COORDS = 60  # the coordinates check_primitives draws from each leaf
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +153,11 @@ class CostReport:
 # static counting
 
 
-def _block_of(target, h: int, w: int) -> tuple[str, IRMBConfig, tuple[str | None, bool]]:
-    """(report name, iRMB config, plan) of an IRMB or MMB target on an h x w input."""
+def _block_of(target, h: int, w: int) -> tuple[str, IRMBConfig]:
+    """(report name, iRMB config) of an IRMB or MMB target on an h x w input."""
     if isinstance(target, IRMBConfig):
-        return "irmb", target, block_plan(target)
-    return (f"mmb[{target.operator}]", *target._as_irmb(h, w))
+        return "irmb", target
+    return f"mmb[{target.operator}]", target._as_irmb(h, w)
 
 
 def count_costs(target, resolution: int = 224) -> CostReport:
@@ -171,8 +173,8 @@ def count_costs(target, resolution: int = 224) -> CostReport:
         check_resolution(target, resolution, resolution)
         name, stages = target.name, model_stages(target)
     elif isinstance(target, (IRMBConfig, MMBConfig)):
-        name, cfg, plan = _block_of(target, resolution, resolution)
-        stages = block_stages(cfg, "block.", plan)
+        name, cfg = _block_of(target, resolution, resolution)
+        stages = block_stages(cfg, "block.")
     elif isinstance(target, ConvSpec):
         category = "dwconv" if target.depthwise else "mlp"
         return CostReport("conv", resolution, [target.cost_line("conv", category, resolution, resolution)])
@@ -270,7 +272,7 @@ def _stack_stages(stack) -> list[Stage]:
             raise ValueError("structural analyses are defined for stride-1 blocks")
         if cfg.in_channels != width or cfg.out_channels != width:
             raise ValueError("structural analyses need channel-preserving blocks of one width")
-    return [st for i, cfg in enumerate(stack) for st in block_stages(cfg, f"blk{i}.", block_plan(cfg))]
+    return [st for i, cfg in enumerate(stack) for st in block_stages(cfg, f"blk{i}.")]
 
 
 def influence_mask(stack, source: tuple[int, int], resolution: int,
@@ -648,7 +650,7 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: f
     return worst, where
 
 
-def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
+def check_primitives(seed: int = 0) -> dict[str, float]:
     """Finite-difference check of every primitive's VJP, through its autograd
     wrapper on the tape; name -> max rel err."""
     rng = Rng(seed)
@@ -657,12 +659,12 @@ def check_primitives(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     def normal(name, shape, std=1.0):
         return rng.normal(f"prim.{name}", shape, std=std, precision="f64")
 
-    def fd_check(name, fwd, leaves, n_coords=60):
+    def fd_check(name, fwd, leaves):
         picker = rng.stream(f"prim.{name}.coords")
         coords = [(k, flat) for k, a in leaves.items()
-                  for flat in picker.choice(a.size, size=min(n_coords, a.size), replace=False)]
+                  for flat in picker.choice(a.size, size=min(_PRIMITIVE_COORDS, a.size), replace=False)]
         stages = [Stage(name, lambda _, v: fwd(v))]
-        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", coords, step)[0]
+        results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", coords, _FD_STEP)[0]
 
     # conv2d: plain, grouped, strided+padded, depth-wise
     for tag, spec in (
@@ -715,8 +717,8 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
         name, body, cin = target.cfg.name, model_stages(target.cfg), IN_CHANNELS
         params = {k: v.astype(np.float64, copy=False) for k, v in target.params.items()}
     elif isinstance(target, (IRMBConfig, MMBConfig)):
-        name, cfg, plan = _block_of(target, h, w)
-        params, body, cin = random_block_params(cfg, seed), block_stages(cfg, "", plan), cfg.in_channels
+        name, cfg = _block_of(target, h, w)
+        params, body, cin = random_block_params(cfg, seed), block_stages(cfg, ""), cfg.in_channels
     elif isinstance(target, ConvSpec):
         name, cin = "conv2d", target.in_channels
         params = {
@@ -732,7 +734,7 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
 
 
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
-               num_coords: int = 200, step: float = 1e-5) -> GradCheckReport:
+               num_coords: int = 200, step: float = _FD_STEP) -> GradCheckReport:
     """Analytic VJP vs central finite differences on a random subsample, in f64.
 
     In f32 a central difference at this step is mostly roundoff, so a model

@@ -20,6 +20,7 @@ reproduce no published figures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -139,11 +140,10 @@ def _sanitize(obj):
     return obj
 
 
-def emit(doc: dict, out_path: str | None) -> None:
+def emit(doc: dict, out=None) -> None:
     text = json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
     sys.stdout.write(text)
 
 
@@ -196,8 +196,7 @@ def cmd_describe(args) -> dict:
             "stride": bcfg.stride,
             "enable_attn": bcfg.enable_attn,
             "enable_conv": bcfg.enable_conv,
-            "attn_first": bcfg.attn_first,
-            "attn_pre_expand": bcfg.attn_pre_expand,
+            "attn_at": bcfg.attn_at,
             "expand_groups": bcfg.expand_groups,
             "input_resolution": input_resolution[name],
             "costs": by_block[name],
@@ -423,10 +422,10 @@ def _minor_faults() -> int | None:
 # argument parsing
 
 
-def _add_model_args(p, resolution=224):
+def _add_model_args(p):
     p.add_argument("--preset", choices=sorted(PRESETS), help="built-in variant")
     p.add_argument("--config", help="path to a variant config JSON")
-    p.add_argument("--resolution", type=int, default=resolution)
+    p.add_argument("--resolution", type=int, default=224)
 
 
 def _add_input_args(p):
@@ -519,19 +518,21 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except ConfigError as exc:
-        emit({"error": {"code": "config", "message": str(exc)}}, None)
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except (ConfigError, OSError) as exc:  # an --out path that cannot be opened is a usage error too
+        emit({"error": {"code": "config", "message": str(exc)}})
         return EXIT_CONFIG
     except SystemExit as exc:  # -h / --help
         return 0 if exc.code in (0, None) else EXIT_CONFIG
-    try:
-        emit(args.fn(args), args.out)  # a non-finite result is an invariant breach too
-    except (ConfigError, ValueError) as exc:
-        emit({"error": {"code": "config", "message": str(exc)}}, args.out)
-        return EXIT_CONFIG
-    except Exception as exc:  # invariant breaches
-        emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}, None)
-        return EXIT_INTERNAL
+    with out as fh:
+        try:
+            emit(args.fn(args), fh)  # a non-finite result is an invariant breach too
+        except (ConfigError, ValueError) as exc:
+            emit({"error": {"code": "config", "message": str(exc)}}, fh)
+            return EXIT_CONFIG
+        except Exception as exc:  # invariant breaches
+            emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+            return EXIT_INTERNAL
     return EXIT_OK
 
 

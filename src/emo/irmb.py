@@ -2,22 +2,24 @@
 
 The block is: expansion stage (plain MLP, or EW-MHSA where the attention
 matrix computed from the *unexpanded* input multiplies either the raw
-features before the expansion MLP - `attn_pre_expand`, cheaper - or the
-expanded values after it), then depth-wise conv with an inner skip at the
-expanded width (stride lives here), then the shrink MLP and the outer
-residual.
+features before the expansion MLP - `attn_at="pre_norm"`, cheaper - or the
+expanded values after it - `attn_at="expand"`), then depth-wise conv with an
+inner skip at the expanded width (stride lives here), then the shrink MLP
+and the outer residual.
 
 Two switches (`enable_attn`, `enable_conv`) select the operator: both off
 degenerates to a pure MLP block, conv only is an IRB, attention only is a
-windowed transformer block, both on is the full cascade.
+windowed transformer block, both on is the full cascade. Two more fields
+place it: `attn_at` names the stage EW-MHSA follows (pre_norm, expand, act
+or depthwise), and `inner_skip` whether a stride-1 depth-wise stage adds its
+input back. So one config states this block and every meta mobile block
+(mmb.py) alike.
 
-`block_forward` is the one block core, for this block and the meta mobile
-block (mmb.py) alike: next to the config it takes a plan saying which stage
-the attention follows and whether the depth-wise conv keeps its inner skip.
-It folds the input through `block_stages`, the block as an ordered list of
-named stages, each carrying the cost lines it executes: the model's stage
-list, the cost counter and gradient checking read the same list. EW-MHSA
-runs only as its qk + mix stage pair, which `ew_mhsa` folds too.
+`irmb_forward` is the one block core: it folds the input through
+`block_stages`, the block as an ordered list of named stages, each carrying
+the cost lines it executes: the model's stage list, the cost counter and
+gradient checking read the same list. EW-MHSA runs only as its qk + mix
+stage pair, which `ew_mhsa` folds too.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -41,6 +43,7 @@ from .tensor import Rng, dtype_of
 
 _NORMS = ("auto", "none", "batchnorm", "layernorm")
 _ACTS = ("auto", "none", "silu", "gelu")
+_ATTN_AT = ("pre_norm", "expand", "act", "depthwise")  # the stages EW-MHSA may follow
 
 
 def default_heads(in_channels: int, mid_channels: int, head_dim: int = 32) -> int:
@@ -62,8 +65,8 @@ class IRMBConfig:
     stride: int = 1
     enable_attn: bool = True
     enable_conv: bool = True
-    attn_first: bool = True
-    attn_pre_expand: bool = True
+    attn_at: str = "pre_norm"         # the stage EW-MHSA follows, one of _ATTN_AT
+    inner_skip: bool = True           # the depth-wise stage adds its input back at stride 1
     expand_groups: int = 1
     pre_norm: str = "auto"            # auto -> layernorm when attention is on, else none
     expand_norm: str = "auto"         # auto -> batchnorm when attention is off, else none
@@ -82,10 +85,12 @@ class IRMBConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.stride == 2 and not self.enable_conv:
             raise ValueError("stride 2 requires the depth-wise conv: no other downsampling path exists")
-        if self.stride == 2 and self.enable_attn and not self.attn_first:
+        if self.attn_at not in _ATTN_AT:
+            raise ValueError(f"unknown attn_at {self.attn_at!r}; expected one of {_ATTN_AT}")
+        if self.enable_attn and self.attn_at == "depthwise" and (self.stride == 2 or not self.enable_conv):
             raise ValueError(
-                "attn_first=False with stride 2 is ill-posed: the attention matrix comes from the "
-                "full-resolution input but would be applied to the downsampled features"
+                "attn_at='depthwise' is ill-posed without a stride-1 depth-wise conv to follow: the "
+                "attention matrix comes from the full-resolution input"
             )
         mid = self.expansion_ratio * self.out_channels
         if abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
@@ -204,30 +209,22 @@ def _norm(x, kind, params, key):
     return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
-def block_plan(cfg: IRMBConfig) -> tuple[str | None, bool]:
-    """The iRMB's plan: EW-MHSA after pre_norm or expand (`attn_first`, by `attn_pre_expand`), else
-    after the conv (the activation without one); the inner skip wherever the conv keeps the resolution."""
-    attn_at = None
-    if cfg.enable_attn and cfg.attn_first:
-        attn_at = "pre_norm" if cfg.attn_pre_expand else "expand"
-    elif cfg.enable_attn:
-        attn_at = "depthwise" if cfg.enable_conv else "act"
-    return attn_at, cfg.stride == 1
-
-
 def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
     """Expanded-window attention stage: unexpanded Q/K, expanded values.
 
     Returns the expanded features (cfg.mid channels) at the input resolution,
     folding the block's qk, mix and expand stages from the state (x, x, x).
-    With `attn_pre_expand` the per-head attention matrices multiply the raw
-    head slices of x and the expansion MLP runs afterwards; otherwise the
-    expansion runs first and attention mixes its output.
+    With `attn_at="pre_norm"` the per-head attention matrices multiply the
+    raw head slices of x and the expansion MLP runs afterwards; with
+    `attn_at="expand"` the expansion runs first and attention mixes its
+    output. Any other `attn_at` raises ValueError.
     """
     if not cfg.enable_attn:
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
+    if cfg.attn_at not in ("pre_norm", "expand"):
+        raise ValueError(f"ew_mhsa multiplies before or after the expansion, not at attn_at={cfg.attn_at!r}")
     names = {prefix + name for name in ("qk", "mix", "expand")}
-    stages = block_stages(cfg, prefix, block_plan(replace(cfg, attn_first=True)))
+    stages = block_stages(cfg, prefix)
     return run_stages([st for st in stages if st.name in names], (x, x, x), params)[-1]
 
 
@@ -286,8 +283,8 @@ class Stage:
         return self.conv.out_hw(h, w) if self.conv else (h, w)
 
 
-def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) -> list[Stage]:
-    """The block as its one ordered list of named, costed stages; `block_forward` folds over it.
+def block_stages(cfg: IRMBConfig, prefix: str) -> list[Stage]:
+    """The block as its one ordered list of named, costed stages; `irmb_forward` folds over it.
 
     The stages, named `prefix` + pre_norm, expand, norm_e, act, depthwise
     (if the config has the conv) and shrink, come in that order. Pre-norm
@@ -302,16 +299,16 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
     made, so norm_e and the activation are two stages: as one, the
     expansion's output would stay alive through the activation.
 
-    `plan` is (attn_at, inner_skip). attn_at names the stage the qk + mix
-    pair follows (pre_norm, expand, act or depthwise), or is None for no
-    attention; inner_skip adds the depth-wise stage's input to its output.
+    With `enable_attn`, the qk + mix pair follows the stage that
+    `cfg.attn_at` names. With `cfg.inner_skip` at stride 1, the depth-wise
+    stage adds its input to its output.
     """
-    attn_at, inner_skip = plan
     specs = cfg.conv_specs()
     cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
     keep_residual = cfg.stride == 1 and cin == cout
+    inner_skip = cfg.inner_skip and cfg.stride == 1
     # with attention as the only operator, expand and shrink are its V/O projections
-    mlp_cat = "attention" if attn_at and not cfg.enable_conv else "mlp"
+    mlp_cat = "attention" if cfg.enable_attn and not cfg.enable_conv else "mlp"
 
     def conv(name, t, params):
         return T.conv2d(t, params[prefix + name + ".w"], specs[name], params[prefix + name + ".b"])
@@ -366,7 +363,7 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
     def attn_lines(h, w):
         layout = WindowLayout(h, w, cfg.window)
         pairs = layout.num_windows * layout.tokens_per_window ** 2  # query-key pairs, one head
-        c_v = cin if attn_at == "pre_norm" else mid  # the values' width before or after the expansion
+        c_v = cin if cfg.attn_at == "pre_norm" else mid  # the values' width before or after the expansion
         return [CostLine(prefix + "attn", "attention", macs=pairs * (cin + c_v), softmax_elems=cfg.num_heads * pairs)]
 
     def act_lines(h, w):
@@ -391,8 +388,8 @@ def block_stages(cfg: IRMBConfig, prefix: str, plan: tuple[str | None, bool]) ->
         *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"])] if cfg.enable_conv else []),
         Stage(prefix + "shrink", shrink, shrink_lines),
     ]
-    if attn_at:
-        at = 1 + [st.name for st in stages].index(prefix + attn_at)  # ValueError for a stage the block lacks
+    if cfg.enable_attn:
+        at = 1 + [st.name for st in stages].index(prefix + cfg.attn_at)
         stages[at:at] = [Stage(prefix + "qk", qk, qk_lines), Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
     return stages
 
@@ -404,21 +401,15 @@ def run_stages(stages, state, params):
     return state
 
 
-def block_forward(x, cfg: IRMBConfig, params, prefix: str, plan: tuple[str | None, bool]):
-    """Expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
+def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
+    """One block: expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
 
-    A fold of x over `block_stages(cfg, prefix, plan)`, which also explains
-    `plan`.
+    A fold of x over `block_stages(cfg, prefix)`, which also says where EW-MHSA runs.
     """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
-    return run_stages(block_stages(cfg, prefix, plan), x, params)
-
-
-def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
-    """One block: attention/expansion stage, depth-wise conv stage, shrink, residual."""
-    return block_forward(x, cfg, params, prefix, block_plan(cfg))
+    return run_stages(block_stages(cfg, prefix), x, params)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +458,8 @@ def equivalence_check(cfg: IRMBConfig, seed: int, hw: tuple[int, int] | None = N
         raise ValueError(f"equivalence_check needs a non-empty map, got {h}x{w}")
     params = random_block_params(cfg, seed, precision)
     x = Rng(seed ^ 0x5EED).normal("equiv.input", (1, cfg.in_channels, h, w), std=1.0, precision=precision)
-    pre = ew_mhsa(x, replace(cfg, attn_pre_expand=True), params)
-    post = ew_mhsa(x, replace(cfg, attn_pre_expand=False), params)
+    pre = ew_mhsa(x, replace(cfg, attn_at="pre_norm"), params)
+    post = ew_mhsa(x, replace(cfg, attn_at="expand"), params)
     diff = float(np.max(np.abs(pre - post)))
     tol = 1e-10 if precision == "f64" else 1e-5
     return EquivalenceReport(diff, diff < tol, tol, cfg.expand_groups, cfg.num_heads)

@@ -11,7 +11,8 @@ depth-wise conv (inner skip included). The block is stride-1 and channel
 preserving.
 
 This module is the MMB parameterization of the iRMB path (irmb.py): a
-config maps to an `IRMBConfig` plus its operator's plan, and parameters,
+config maps to one `IRMBConfig`, whose `enable_attn`/`enable_conv` say which
+operator runs and whose `attn_at`/`inner_skip` place it, and parameters,
 forward, costs and gradient checks all run through the iRMB code, so the
 leaves carry the iRMB names (`norm_dw.*` for the operator norm).
 """
@@ -24,16 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import val
-from .irmb import IRMBConfig, block_forward, irmb_init_params
+from .irmb import IRMBConfig, irmb_forward, irmb_init_params
 from .tensor import Rng
 
-# operator -> (the stage attention follows, depth-wise inner skip); see irmb.block_stages
+# operator -> the IRMBConfig fields that place it, where not the default; see irmb.block_stages
 _PLANS = {
-    "identity": (None, False),
-    "dwconv": (None, False),
-    "ewmhsa": ("act", False),
-    "ewmhsa_dwconv": ("act", True),
-    "dwconv_ewmhsa": ("depthwise", True),
+    "identity": {},
+    "dwconv": {"inner_skip": False},
+    "ewmhsa": {"attn_at": "act"},
+    "ewmhsa_dwconv": {"attn_at": "act"},
+    "dwconv_ewmhsa": {"attn_at": "depthwise"},
 }
 OPERATORS = tuple(_PLANS)
 
@@ -66,30 +67,24 @@ class MMBConfig:
     def mid_channels(self) -> int:
         return round(self.expansion_ratio * self.channels)
 
-    @property
-    def uses_attention(self) -> bool:
-        return _PLANS[self.operator][0] is not None
-
-    @property
-    def uses_conv(self) -> bool:
-        return "dwconv" in self.operator
-
-    def _as_irmb(self, h: int, w: int) -> tuple[IRMBConfig, tuple[str | None, bool]]:
-        """The iRMB config and plan that run this block on an h x w input."""
+    def _as_irmb(self, h: int, w: int) -> IRMBConfig:
+        """The iRMB config that runs this block on an h x w input."""
+        attn, conv = "ewmhsa" in self.operator, "dwconv" in self.operator
         return IRMBConfig(
             self.channels, self.channels, self.expansion_ratio,
-            kernel=self.kernel if self.uses_conv else 3,  # only the conv operators read the kernel
-            window=self.window if self.window is not None and self.uses_attention else max(h, w),
+            kernel=self.kernel if conv else 3,  # only the conv operators read the kernel
+            window=self.window if self.window is not None and attn else max(h, w),
             heads=self.heads,
-            enable_attn=self.uses_attention,
-            enable_conv=self.uses_conv,
+            enable_attn=attn,
+            enable_conv=conv,
             expand_groups=self.expand_groups,
             pre_norm=self.pre_norm,
             expand_norm=self.expand_norm,
             expand_act=self.expand_act,
             conv_norm=self.operator_norm,
             conv_act=self.operator_act,
-        ), _PLANS[self.operator]
+            **_PLANS[self.operator],
+        )
 
 
 _CONFIG_FIELDS = (
@@ -154,11 +149,10 @@ def mmb_instantiate(preset: str, channels: int, expansion_ratio: float | None = 
 
 def mmb_init_params(cfg: MMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
     """The iRMB parameters of the block (the window shapes none of them)."""
-    return irmb_init_params(cfg._as_irmb(1, 1)[0], rng, prefix, precision)
+    return irmb_init_params(cfg._as_irmb(1, 1), rng, prefix, precision)
 
 
 def mmb_forward(x, cfg: MMBConfig, params, prefix: str = ""):
     """Expansion -> operator -> shrinkage, with the residual back to x."""
     h, w = val(x).shape[2:]
-    irmb_cfg, plan = cfg._as_irmb(h, w)
-    return block_forward(x, irmb_cfg, params, prefix, plan)
+    return irmb_forward(x, cfg._as_irmb(h, w), params, prefix)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autograd as T
-from .irmb import IRMBConfig, Stage, block_plan, block_stages, default_heads, init_params, run_stages
+from .irmb import IRMBConfig, Stage, block_stages, default_heads, init_params, run_stages
 from .ops import ConvSpec, CostLine
 from .tensor import Rng, as_nchw, dtype_of
 
@@ -197,7 +197,7 @@ def _build_stages(cfg: EMOVariantConfig) -> list[Stage]:
 
     stages = [Stage("stem", stem_fn, stem_lines, stem)]
     for name, _stage, bcfg in cfg.blocks:
-        stages += block_stages(bcfg, name + ".", block_plan(bcfg))
+        stages += block_stages(bcfg, name + ".")
     return [*stages, Stage("head", head_fn, head_lines)]
 
 

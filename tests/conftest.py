@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from emo import cost_meter
+from emo.irmb import block_stages
 
 
 def _fold_metered(stages, state, params, hw, batch=1):
@@ -32,3 +33,17 @@ def _fold_metered(stages, state, params, hw, batch=1):
 def fold_metered():
     """Static == metered per stage and per field: see `_fold_metered`."""
     return _fold_metered
+
+
+def _stage_order(cfg):
+    """The names of `block_stages(cfg, "")` in order, joined by spaces, with
+    "+" on a depth-wise stage that adds its input back (its cost line counts
+    the inner skip's adds)."""
+    return " ".join(st.name + "+" * (st.name == "depthwise" and st.lines(8, 8)[0].other_adds > 0)
+                    for st in block_stages(cfg, ""))
+
+
+@pytest.fixture
+def stage_order():
+    """A block config's stage names in order: see `_stage_order`."""
+    return _stage_order

@@ -23,7 +23,7 @@ from emo import (
 )
 from emo import analysis, cost_meter
 from emo import autograd as ag
-from emo.irmb import Stage, block_plan, block_stages, run_stages
+from emo.irmb import Stage, block_stages, run_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 from emo.tensor import Rng
@@ -203,9 +203,9 @@ def test_structural_and_vjp_modes_agree(kind):
     elif kind == "attn":
         stack = [attn_only(w=3)] * 2
     elif kind == "cascade-conv-first":
-        stack = [cascade(attn_first=False)] * 2
+        stack = [cascade(attn_at="depthwise")] * 2
     elif kind == "cascade-post-expand":
-        stack = [cascade(attn_pre_expand=False)] * 2
+        stack = [cascade(attn_at="expand")] * 2
     else:
         stack = [cascade()] * 2
     for src in [(0, 0), (3, 4), (6, 6)]:
@@ -238,24 +238,28 @@ def test_executed_work_matches_static_count_across_block_matrix(fold_metered):
     from emo import cost_meter, irmb_forward, random_block_params
 
     checked = stage_field_checks = 0
-    for attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm in itertools.product(
-        (False, True), (False, True), (1, 2), (True, False), (True, False),
+    for attn, conv, stride, attn_at, inner_skip, cout, w, res, e_norm in itertools.product(
+        (False, True), (False, True), (1, 2), ("pre_norm", "expand", "act", "depthwise"), (True, False),
         (8, 12), (2, 3), (6, 7), ("auto", "batchnorm"),
     ):
-        if stride == 2 and (not conv or (attn and not attn_first)):
+        if stride == 2 and (not conv or (attn and attn_at == "depthwise")):
             continue
-        if not attn and (not attn_first or not pre_exp):
-            continue  # flags only matter with attention
+        if attn_at == "depthwise" and not conv:
+            continue
+        if not attn and attn_at != "pre_norm":
+            continue  # attn_at only matters with attention
+        if not inner_skip and (not conv or stride == 2):
+            continue  # inner_skip only matters on a stride-1 depth-wise stage
         cfg = IRMBConfig(8, cout, 2.0, window=w, heads=2, expand_groups=2,
                          stride=stride, enable_attn=attn, enable_conv=conv,
-                         attn_first=attn_first, attn_pre_expand=pre_exp, expand_norm=e_norm)
+                         attn_at=attn_at, inner_skip=inner_skip, expand_norm=e_norm)
         params = random_block_params(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(1, 8, res, res))
         with cost_meter() as m:
             y = irmb_forward(x, cfg, params)
         rep = count_costs(cfg, res)
-        key = (attn, conv, stride, attn_first, pre_exp, cout, w, res, e_norm)
-        folded, checks = fold_metered(block_stages(cfg, "", block_plan(cfg)), x, params, (res, res))
+        key = (attn, conv, stride, attn_at, inner_skip, cout, w, res, e_norm)
+        folded, checks = fold_metered(block_stages(cfg, ""), x, params, (res, res))
         assert folded.tobytes() == y.tobytes(), key
         stage_field_checks += checks
         assert m.macs == rep.contraction_macs, key
@@ -449,10 +453,15 @@ def _grads_model():
 _MMB_BINDINGS = dict(heads=2, pre_norm="layernorm", expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
 _CHECK_TARGETS = {
     "irmb-attn-first": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, expand_groups=2),
-    "irmb-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_first=False),
+    "irmb-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_at="depthwise"),
     # at 6x6 the 4x4 windows pad, so the activation reads the window merge's cropped view
-    "irmb-post-expand": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_pre_expand=False),
+    "irmb-post-expand": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_at="expand"),
     "irmb-stride-2": lambda: IRMBConfig(8, 16, 2.0, window=4, heads=2, stride=2),
+    # placements only the config's fields state: attention after the activation
+    # with the conv, and a depth-wise stage without its inner skip
+    "irmb-attn-after-act-no-inner-skip": lambda: IRMBConfig(8, 8, 2.0, window=4, heads=2, attn_at="act",
+                                                            inner_skip=False),
+    "irmb-attn-after-act-stride-2": lambda: IRMBConfig(8, 16, 2.0, window=4, heads=2, attn_at="act", stride=2),
     "irmb-mlp": lambda: IRMBConfig(8, 8, 2.0, enable_attn=False, enable_conv=False),
     **{f"mmb-{op}": lambda op=op: MMBConfig(8, 2.0, operator=op, window=3, **_MMB_BINDINGS) for op in OPERATORS},
     "conv": lambda: ConvSpec(4, 6, kernel=3, padding=1),
@@ -466,7 +475,7 @@ _CHECK_TARGETS = {
     "mmb-ewmhsa_dwconv-k5": lambda: MMBConfig(8, 2.0, operator="ewmhsa_dwconv", kernel=5, window=3,
                                               **_MMB_BINDINGS),
     "mmb-dwconv-k5": lambda: MMBConfig(8, 2.0, operator="dwconv", kernel=5, **_MMB_BINDINGS),
-    "irmb-k5-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=3, heads=2, attn_first=False),
+    "irmb-k5-attn-after-conv": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=3, heads=2, attn_at="depthwise"),
     "irmb-k5-attn-first": lambda: IRMBConfig(8, 8, 2.0, kernel=5, window=4, heads=2),
     # value heads 4 wide: a padded crop one window column wide tiles into a
     # view, on which the value product can round differently
@@ -484,6 +493,7 @@ _CROP_HW = {
     "irmb-k5-attn-first": (16, 16),
     "irmb-attn-first": (9, 12),
     "irmb-post-expand": (9, 12),
+    "irmb-attn-after-act-no-inner-skip": (9, 12),
     "mmb-ewmhsa-padded-narrow-heads": (6, 6),
 }
 
@@ -638,7 +648,7 @@ def test_grad_check_rejects_bad_arguments(kwargs, argument):
 @pytest.mark.parametrize("kind", ["gelu", "silu"])
 def test_elementwise_rerun_counts_flipped_zeros_and_nans_as_changed(kind, precision):
     cfg = IRMBConfig(4, 4, 2.0, enable_attn=False, expand_act=kind)
-    (act,) = [st for st in block_stages(cfg, "", block_plan(cfg)) if st.elementwise]
+    (act,) = [st for st in block_stages(cfg, "") if st.elementwise]
     x, u = object(), object()
     base_in = Rng(0).normal("v", (1, 8, 5, 5), precision=precision)
     base_in.reshape(-1)[:2] = 0.0

@@ -8,7 +8,7 @@ import pytest
 from emo import EMOVariantConfig, IRMBConfig, build_emo, emo_forward, ops, random_block_params
 from emo import autograd as T
 from emo.attention import window_merge, window_partition
-from emo.irmb import block_plan, block_stages, run_stages
+from emo.irmb import block_stages, run_stages
 from emo.ops import ConvSpec
 from test_ops import VJP_FORMULAS
 
@@ -93,7 +93,7 @@ def test_attention_mix_records_one_node_per_window_map(hw, nodes):
     params = {k: T.Var(v) for k, v in random_block_params(cfg, 0).items()}
     rng = np.random.default_rng(3)
     u, v = T.Var(rng.normal(size=(1, 8, *hw))), T.Var(rng.normal(size=(1, 16, *hw)))
-    qk, mix = [st for st in block_stages(cfg, "", block_plan(cfg)) if st.name in ("qk", "mix")]
+    qk, mix = [st for st in block_stages(cfg, "") if st.name in ("qk", "mix")]
     assert _recorded_nodes(run_stages([qk, mix], (None, u, v), params)[-1]) == nodes
 
 

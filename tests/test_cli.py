@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,11 +224,29 @@ _OPTIONS = {
 }
 
 
-def test_each_subcommand_takes_only_the_flags_its_handler_reads():
+def _parser_options():
+    """subcommand -> the option strings `cli.build_parser()` gives it, bar -h/--help."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-           for name, p in sub.choices.items()}
-    assert got == _OPTIONS
+    return {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_only_the_flags_its_handler_reads():
+    assert _parser_options() == _OPTIONS
+
+
+def test_readme_flag_table_lists_each_subcommands_parser_flags():
+    # the README's "subcommand | flags" table: each row names its subcommands
+    # and flags in backticks, and every subcommand has exactly one row
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # past the header and its rule
+    table = {}
+    for row in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z]+)`", names):
+            assert name not in table, name
+            table[name] = set(re.findall(r"--[a-z-]+", flags))
+    assert table == _parser_options()
 
 
 @pytest.mark.parametrize("argv", [("count", "--precision", "f64"), ("mpl", "--seed", "1")])
@@ -235,6 +255,15 @@ def test_a_flag_the_command_does_not_read_is_config_error(capsys, validator, arg
     assert code == 2
     validator(doc)
     assert doc["error"]["code"] == "config" and argv[1] in doc["error"]["message"]
+
+
+def test_out_path_that_cannot_be_written_is_config_error(capsys, validator, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, doc = run_json(capsys, "count", "--preset", "emo-1m", "--out", str(out))
+    assert code == 2
+    validator(doc)
+    assert doc["error"]["code"] == "config" and str(out) in doc["error"]["message"]
+    assert not out.parent.exists()
 
 
 def test_unknown_preset_is_config_error(capsys, validator):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_single_token_attention_degenerates_to_expansion():
 
 
 def test_zero_qk_gives_uniform_attention_window_means():
-    cfg = IRMBConfig(4, 4, 2.0, window=2, heads=2, attn_pre_expand=False)
+    cfg = IRMBConfig(4, 4, 2.0, window=2, heads=2, attn_at="expand")
     params = dict(random_block_params(cfg, seed=4))
     params["q.w"] = np.zeros_like(params["q.w"])
     params["q.b"] = np.zeros_like(params["q.b"])
@@ -249,9 +251,71 @@ def test_config_validation():
     with pytest.raises(ValueError, match="stride 2 requires"):
         IRMBConfig(8, 8, 2.0, stride=2, enable_conv=False)
     with pytest.raises(ValueError, match="ill-posed"):
-        IRMBConfig(8, 8, 2.0, stride=2, attn_first=False)
+        IRMBConfig(8, 8, 2.0, stride=2, attn_at="depthwise")
     with pytest.raises(ValueError, match="stride"):
         IRMBConfig(8, 8, 2.0, stride=3)
+
+
+# (attn_at, or None without attention; enable_conv; inner_skip; stride) -> the block's
+# stages in order, "depthwise+" where the depth-wise stage adds its input back
+_STAGE_ORDER = {
+    (None, False, True, 1): "pre_norm expand norm_e act shrink",
+    (None, False, False, 1): "pre_norm expand norm_e act shrink",
+    (None, True, True, 1): "pre_norm expand norm_e act depthwise+ shrink",
+    (None, True, False, 1): "pre_norm expand norm_e act depthwise shrink",
+    (None, True, True, 2): "pre_norm expand norm_e act depthwise shrink",
+    (None, True, False, 2): "pre_norm expand norm_e act depthwise shrink",
+    ("pre_norm", False, True, 1): "pre_norm qk mix expand norm_e act shrink",
+    ("pre_norm", False, False, 1): "pre_norm qk mix expand norm_e act shrink",
+    ("pre_norm", True, True, 1): "pre_norm qk mix expand norm_e act depthwise+ shrink",
+    ("pre_norm", True, False, 1): "pre_norm qk mix expand norm_e act depthwise shrink",
+    ("pre_norm", True, True, 2): "pre_norm qk mix expand norm_e act depthwise shrink",
+    ("pre_norm", True, False, 2): "pre_norm qk mix expand norm_e act depthwise shrink",
+    ("expand", False, True, 1): "pre_norm expand qk mix norm_e act shrink",
+    ("expand", False, False, 1): "pre_norm expand qk mix norm_e act shrink",
+    ("expand", True, True, 1): "pre_norm expand qk mix norm_e act depthwise+ shrink",
+    ("expand", True, False, 1): "pre_norm expand qk mix norm_e act depthwise shrink",
+    ("expand", True, True, 2): "pre_norm expand qk mix norm_e act depthwise shrink",
+    ("expand", True, False, 2): "pre_norm expand qk mix norm_e act depthwise shrink",
+    ("act", False, True, 1): "pre_norm expand norm_e act qk mix shrink",
+    ("act", False, False, 1): "pre_norm expand norm_e act qk mix shrink",
+    ("act", True, True, 1): "pre_norm expand norm_e act qk mix depthwise+ shrink",
+    ("act", True, False, 1): "pre_norm expand norm_e act qk mix depthwise shrink",
+    ("act", True, True, 2): "pre_norm expand norm_e act qk mix depthwise shrink",
+    ("act", True, False, 2): "pre_norm expand norm_e act qk mix depthwise shrink",
+    ("depthwise", True, True, 1): "pre_norm expand norm_e act depthwise+ qk mix shrink",
+    ("depthwise", True, False, 1): "pre_norm expand norm_e act depthwise qk mix shrink",
+}
+
+
+def test_config_fields_fix_the_stage_order_of_every_valid_block(stage_order):
+    # every combination the table lacks is one that __post_init__ rejects
+    for attn_at, conv, inner_skip, stride in itertools.product(
+        (None, "pre_norm", "expand", "act", "depthwise"), (False, True), (True, False), (1, 2),
+    ):
+        key = (attn_at, conv, inner_skip, stride)
+        fields = dict(enable_attn=False) if attn_at is None else dict(attn_at=attn_at)
+        make = lambda: IRMBConfig(8, 8, 2.0, window=2, heads=2, stride=stride, enable_conv=conv,
+                                  inner_skip=inner_skip, **fields)
+        if key in _STAGE_ORDER:
+            assert stage_order(make()) == _STAGE_ORDER[key], key
+        else:
+            with pytest.raises(ValueError):
+                make()
+
+
+def test_config_rejects_an_attention_placement_the_block_cannot_run():
+    with pytest.raises(ValueError, match="unknown attn_at"):
+        IRMBConfig(8, 8, 2.0, attn_at="shrink")
+    with pytest.raises(ValueError, match="ill-posed without a stride-1 depth-wise conv"):
+        IRMBConfig(8, 8, 2.0, attn_at="depthwise", enable_conv=False)
+    with pytest.raises(ValueError, match="ill-posed"):
+        IRMBConfig(8, 8, 2.0, attn_at="depthwise", stride=2)
+    # ew_mhsa multiplies before or after the expansion only
+    for attn_at in ("act", "depthwise"):
+        cfg = IRMBConfig(4, 4, 2.0, window=2, heads=2, attn_at=attn_at)
+        with pytest.raises(ValueError, match="before or after the expansion"):
+            ew_mhsa(rand_x(4, (4, 4)), cfg, random_block_params(cfg, 0))
 
 
 def test_default_heads_rule():
@@ -324,12 +388,12 @@ def test_channel_change_uses_out_anchored_expansion():
 
 
 def test_reversed_operator_order_runs():
-    cfg = IRMBConfig(8, 8, 2.0, window=2, heads=2, expand_groups=2, attn_first=False)
+    cfg = IRMBConfig(8, 8, 2.0, window=2, heads=2, expand_groups=2, attn_at="depthwise")
     params = random_block_params(cfg, seed=1)
     y = irmb_forward(rand_x(8, (4, 4)), cfg, params)
     assert y.shape == (1, 8, 4, 4)
     # reversed order computes a different function from the default order
-    y2 = irmb_forward(rand_x(8, (4, 4)), cfg.__class__(**{**cfg.__dict__, "attn_first": True}), params)
+    y2 = irmb_forward(rand_x(8, (4, 4)), cfg.__class__(**{**cfg.__dict__, "attn_at": "pre_norm"}), params)
     assert np.abs(y - y2).max() > 1e-8
 
 

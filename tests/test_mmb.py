@@ -4,7 +4,7 @@ import pytest
 from emo import (IRMBConfig, MMBConfig, Rng, cost_meter, count_costs, irmb_forward, mmb_forward, mmb_init_params,
                  mmb_instantiate, random_block_params)
 from emo import autograd as ag, ops
-from emo.irmb import block_plan, block_stages
+from emo.irmb import block_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 
@@ -143,9 +143,27 @@ def test_config_json_round_trip_and_strictness():
         mmb_config_from_dict({"channels": 8})
 
 
+# operator -> its block's stages in order, "depthwise+" where the depth-wise stage adds its input back
+_OPERATOR_STAGES = {
+    "identity": "pre_norm expand norm_e act shrink",
+    "dwconv": "pre_norm expand norm_e act depthwise shrink",
+    "ewmhsa": "pre_norm expand norm_e act qk mix shrink",
+    "ewmhsa_dwconv": "pre_norm expand norm_e act qk mix depthwise+ shrink",
+    "dwconv_ewmhsa": "pre_norm expand norm_e act depthwise+ qk mix shrink",
+}
+
+
+def test_each_operator_is_one_irmb_config_with_its_stage_order(stage_order):
+    assert set(_OPERATOR_STAGES) == set(OPERATORS)
+    for op, want in _OPERATOR_STAGES.items():
+        irmb_cfg = MMBConfig(8, 2.0, operator=op, window=2, heads=2)._as_irmb(4, 4)
+        assert isinstance(irmb_cfg, IRMBConfig)
+        assert stage_order(irmb_cfg) == want, op
+
+
 def test_executed_work_matches_static_count(fold_metered):
     # closes the oracle loop: closed form == static walk == metered execution,
-    # for the MMB operators and the iRMB plans (5x5 under 2x2 windows pads them)
+    # for the MMB operators and the iRMB placements (5x5 under 2x2 windows pads them)
     mmbs = (
         MMBConfig(8, 1.0, operator="ewmhsa", heads=1),
         MMBConfig(8, 2.0, operator="ewmhsa_dwconv", window=2, heads=2,
@@ -158,15 +176,15 @@ def test_executed_work_matches_static_count(fold_metered):
     )
     irmbs = (
         IRMBConfig(8, 8, 2.0, window=2, heads=2),
-        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_pre_expand=False),
-        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_first=False),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_at="expand"),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, attn_at="depthwise"),
         IRMBConfig(8, 16, 2.0, window=2, heads=2, stride=2, expand_groups=2),
-        IRMBConfig(8, 8, 2.0, window=2, heads=2, enable_conv=False, attn_first=False),
+        IRMBConfig(8, 8, 2.0, window=2, heads=2, enable_conv=False, attn_at="act"),
         IRMBConfig(8, 8, 2.0, enable_attn=False),
     )
-    cases = [(cfg, 4, build(cfg), mmb_forward, *cfg._as_irmb(4, 4)) for cfg in mmbs]
-    cases += [(cfg, 5, random_block_params(cfg, 0), irmb_forward, cfg, block_plan(cfg)) for cfg in irmbs]
-    for cfg, res, params, forward, irmb_cfg, plan in cases:
+    cases = [(cfg, 4, build(cfg), mmb_forward, cfg._as_irmb(4, 4)) for cfg in mmbs]
+    cases += [(cfg, 5, random_block_params(cfg, 0), irmb_forward, cfg) for cfg in irmbs]
+    for cfg, res, params, forward, irmb_cfg in cases:
         x = Rng(1).normal("x", (1, irmb_cfg.in_channels, res, res), precision="f64")
         with cost_meter() as m:
             forward(x, cfg, params)
@@ -178,7 +196,7 @@ def test_executed_work_matches_static_count(fold_metered):
         assert m.norm_elems == rep.norm_elems, cfg
         assert m.act_elems == rep.act_elems, cfg
         assert m.other_adds == rep.other_adds, cfg
-        stages = block_stages(irmb_cfg, "", plan)
+        stages = block_stages(irmb_cfg, "")
         _, checks = fold_metered(stages, x, params, (res, res))
         assert checks >= 6 * 5, cfg
         # the Q/K projections' lines sit on the qk stage, the attention matrix's
