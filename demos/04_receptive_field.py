@@ -41,7 +41,7 @@ print("  masks equal:", np.array_equal(a.mask, b.mask), f"({a.count} pixels)")
 print()
 print("=== corner-to-corner path lengths (blocks needed) ===")
 print(f"{'kind':<18} {'W':>3} {'empirical':>9} {'closed form':>11}")
-for W in (8, 14, 28):
+for W in (8, 14, 28, 224):
     c = max_path_length(conv, W)
     print(f"{'conv only k=3':<18} {W:>3} {c.empirical:>9} {c.closed_form:>11}")
     g = max_path_length(IRMBConfig(4, 4, 2.0, kernel=3, window=W, heads=1), W)

@@ -8,24 +8,27 @@ contractions of conv/matmul calls, softmax is itemized per attention-matrix
 element (3 flops each), and bias adds / normalization / activation elements
 are reported separately so any FLOP convention can be reconstructed.
 
-The structural analyses fold over the same stages: influence masks and path
-lengths close a reachability map over each stage's attention `window` and
-dilate it by each spatial `conv` (`_reach`), and `conv_receptive_radius` folds
-the convs of `model.stages_through` a stage.
+The structural analyses fold over the same stages. One reach rule serves
+influence masks, path lengths and gradient checking's crops: a box of the map
+snaps out to each stage's attention `window` grid and grows by each spatial
+`conv`'s radius (`_reach`). Each starts from one box (a pixel, a corner, the
+bounding box of a change), and a window or a conv takes a box to a box, so
+the fold is exact and costs a few integer operations per stage, whatever the
+map size. `conv_receptive_radius` folds the convs of `model.stages_through` a
+stage.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from . import autograd as ag
-from .attention import window_merge, window_partition
 from .irmb import IRMBConfig, Stage, block_stages, random_block_params, run_stages
 from .mmb import MMBConfig
 from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stages_through
@@ -170,7 +173,7 @@ def count_costs(target, resolution: int = 224) -> CostReport:
     if isinstance(target, EMOModel):
         target = target.cfg
     if isinstance(target, EMOVariantConfig):
-        check_resolution(target, resolution, resolution)
+        check_resolution(resolution, resolution)
         name, stages = target.name, model_stages(target)
     elif isinstance(target, (IRMBConfig, MMBConfig)):
         name, cfg = _block_of(target, resolution, resolution)
@@ -245,21 +248,21 @@ class InfluenceMask:
         return int(self.mask.sum())
 
 
-def _window_closure(mask: np.ndarray, window: int) -> np.ndarray:
-    """Every pixel of each attention window that holds a True pixel, tiled as the forward tiles."""
-    tokens, layout = window_partition(mask[None, None], window, 1)
-    return window_merge(np.broadcast_to(tokens.any(axis=2, keepdims=True), tokens.shape), layout, 1)[0, 0]
-
-
-def _reach(mask: np.ndarray, stages) -> np.ndarray:
-    """Fold a reachability map through `stages` (stride 1), in the order given:
-    each `window` closes it over the attention windows, each `conv` dilates it."""
+def _reach(box, stages, h: int, w: int) -> tuple[int, int, int, int]:
+    """Fold the box (y0, y1, x0, x1), rows y0:y1 and columns x0:x1 of an
+    h x w map, through `stages` (stride 1), in the order given: each
+    `window` snaps it out to the attention windows that hold it, tiled from
+    the top-left as the forward pads, and each `conv` grows it by the conv's
+    radius. Both clip to the map. What a box reaches through a window or a
+    conv is a box, so this is the exact reach, not a bound on it."""
+    y0, y1, x0, x1 = box
     for stage in stages:
-        if stage.window:
-            mask = _window_closure(mask, stage.window)
+        if win := stage.window:
+            y0, y1, x0, x1 = y0 - y0 % win, min(y1 + -y1 % win, h), x0 - x0 % win, min(x1 + -x1 % win, w)
         if stage.conv:  # the kernel is odd: a square of side kernel is a radius of (kernel - 1) // 2
-            mask = binary_dilation(mask, structure=np.ones((stage.conv.kernel,) * 2, dtype=bool))
-    return mask
+            r = (stage.conv.kernel - 1) // 2
+            y0, y1, x0, x1 = max(y0 - r, 0), min(y1 + r, h), max(x0 - r, 0), min(x1 + r, w)
+    return y0, y1, x0, x1
 
 
 def _stack_stages(stack) -> list[Stage]:
@@ -280,9 +283,10 @@ def influence_mask(stack, source: tuple[int, int], resolution: int,
     """Which input pixels can affect the output pixel `source` through `stack`.
 
     `stack` is a sequence of stride-1 IRMBConfigs of one width. Structural
-    mode folds reachability back through the stack's stages (`_reach`); vjp
-    mode differentiates a randomly-weighted instantiation of the same stages
-    and marks nonzero input gradients. The two must agree.
+    mode folds the source pixel's box back through the stack's stages
+    (`_reach`) and marks that box; vjp mode differentiates a randomly-weighted
+    instantiation of the same stages and marks nonzero input gradients. The
+    two must agree.
     """
     stack = list(stack)
     stages = _stack_stages(stack)
@@ -291,9 +295,10 @@ def influence_mask(stack, source: tuple[int, int], resolution: int,
         raise ValueError(f"source {source} outside a {resolution}x{resolution} map")
 
     if mode == "structural":
+        y0, y1, x0, x1 = _reach((r, r + 1, c, c + 1), reversed(stages), resolution, resolution)
         mask = np.zeros((resolution, resolution), dtype=bool)
-        mask[r, c] = True
-        return InfluenceMask((r, c), _reach(mask, reversed(stages)), len(stack))
+        mask[y0:y1, x0:x1] = True
+        return InfluenceMask((r, c), mask, len(stack))
     if mode == "vjp":
         x = ag.Var(Rng(seed ^ 0xA11CE).normal("influence.input",
                                               (1, stack[0].in_channels, resolution, resolution),
@@ -325,10 +330,12 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     """Blocks needed for corner-to-corner influence, plus the closed form.
 
     That path needs two corners, so a resolution below 2 raises ValueError.
-    The simulation propagates influence through the actual block structure
-    (partitioned windows, conv dilation). The closed forms are order-of-
-    growth ceilings; the partitioned-window cascade can exceed its quoted
-    ceiling, which the report makes visible rather than hiding.
+    The simulation folds the corner (0, 0)'s box through the block's stages
+    (`_reach`: partitioned windows, conv radius), one block per fold, until
+    the box holds the far corner or stops growing (unreachable). The closed
+    forms are order-of-growth ceilings; the partitioned-window cascade can
+    exceed its quoted ceiling, which the report makes visible rather than
+    hiding.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2 for a corner-to-corner path, got {resolution}")
@@ -352,18 +359,15 @@ def max_path_length(cfg: IRMBConfig, resolution: int) -> MPLReport:
     else:
         raise ValueError("block with both switches off never moves information spatially")
 
-    mask = np.zeros((W, W), dtype=bool)
-    mask[0, 0] = True
-    target = (W - 1, W - 1)
-    empirical = None
-    for n in range(1, 4 * W + 2):
-        new = _reach(mask, stages)
-        if new[target]:
+    empirical, box = None, (0, 1, 0, 1)
+    for n in itertools.count(1):
+        new = _reach(box, stages, W, W)
+        if new[1] == new[3] == W:  # the box holds the far corner (W - 1, W - 1)
             empirical = n
             break
-        if np.array_equal(new, mask):
+        if new == box:
             break
-        mask = new
+        box = new
     return MPLReport(kind, W, empirical, closed, expr)
 
 
@@ -515,10 +519,9 @@ def _crop_boxes(stage, changed: np.ndarray):
     """((y0, y1, x0, x1), (cy0, cy1, cx0, cx1)), or None if no position changed.
 
     The first box holds the outputs of `stage` that the True positions of
-    the map `changed` reach: like `_reach`, their bounding box snaps to the
-    window grid, then grows by the conv radius, clipped to the map, so it is
-    the bounding box of `_reach(changed, [stage])`. The second is that box
-    plus the conv's halo, the crop of the input that computes it.
+    the map `changed` reach: the `_reach` of their bounding box through the
+    stage. The second is that box plus the conv's halo, clipped to the map:
+    the crop of the input that computes it.
 
     A padded crop one window column wide tiles into a view, where a map of
     several window columns tiles into a copy, and on a view the value
@@ -529,19 +532,11 @@ def _crop_boxes(stage, changed: np.ndarray):
     if not ys.size:
         return None
     (h, w), win = changed.shape, stage.window
-    y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs.min(), xs.max() + 1
-    if win:
-        y0, y1, x0, x1 = y0 - y0 % win, min(y1 + -y1 % win, h), x0 - x0 % win, min(x1 + -x1 % win, w)
-        if x1 - x0 <= win < w and ((y1 - y0) % win or (x1 - x0) % win):
-            x0, x1 = (x0 - win, x1) if x1 == w else (x0, min(x1 + win, w))
+    y0, y1, x0, x1 = _reach((ys[0], ys[-1] + 1, xs.min(), xs.max() + 1), [stage], h, w)
+    if win and x1 - x0 <= win < w and ((y1 - y0) % win or (x1 - x0) % win):
+        x0, x1 = (x0 - win, x1) if x1 == w else (x0, min(x1 + win, w))
     halo = (stage.conv.kernel - 1) // 2 if stage.conv else 0
-
-    def span(lo, hi, size):
-        lo, hi = max(lo - halo, 0), min(hi + halo, size)
-        return lo, hi, max(lo - halo, 0), min(hi + halo, size)
-
-    (y0, y1, cy0, cy1), (x0, x1, cx0, cx1) = span(y0, y1, h), span(x0, x1, w)
-    return (y0, y1, x0, x1), (cy0, cy1, cx0, cx1)
+    return (y0, y1, x0, x1), (max(y0 - halo, 0), min(y1 + halo, h), max(x0 - halo, 0), min(x1 + halo, w))
 
 
 def _rerun_local(stage, state, leafs, base_in, base_out):
@@ -713,7 +708,7 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
     Every leaf is f64; a model's parameters are upcast (its f64 twin).
     """
     if isinstance(target, EMOModel):
-        check_resolution(target.cfg, h, w)
+        check_resolution(h, w)
         name, body, cin = target.cfg.name, model_stages(target.cfg), IN_CHANNELS
         params = {k: v.astype(np.float64, copy=False) for k, v in target.params.items()}
     elif isinstance(target, (IRMBConfig, MMBConfig)):

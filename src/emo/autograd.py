@@ -290,7 +290,7 @@ def activate(x, kind):
         return silu(x)
     if kind == "gelu":
         return gelu(x)
-    if kind == "none" or kind is None:
+    if kind == "none":
         return x
     raise ValueError(f"unknown activation {kind!r}")
 

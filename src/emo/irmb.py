@@ -196,8 +196,8 @@ def init_params(shapes: dict[str, tuple[int, ...]], rng: Rng, precision: str = "
     return params
 
 
-def irmb_init_params(cfg: IRMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
-    return init_params({prefix + leaf: shape for leaf, shape in cfg.param_shapes().items()}, rng, precision)
+def irmb_init_params(cfg: IRMBConfig, rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
+    return init_params(cfg.param_shapes(), rng, precision)
 
 
 def _norm(x, kind, params, key):
@@ -209,7 +209,7 @@ def _norm(x, kind, params, key):
     return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
-def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
+def ew_mhsa(x, cfg: IRMBConfig, params):
     """Expanded-window attention stage: unexpanded Q/K, expanded values.
 
     Returns the expanded features (cfg.mid channels) at the input resolution,
@@ -223,9 +223,8 @@ def ew_mhsa(x, cfg: IRMBConfig, params, prefix: str = ""):
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
     if cfg.attn_at not in ("pre_norm", "expand"):
         raise ValueError(f"ew_mhsa multiplies before or after the expansion, not at attn_at={cfg.attn_at!r}")
-    names = {prefix + name for name in ("qk", "mix", "expand")}
-    stages = block_stages(cfg, prefix)
-    return run_stages([st for st in stages if st.name in names], (x, x, x), params)[-1]
+    stages = [st for st in block_stages(cfg, "") if st.name in ("qk", "mix", "expand")]
+    return run_stages(stages, (x, x, x), params)[-1]
 
 
 @dataclass(frozen=True)
@@ -401,15 +400,15 @@ def run_stages(stages, state, params):
     return state
 
 
-def irmb_forward(x, cfg: IRMBConfig, params, prefix: str = ""):
+def irmb_forward(x, cfg: IRMBConfig, params):
     """One block: expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
 
-    A fold of x over `block_stages(cfg, prefix)`, which also says where EW-MHSA runs.
+    A fold of x over `block_stages(cfg, "")`, which also says where EW-MHSA runs.
     """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
-    return run_stages(block_stages(cfg, prefix), x, params)
+    return run_stages(block_stages(cfg, ""), x, params)
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,12 @@ def mmb_instantiate(preset: str, channels: int, expansion_ratio: float | None = 
 # parameters and forward
 
 
-def mmb_init_params(cfg: MMBConfig, rng: Rng, prefix: str = "", precision: str = "f32") -> dict[str, np.ndarray]:
+def mmb_init_params(cfg: MMBConfig, rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
     """The iRMB parameters of the block (the window shapes none of them)."""
-    return irmb_init_params(cfg._as_irmb(1, 1), rng, prefix, precision)
+    return irmb_init_params(cfg._as_irmb(1, 1), rng, precision)
 
 
-def mmb_forward(x, cfg: MMBConfig, params, prefix: str = ""):
+def mmb_forward(x, cfg: MMBConfig, params):
     """Expansion -> operator -> shrinkage, with the residual back to x."""
     h, w = val(x).shape[2:]
-    return irmb_forward(x, cfg._as_irmb(h, w), params, prefix)
+    return irmb_forward(x, cfg._as_irmb(h, w), params)

@@ -145,7 +145,7 @@ def build_emo(cfg: EMOVariantConfig | str, seed: int = 0, precision: str = "f32"
     return EMOModel(cfg=cfg, precision=precision, seed=seed, params=params)
 
 
-def check_resolution(cfg: EMOVariantConfig, h: int, w: int) -> None:
+def check_resolution(h: int, w: int) -> None:
     if h < MIN_INPUT_MULTIPLE or w < MIN_INPUT_MULTIPLE or h % MIN_INPUT_MULTIPLE or w % MIN_INPUT_MULTIPLE:
         raise ValueError(
             f"input spatial dims must be positive multiples of {MIN_INPUT_MULTIPLE} "
@@ -159,7 +159,7 @@ def _model_input(model: EMOModel, x):
     n, c, h, w = T.val(xv).shape
     if c != IN_CHANNELS:
         raise ValueError(f"input has {c} channels, model expects {IN_CHANNELS}")
-    check_resolution(model.cfg, h, w)
+    check_resolution(h, w)
     return xv
 
 

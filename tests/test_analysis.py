@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
 from emo import (
     EMOModel,
@@ -23,6 +24,7 @@ from emo import (
 )
 from emo import analysis, cost_meter
 from emo import autograd as ag
+from emo.attention import window_merge, window_partition
 from emo.irmb import Stage, block_stages, run_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
@@ -232,6 +234,43 @@ def test_conv_radius_grows_exactly_per_block(k):
         assert max(np.abs(ii - 7).max(), np.abs(jj - 7).max()) == depth * (k - 1) // 2
 
 
+def _mask_reach(mask, stages):
+    """Reference reach as a boolean map: each window closes it over the attention
+    windows the forward tiles, each conv dilates it by a kernel-sided square."""
+    for stage in stages:
+        if stage.window:
+            tokens, layout = window_partition(mask[None, None], stage.window, 1)
+            mask = window_merge(np.broadcast_to(tokens.any(axis=2, keepdims=True), tokens.shape), layout, 1)[0, 0]
+        if stage.conv:
+            mask = binary_dilation(mask, structure=np.ones((stage.conv.kernel,) * 2, dtype=bool))
+    return mask
+
+
+@pytest.mark.parametrize("h, w", [(1, 5), (2, 2), (7, 7), (9, 12), (14, 20), (23, 30)])
+def test_box_reach_equals_the_mask_fold(h, w):
+    # a box stays a box through window snapping and conv growth, so the box
+    # fold draws exactly the mask fold's map, from a pixel or a small box,
+    # through stacks of 1-3 window and conv stages, on square and oblong maps
+    gen = np.random.default_rng([h, w])
+    for case in range(120):
+        stages = []
+        for _ in range(gen.integers(1, 4)):
+            if gen.random() < 0.5:
+                stages.append(Stage("mix", None, window=int(gen.integers(1, 8))))
+            else:
+                k = int(gen.choice([1, 3, 5, 7]))
+                stages.append(Stage("dw", None, conv=ConvSpec(1, 1, kernel=k, padding=(k - 1) // 2, groups=1)))
+        y0, x0 = int(gen.integers(h)), int(gen.integers(w))
+        y1, x1 = (y0 + 1, x0 + 1) if case % 2 else (y0 + 1 + int(gen.integers(min(h - y0, 4))),
+                                                    x0 + 1 + int(gen.integers(min(w - x0, 4))))
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y0:y1, x0:x1] = True
+        box, want = analysis._reach((y0, y1, x0, x1), stages, h, w), _mask_reach(mask, stages)
+        drawn = np.zeros((h, w), dtype=bool)
+        drawn[box[0]:box[1], box[2]:box[3]] = True
+        assert box == _box(want) and np.array_equal(drawn, want), (case, (y0, y1, x0, x1), stages)
+
+
 def test_executed_work_matches_static_count_across_block_matrix(fold_metered):
     import itertools
 
@@ -277,7 +316,7 @@ def test_executed_work_matches_static_count_across_block_matrix(fold_metered):
 
 
 def test_conv_only_path_length_matches_chebyshev_count():
-    for k, W in [(3, 8), (5, 8), (3, 14), (5, 14)]:
+    for k, W in [(3, 8), (5, 8), (3, 14), (5, 14), (3, 224), (5, 512)]:
         rep = max_path_length(IRMBConfig(4, 4, 1.0, kernel=k, enable_attn=False), W)
         assert rep.empirical == math.ceil((W - 1) / ((k - 1) // 2))
 
@@ -616,7 +655,7 @@ def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
         x[0, gen.integers(c, size=rows.size), rows, cols] = 1.0  # each changed position in one channel
         out = analysis._rerun_local(probe, (x,), {}, (base_in,), base_out)[-1]
         assert out.shape == base_out.shape and not base_out.any()
-        b0, b1, a0, a1 = _box(analysis._reach(mask, [probe]))
+        b0, b1, a0, a1 = analysis._reach(_box(mask), [probe], h, w)
         if window and a1 - a0 <= window < w and ((b1 - b0) % window or (a1 - a0) % window):
             a0, a1 = (a0 - window, a1) if a1 == w else (a0, min(a1 + window, w))
             widened += 1

@@ -401,7 +401,8 @@ def _init_then_redraw(cfg, seed, precision, prefix):
     """Reference: initialize every leaf, then redraw each from its named stream."""
     rng = Rng(seed)
     out = {}
-    for name, arr in irmb_init_params(cfg, rng, prefix, precision).items():
+    for leaf, arr in irmb_init_params(cfg, rng, precision).items():
+        name = prefix + leaf
         if name.endswith(".var"):
             out[name] = (0.5 + rng.uniform(name, arr.shape, 0.0, 1.0, precision)).astype(arr.dtype)
         else:

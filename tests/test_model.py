@@ -19,11 +19,11 @@ from emo import (
     load_model,
     preset,
     save_model,
-    irmb_forward,
     stage_features,
 )
 from emo import autograd as ag
 from emo.autograd import conv2d, mean_hw
+from emo.irmb import block_stages, run_stages
 from emo.model import model_stages, stages_through
 
 TINY = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0), num_classes=10)
@@ -227,7 +227,7 @@ def test_stage_features_resume_to_the_full_forward():
         v = stage_features(model, x, stage)
         for name, s, bcfg in TINY.blocks:
             if s > stage:
-                v = irmb_forward(v, bcfg, p, prefix=name + ".")
+                v = run_stages(block_stages(bcfg, name + "."), v, p)
         pooled = mean_hw(v)
         head = conv2d(pooled.reshape(*pooled.shape, 1, 1), p["head.w"], TINY.head_spec(), p["head.b"])
         assert head.reshape(logits.shape).tobytes() == logits.tobytes()
