@@ -29,6 +29,7 @@ groups != heads.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -223,7 +224,7 @@ def ew_mhsa(x, cfg: IRMBConfig, params):
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
     if cfg.attn_at not in ("pre_norm", "expand"):
         raise ValueError(f"ew_mhsa multiplies before or after the expansion, not at attn_at={cfg.attn_at!r}")
-    stages = [st for st in block_stages(cfg, "") if st.name in ("qk", "mix", "expand")]
+    stages = [st for st in _bare_stages(cfg) if st.name in ("qk", "mix", "expand")]
     return run_stages(stages, (x, x, x), params)[-1]
 
 
@@ -393,6 +394,16 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> list[Stage]:
     return stages
 
 
+@functools.lru_cache(maxsize=128)
+def _bare_stages(cfg: IRMBConfig) -> tuple[Stage, ...]:
+    """`block_stages(cfg, "")`, the list the bare block forwards fold, built once per config.
+
+    A config is frozen, so it keys the cache; the bound keeps a process that
+    makes many configs from holding every list.
+    """
+    return tuple(block_stages(cfg, ""))
+
+
 def run_stages(stages, state, params):
     """Fold `state` through `stages`, each called as stage(state, params)."""
     for stage in stages:
@@ -403,12 +414,13 @@ def run_stages(stages, state, params):
 def irmb_forward(x, cfg: IRMBConfig, params):
     """One block: expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
 
-    A fold of x over `block_stages(cfg, "")`, which also says where EW-MHSA runs.
+    A fold of x over `block_stages(cfg, "")`, which also says where EW-MHSA
+    runs; the list is built once per config.
     """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
-    return run_stages(block_stages(cfg, ""), x, params)
+    return run_stages(_bare_stages(cfg), x, params)
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,29 @@ In 32-bit mode all dot products accumulate in 64-bit (operands are upcast
 for the contraction and the result is cast back), so f32 results track the
 f64 oracle closely.
 
-Convolution is tap-decomposed: the input is upcast and padded once, and each
-of the k*k kernel taps contracts its shifted, strided slice of that input
-with the tap's weights. A depth-wise conv multiplies each slice per channel
-and accumulates in row-major tap order, exactly the order of the plain-loop
+Convolution is tap-decomposed: each of the k*k kernel taps contracts its
+shifted, strided slice of the upcast, zero-padded input with the tap's
+weights. A depth-wise conv multiplies each slice per channel and
+accumulates in row-major tap order, exactly the order of the plain-loop
 oracle (tap by tap, starting from the first product), so in f64 it equals
-that oracle bit for bit; it never builds a k*k-times-larger patch tensor.
-It runs channels-last, so a tap multiplies contiguous rows of channels, and
-in tiles of _TILE elements of output rows, so every tap of a tile reads
-input that is already in L2; its input cotangent is built the same way, per
-tile of input rows, each element adding its taps' products to 0.0 in
-row-major tap order. Tiling changes the schedule, never any element's
-sequence of operations: every output is bit-identical to evaluating the
-taps over the whole map. Any other conv is one grouped matmul: a 1x1 conv
-over the input itself, a dense k x k conv (the stem, whose input has few
-channels) over the k*k slices stacked into one matrix. Its VJP, and every
-weight gradient, walks the same taps over the whole map, scattering each
-tap's input cotangent back onto its slice. silu and gelu are evaluated over
-flat tiles in the same way.
+that oracle bit for bit; it builds neither a k*k-times-larger patch tensor
+nor a padded copy of the whole input. It runs channels-last, in tiles of
+_TILE elements of output rows: each tile first copies the input rows its
+taps read, upcast, padded and split into column phases, into one tile
+buffer that the call reuses, so a tap multiplies contiguous rows of
+channels and every tap of a tile reads input that is already in L2. Its
+input cotangent is built the same way, per tile of input rows, each element
+adding its taps' products to 0.0 in row-major tap order. Tiling changes the
+schedule, never any element's sequence of operations: every output is
+bit-identical to evaluating the taps over the whole map. Any other conv is
+one grouped matmul: a 1x1 conv over the upcast input itself, a dense k x k
+conv (the stem, whose input has few channels) over the k*k slices of the
+padded input stacked into one matrix. Those f64 operands live only through
+the matmul, and the epilogue adds the f64 bias while it casts the product
+into the input's dtype, rounding each sum once. Its VJP, and every weight
+gradient, walks the same taps over the whole map, scattering each tap's
+input cotangent back onto its slice. silu and gelu are evaluated over flat
+tiles in the same way.
 
 Given an array `dydx`, silu and gelu also write their derivative into it,
 from the same sigmoid or erf that gives y. silu_vjp and gelu_vjp take that
@@ -286,44 +291,45 @@ def _tap_weights(w: np.ndarray, wo: int) -> np.ndarray:
     return wt
 
 
-def _phase_padded(x: np.ndarray, p: int, s: int) -> np.ndarray:
-    """x upcast to f64, zero-padded by p, channels-last and split into s column phases.
-
-    The result is (N, Hp, s, ceil(Wp / s), C), padded column v at [v % s, v // s],
-    so the columns j, j + s, j + 2s, ... that tap column j reads are contiguous.
-    """
-    n, c, h, wd = x.shape
-    wp = wd + 2 * p
-    xp = np.zeros((n, h + 2 * p, s, -(-wp // s), c))
-    for r in range(s):
-        c0 = (r - p) % s  # first input column whose padded column is in phase r
-        cols = x[:, :, :, c0::s]
-        t0 = (c0 + p) // s
-        xp[:, p : p + h, r, t0 : t0 + cols.shape[3]] = cols.transpose(0, 2, 3, 1)
-    return xp
-
-
 def _depthwise(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
     """Depth-wise conv, channels-last, in row tiles of the output.
 
-    Each tile sums its taps in row-major order, the first product starting
-    the sum, then adds the f64 bias and is cast into the NCHW output.
+    Each tile first copies the input rows its taps read, upcast to f64,
+    zero-padded and split into s column phases, into one tile buffer
+    (tile, rows, s, ceil(Wp / s), C) that the call reuses: padded column v
+    sits at [v % s, v // s], so the columns j, j + s, j + 2s, ... that tap
+    column j reads are contiguous. Pad columns are never written, so they stay
+    zero; pad rows are zeroed in each tile that reads them. The tile then sums
+    its taps in row-major order, the first product starting the sum, adds the
+    f64 bias and is cast into the NCHW output.
     """
     n, c, h, wd = x.shape
     k, s, p = spec.kernel, spec.stride, spec.padding
-    xp = _phase_padded(x, p, s)
     wt = _tap_weights(w, wo)
     b64 = None if b is None else np.asarray(b, dtype=np.float64)
     y = np.empty((n, c, ho, wo), x.dtype)
     tiles = _row_tiles(n, ho, wo * c)
     n0, n1, r0, r1 = tiles[0]
     acc_buf, tmp_buf = np.empty((2, n1 - n0, r1 - r0, wo, c))
+    # output rows r0..r1-1 read padded rows r0 * s .. (r1 - 1) * s + k - 1
+    xt_buf = np.zeros((n1 - n0, (r1 - r0 - 1) * s + k, s, -(-(wd + 2 * p) // s), c))
     for n0, n1, r0, r1 in tiles:
         acc, tmp = acc_buf[: n1 - n0, : r1 - r0], tmp_buf[: n1 - n0, : r1 - r0]
+        q0, rows = r0 * s, (r1 - r0 - 1) * s + k
+        xt = xt_buf[: n1 - n0, :rows]
+        # the tile's rows lo..hi-1 hold input rows q0 + lo - p .., the rest are padding
+        lo, hi = min(max(p - q0, 0), rows), min(max(p + h - q0, 0), rows)
+        xt[:, :lo] = 0.0
+        xt[:, hi:] = 0.0
+        for r in range(s):
+            c0 = (r - p) % s  # first input column whose padded column is in phase r
+            cols = x[n0:n1, :, q0 + lo - p : q0 + hi - p, c0::s]
+            t0 = (c0 + p) // s
+            xt[:, lo:hi, r, t0 : t0 + cols.shape[3]] = cols.transpose(0, 2, 3, 1)
         for i in range(k):
-            rows = xp[n0:n1, r0 * s + i : (r1 - 1) * s + i + 1 : s]
+            taps = xt[:, i : i + (r1 - r0 - 1) * s + 1 : s]
             for j in range(k):
-                win = rows[:, :, j % s, j // s : j // s + wo]
+                win = taps[:, :, j % s, j // s : j // s + wo]
                 if i == j == 0:
                     np.multiply(win, wt[0, 0], out=acc)
                 else:
@@ -395,13 +401,15 @@ def conv2d(x, w, spec: ConvSpec, b=None) -> np.ndarray:
         return _depthwise(x, w, b, spec, ho, wo)
     g = spec.groups
     cig, cog = spec.in_channels // g, spec.out_channels // g
-    xp = _padded64(x, spec.padding)
     # (C_out, C_in/G, k, k) -> (G, C_out/G, k*k*C_in/G), columns ordered as _tap_matrix's rows
     wm = w.astype(np.float64, copy=False).transpose(0, 2, 3, 1).reshape(g, cog, spec.kernel ** 2 * cig)
-    y = np.matmul(wm, _tap_matrix(xp, spec, ho, wo)).reshape(n, spec.out_channels, ho, wo)
-    if b is not None:
-        y += np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1)
-    return y.astype(x.dtype, copy=False)
+    # the f64 input and tap matrix are temporaries of the matmul alone
+    y = np.matmul(wm, _tap_matrix(_padded64(x, spec.padding), spec, ho, wo)).reshape(n, spec.out_channels, ho, wo)
+    if b is None:
+        return y.astype(x.dtype, copy=False)
+    # one pass adds the f64 bias and rounds each sum into x's dtype, as (y + b).astype(x.dtype) does
+    out = y if x.dtype == y.dtype else np.empty(y.shape, x.dtype)
+    return np.add(y, np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1), out=out, casting="same_kind")
 
 
 def conv2d_vjp(g_out, x, w, spec: ConvSpec, *, need, shape, dtype):
@@ -541,7 +549,10 @@ def batchnorm_inference(x, gamma, beta, mean, var) -> np.ndarray:
     scale = (np.asarray(gamma) / np.sqrt(var + NORM_EPS)).reshape(1, -1, 1, 1)
     shift = (np.asarray(beta) - np.asarray(mean) * scale.reshape(-1)).reshape(1, -1, 1, 1)
     _meter(norm_elems=x.size)
-    return (x * scale + shift).astype(x.dtype, copy=False)
+    # in place, the add computes in the wider dtype and rounds once, as x * scale + shift does
+    y = x * scale
+    y += shift
+    return y.astype(x.dtype, copy=False)
 
 
 def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need, dtype):

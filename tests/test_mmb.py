@@ -3,8 +3,8 @@ import pytest
 
 from emo import (IRMBConfig, MMBConfig, Rng, cost_meter, count_costs, irmb_forward, mmb_forward, mmb_init_params,
                  mmb_instantiate, random_block_params)
-from emo import autograd as ag, ops
-from emo.irmb import block_stages
+from emo import autograd as ag, irmb, ops
+from emo.irmb import block_stages, ew_mhsa
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec
 
@@ -306,3 +306,26 @@ def test_every_operator_matches_independent_primitive_chain(operator):
         f = _global_attention(u, xe + dw(xe), p, 2)
     want = x + ops.conv2d(f, p["shrink.w"], ConvSpec(8, 4, kernel=1), p["shrink.b"])
     np.testing.assert_allclose(mmb_forward(x, cfg, p), want, rtol=0, atol=1e-10)
+
+
+def test_bare_block_forwards_build_each_stage_list_once(monkeypatch):
+    # the list is cached per config, and an MMB's per map size as well: a repeated
+    # call builds none and gives the first call's bits
+    irmb._bare_stages.cache_clear()  # a config equal to one below may be cached already
+    built = []
+    real = irmb.block_stages
+    monkeypatch.setattr(irmb, "block_stages", lambda cfg, prefix: built.append(cfg) or real(cfg, prefix))
+    mcfg = MMBConfig(8, 2.0, operator="ewmhsa_dwconv", heads=2,  # one window: its size is the map's
+                     pre_norm="layernorm", operator_norm="batchnorm", operator_act="silu")
+    icfg = IRMBConfig(8, 8, 2.0, window=4, heads=2)
+    x8, x4 = rand_x(mcfg, (8, 8)), rand_x(mcfg, (4, 4))
+    calls = [(mmb_forward, x8, mcfg, random_block_params(mcfg._as_irmb(8, 8), 5)),
+             (mmb_forward, x4, mcfg, random_block_params(mcfg._as_irmb(4, 4), 5)),
+             (irmb_forward, x8, icfg, random_block_params(icfg, 6)),
+             (ew_mhsa, x8, IRMBConfig(8, 8, 2.0, window=2, heads=2), random_block_params(icfg, 6))]
+    for forward, x, cfg, params in calls:
+        built.clear()
+        first = forward(x, cfg, params)
+        assert len(built) == 1, forward.__name__
+        assert forward(x, cfg, params).tobytes() == first.tobytes()
+        assert len(built) == 1, forward.__name__

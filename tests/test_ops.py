@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -238,8 +239,8 @@ def test_depthwise_weight_gradient_bits_are_pinned(case, dt):
 
 
 def test_depthwise_conv_peak_memory_stays_near_padded_input():
-    # the kernel holds the channels-last padded f64 input, the output and a few
-    # tile-sized buffers; a full-size f64 tap temporary or output reads above 2.5
+    # the kernel holds the output and a few tile-sized buffers; a full-size f64
+    # tap temporary or output reads above 2.5
     spec = ConvSpec(64, 64, kernel=3, padding=1, groups=64)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, 64, 56, 56)).astype(np.float32)
@@ -271,6 +272,54 @@ def test_depthwise_input_vjp_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.8 * gx_bytes, peak / gx_bytes
+
+
+@pytest.mark.parametrize("side", [112, 224])
+def test_depthwise_conv_scratch_does_not_grow_with_the_map(side):
+    # each row tile copies only the padded input rows it reads, so besides its output
+    # the kernel holds tile-sized buffers and the tap weights: well under 2 MiB at
+    # either size, where a padded f64 copy of the whole input is 6.6 MB at 112
+    spec = ConvSpec(64, 64, kernel=3, stride=2, padding=1, groups=64)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, 64, side, side)).astype(np.float32)
+    w = rng.normal(size=spec.weight_shape()).astype(np.float32)
+    b = rng.normal(size=64).astype(np.float32)
+    out_bytes = 64 * (side // 2) ** 2 * 4
+    scratch = _peak_bytes(lambda: ops.conv2d(x, w, spec, b)) - out_bytes
+    assert scratch < 2 << 20, scratch
+
+
+def test_pointwise_conv_peak_is_the_contraction_floor():
+    # the f32 input's f64 upcast lives only through the matmul, and the bias is added
+    # while the f64 product is cast into the f32 output, so the peak is the f64 output
+    # plus the larger of the f64 input and the f32 output, plus the weights and the
+    # cast's 8192-element buffers; holding all three maps at once reads 3 MB above
+    spec = ConvSpec(32, 64, kernel=1)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(1, 32, 112, 112)).astype(np.float32)
+    w = rng.normal(size=spec.weight_shape()).astype(np.float32)
+    b = rng.normal(size=64).astype(np.float32)
+    pixels = 112 * 112
+    in64, out64, out32 = 32 * pixels * 8, 64 * pixels * 8, 64 * pixels * 4
+    peak = _peak_bytes(lambda: ops.conv2d(x, w, spec, b))
+    assert peak <= out64 + max(in64, out32) + (128 << 10), peak
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+@pytest.mark.parametrize("cin, cout, k, s, p", [(12, 20, 1, 1, 0), (3, 8, 3, 2, 1)], ids=["pointwise", "dense"])
+def test_conv_epilogue_rounds_the_f64_sum_once(cin, cout, k, s, p, dt, bias):
+    # the bias is added to the f64 contraction while it is cast: the bytes equal
+    # (y + b).astype(x.dtype) of the f64 product y, which a bias-free f64 call returns
+    spec = ConvSpec(cin, cout, kernel=k, stride=s, padding=p, bias=bias)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, cin, 13, 11)).astype(dt)
+    w = rng.normal(size=spec.weight_shape()).astype(dt)
+    b = rng.normal(size=cout).astype(dt) if bias else None
+    y = ops.conv2d(x.astype(np.float64), w.astype(np.float64), dataclasses.replace(spec, bias=False))
+    want = (y + b.astype(np.float64).reshape(1, -1, 1, 1) if bias else y).astype(dt)
+    got = ops.conv2d(x, w, spec, b)
+    assert got.dtype == dt and got.tobytes() == want.tobytes()
 
 
 def test_conv_shape_errors():
@@ -400,6 +449,28 @@ def test_batchnorm_rejects_nonpositive_variance():
     x = np.zeros((1, 2, 2, 2))
     with pytest.raises(ValueError, match="variance"):
         ops.batchnorm_inference(x, np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("x_dt, stat_dt", [(np.float32, np.float32), (np.float32, np.float64),
+                                            (np.float64, np.float32), (np.float64, np.float64)])
+def test_batchnorm_shift_in_place_is_bit_identical_to_the_out_of_place_formula(x_dt, stat_dt):
+    # with mixed dtypes the in-place add computes in the wider one and rounds once
+    rng = np.random.default_rng(12)
+    x = (rng.normal(size=(2, 6, 5, 7)) * 3).astype(x_dt)
+    gamma, beta, mean = (rng.normal(size=6).astype(stat_dt) for _ in range(3))
+    var = rng.uniform(0.5, 1.5, size=6).astype(stat_dt)
+    scale = (gamma / np.sqrt(var + ops.NORM_EPS)).reshape(1, -1, 1, 1)
+    shift = (beta - mean * scale.reshape(-1)).reshape(1, -1, 1, 1)
+    got = ops.batchnorm_inference(x, gamma, beta, mean, var)
+    assert got.dtype == x_dt and got.tobytes() == (x * scale + shift).astype(x.dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_peak_is_one_output_map(dtype):
+    x = np.random.default_rng(13).normal(size=(1, 64, 112, 112)).astype(dtype)
+    stats = [np.full(64, v, dtype) for v in (1.5, 0.25, 0.1, 2.0)]
+    peak = _peak_bytes(lambda: ops.batchnorm_inference(x, *stats))
+    assert peak <= x.nbytes + (64 << 10), peak / x.nbytes
 
 
 def test_layernorm_constant_channels_give_zero():
