@@ -371,7 +371,7 @@ def cmd_similarity(args) -> dict:
         "command": "similarity",
         "model": cfg.name,
         "stage": args.stage,
-        "resolution": args.resolution,
+        "resolution": x.shape[2],
         "seed": args.seed,
         "input": args.input,
         "similarities": sims.tolist(),
@@ -399,7 +399,7 @@ def cmd_bench(args) -> dict:
         "command": "bench",
         "note": "local wall-clock measurement on this machine; reproduces no published figures",
         "model": cfg.name,
-        "resolution": args.resolution,
+        "resolution": x.shape[2],
         "precision": args.precision,
         "runs": len(times),
         "forward_ms": {

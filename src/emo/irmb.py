@@ -17,9 +17,9 @@ input back. So one config states this block and every meta mobile block
 
 `irmb_forward` is the one block core: it folds the input through
 `block_stages`, the block as an ordered list of named stages, each carrying
-the cost lines it executes: the model's stage list, the cost counter and
-gradient checking read the same list. EW-MHSA runs only as its qk + mix
-stage pair, which `ew_mhsa` folds too.
+the cost lines it executes, cached by config value: the model's stage list,
+the cost counter and gradient checking read the same list. EW-MHSA runs
+only as its qk + mix stage pair, which `ew_mhsa` folds too.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -94,9 +94,9 @@ class IRMBConfig:
                 "attention matrix comes from the full-resolution input"
             )
         mid = self.expansion_ratio * self.out_channels
-        if abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
+        if not math.isfinite(mid) or abs(mid - round(mid)) > 1e-6 or round(mid) < 1:
             raise ValueError(
-                f"expansion_ratio * out_channels must be a positive integer, "
+                f"expansion_ratio * out_channels must be a finite positive integer, "
                 f"got {self.expansion_ratio} * {self.out_channels} = {mid}"
             )
         mid = self.mid
@@ -224,7 +224,7 @@ def ew_mhsa(x, cfg: IRMBConfig, params):
         raise ValueError("ew_mhsa called on a config with enable_attn=False")
     if cfg.attn_at not in ("pre_norm", "expand"):
         raise ValueError(f"ew_mhsa multiplies before or after the expansion, not at attn_at={cfg.attn_at!r}")
-    stages = [st for st in _bare_stages(cfg) if st.name in ("qk", "mix", "expand")]
+    stages = [st for st in block_stages(cfg, "") if st.name in ("qk", "mix", "expand")]
     return run_stages(stages, (x, x, x), params)[-1]
 
 
@@ -283,8 +283,9 @@ class Stage:
         return self.conv.out_hw(h, w) if self.conv else (h, w)
 
 
-def block_stages(cfg: IRMBConfig, prefix: str) -> list[Stage]:
-    """The block as its one ordered list of named, costed stages; `irmb_forward` folds over it.
+@functools.lru_cache(maxsize=128)
+def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
+    """The block as its one ordered tuple of named, costed stages; `irmb_forward` folds over it.
 
     The stages, named `prefix` + pre_norm, expand, norm_e, act, depthwise
     (if the config has the conv) and shrink, come in that order. Pre-norm
@@ -302,6 +303,10 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> list[Stage]:
     With `enable_attn`, the qk + mix pair follows the stage that
     `cfg.attn_at` names. With `cfg.inner_skip` at stride 1, the depth-wise
     stage adds its input to its output.
+
+    The tuple is built once per (config, prefix): a config is frozen, so its
+    value keys the cache, and the bound keeps a process that makes many
+    configs from holding every list.
     """
     specs = cfg.conv_specs()
     cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
@@ -391,17 +396,7 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> list[Stage]:
     if cfg.enable_attn:
         at = 1 + [st.name for st in stages].index(prefix + cfg.attn_at)
         stages[at:at] = [Stage(prefix + "qk", qk, qk_lines), Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
-    return stages
-
-
-@functools.lru_cache(maxsize=128)
-def _bare_stages(cfg: IRMBConfig) -> tuple[Stage, ...]:
-    """`block_stages(cfg, "")`, the list the bare block forwards fold, built once per config.
-
-    A config is frozen, so it keys the cache; the bound keeps a process that
-    makes many configs from holding every list.
-    """
-    return tuple(block_stages(cfg, ""))
+    return tuple(stages)
 
 
 def run_stages(stages, state, params):
@@ -415,12 +410,12 @@ def irmb_forward(x, cfg: IRMBConfig, params):
     """One block: expansion stage -> norm_e -> activation -> depth-wise conv stage -> shrink -> residual.
 
     A fold of x over `block_stages(cfg, "")`, which also says where EW-MHSA
-    runs; the list is built once per config.
+    runs.
     """
     xv = T.val(x)
     if xv.shape[1] != cfg.in_channels:
         raise ValueError(f"input has {xv.shape[1]} channels, config expects {cfg.in_channels}")
-    return run_stages(_bare_stages(cfg), x, params)
+    return run_stages(block_stages(cfg, ""), x, params)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ leaves carry the iRMB names (`norm_dw.*` for the operator norm).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -153,13 +152,7 @@ def mmb_init_params(cfg: MMBConfig, rng: Rng, precision: str = "f32") -> dict[st
     return irmb_init_params(cfg._as_irmb(1, 1), rng, precision)
 
 
-@functools.lru_cache(maxsize=128)
-def _irmb_at(cfg: MMBConfig, h: int, w: int) -> IRMBConfig:
-    """`cfg._as_irmb(h, w)`, one instance per (config, map size), so its stage list is built once."""
-    return cfg._as_irmb(h, w)
-
-
 def mmb_forward(x, cfg: MMBConfig, params):
     """Expansion -> operator -> shrinkage, with the residual back to x."""
     h, w = val(x).shape[2:]
-    return irmb_forward(x, _irmb_at(cfg, h, w), params)
+    return irmb_forward(x, cfg._as_irmb(h, w), params)

@@ -7,14 +7,16 @@ default), including the strided entry block, where it runs at the input
 resolution before the depth-wise downsampling.
 
 `EMOVariantConfig` is the one description of a model, made into weights by
-`build_emo`/`load_model` and into one list of named, costed stages by
-`model_stages`, which the forward folds and `count_costs` walks.
+`build_emo`/`load_model` and into one tuple of named, costed stages by
+`model_stages`, cached by config value, which the forward folds and
+`count_costs` walks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,20 +46,20 @@ class EMOVariantConfig:
     def __post_init__(self):
         for seq, what in ((self.depths, "depths"), (self.dims, "dims"),
                           (self.exp_ratios, "exp_ratios"), (self.windows, "windows")):
-            if len(seq) != 4:
-                raise ValueError(f"{what} must have 4 entries, got {seq}")
+            if not isinstance(seq, tuple) or len(seq) != 4:  # a tuple: the config keys `model_stages`' cache
+                raise ValueError(f"{what} must be a tuple of 4 entries, got {seq!r}")
         if any(d < 1 for d in self.depths) or any(c < 1 for c in self.dims):
             raise ValueError("depths and dims must be positive")
         if self.num_classes < 1 or self.head_dim < 1:
             raise ValueError(f"num_classes and head_dim must be positive, got {self.num_classes} and {self.head_dim}")
-        if not self.attn_stages <= {1, 2, 3, 4}:
-            raise ValueError(f"attn_stages must be within 1..4, got {sorted(self.attn_stages)}")
+        if not isinstance(self.attn_stages, frozenset) or not self.attn_stages <= {1, 2, 3, 4}:
+            raise ValueError(f"attn_stages must be a frozenset within 1..4, got {self.attn_stages!r}")
         for si in range(4):
             mid = self.exp_ratios[si] * self.dims[si]
-            if abs(mid - round(mid)) > 1e-6:
+            if not math.isfinite(mid) or abs(mid - round(mid)) > 1e-6:
                 raise ValueError(
-                    f"stage {si + 1}: exp_ratio * dim = {self.exp_ratios[si]} * {self.dims[si]} "
-                    f"is not an integer (block s{si + 1} rejects this width)"
+                    f"stage {si + 1}: exp_ratios * dims = {self.exp_ratios[si]} * {self.dims[si]} "
+                    f"is not a finite integer (block s{si + 1} rejects this width)"
                 )
 
     @cached_property
@@ -84,11 +86,6 @@ class EMOVariantConfig:
                 out.append((f"s{si + 1}.b{b}", si + 1, cfg))
             cin = cout
         return tuple(out)
-
-    @cached_property
-    def stages(self) -> tuple[Stage, ...]:
-        """The `model_stages` of this config; built once per config."""
-        return tuple(_build_stages(self))
 
     def stem_spec(self) -> ConvSpec:
         return ConvSpec(IN_CHANNELS, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
@@ -163,16 +160,12 @@ def _model_input(model: EMOModel, x):
     return xv
 
 
+@lru_cache(maxsize=128)
 def model_stages(cfg: EMOVariantConfig) -> tuple[Stage, ...]:
     """The network as its one ordered tuple of named, costed stages: the stem
     (conv + batchnorm + SiLU), each block's `block_stages` under the block's
     name, the head (pool + classifier). Blocks pass on the bare feature map.
-    The tuple is built once per config (`EMOVariantConfig.stages`)."""
-    return cfg.stages
-
-
-def _build_stages(cfg: EMOVariantConfig) -> list[Stage]:
-    """The stages `model_stages` returns."""
+    The tuple is built once per config value, like `block_stages`."""
     stem, head = cfg.stem_spec(), cfg.head_spec()
 
     def stem_fn(x, p):
@@ -198,7 +191,7 @@ def _build_stages(cfg: EMOVariantConfig) -> list[Stage]:
     stages = [Stage("stem", stem_fn, stem_lines, stem)]
     for name, _stage, bcfg in cfg.blocks:
         stages += block_stages(bcfg, name + ".")
-    return [*stages, Stage("head", head_fn, head_lines)]
+    return (*stages, Stage("head", head_fn, head_lines))
 
 
 def emo_forward(model: EMOModel, x):
@@ -210,7 +203,7 @@ def stages_through(cfg: EMOVariantConfig, stage: int) -> tuple[Stage, ...]:
     """`model_stages` from the stem through the last block of one stage (1-based)."""
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"stage must be 1..4, got {stage}")
-    stages = cfg.stages
+    stages = model_stages(cfg)
     return stages[:1 + max(i for i, st in enumerate(stages) if st.name.startswith(f"s{stage}."))]
 
 

@@ -77,15 +77,19 @@ def test_forward_zero_input_constant_logits(capsys, validator, tiny_config):
     assert len(set(row)) == 1
 
 
-def test_forward_raw_tensor_input(capsys, validator, tiny_config, tmp_path):
+@pytest.mark.parametrize("command", [("forward",), ("similarity",), ("bench", "--runs", "1")],
+                         ids=lambda argv: argv[0])
+def test_forward_raw_tensor_input(capsys, validator, tiny_config, tmp_path, command):
+    # the input sets the resolution: --resolution keeps its unused default
     arr = np.random.default_rng(0).normal(size=(1, 3, 64, 64)).astype(np.float32)
     raw = tmp_path / "input.bin"
     save_raw_tensor(raw, arr)
-    code, doc = run_json(capsys, "forward", "--config", tiny_config,
-                         "--resolution", "64", "--input", str(raw))
+    code, doc = run_json(capsys, *command, "--config", tiny_config, "--input", str(raw))
     assert code == 0
     validator(doc)
-    assert doc["shape"] == [1, 10]
+    assert doc["resolution"] == 64
+    if command == ("forward",):
+        assert doc["shape"] == [1, 10]
 
 
 def test_describe_lists_every_block(capsys, validator):
@@ -305,6 +309,9 @@ def test_bad_resolution_is_config_error(capsys):
     (("equiv", "--channels", "8", "--heads", "3"), "heads=3 must"),
     (("influence", "--kernel", "2"), "kernel must be odd"),
     (("mpl", "--kind", "conv", "--kernel", "4"), "kernel must be odd"),
+    (("equiv", "--lambda", "1e308"), "finite"),
+    (("equiv", "--lambda", "inf"), "finite"),
+    (("equiv", "--lambda", "nan"), "finite"),
 ])
 def test_bad_block_config_is_config_error(capsys, validator, argv, message):
     code, doc = run_json(capsys, *argv)
@@ -486,9 +493,10 @@ def test_readers_take_an_integer_literal_where_the_schema_says_integer():
         assert "integer literal" in schema.schema["$comment"]
 
 
-@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e308"])
 def test_readers_reject_a_non_finite_ratio(capsys, validator, tmp_path, value):
-    # Python's json module reads these literals, which JSON itself does not allow
+    # Python's json module reads Infinity and NaN, which JSON itself does not
+    # allow; 1e308 is a finite ratio whose width overflows
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(TINY_CONFIG).replace('"exp_ratios": [2.0', f'"exp_ratios": [{value}'))
     code, out = run_json(capsys, "count", "--config", str(path), "--resolution", "64")

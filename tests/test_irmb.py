@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -393,7 +394,7 @@ def test_reversed_operator_order_runs():
     y = irmb_forward(rand_x(8, (4, 4)), cfg, params)
     assert y.shape == (1, 8, 4, 4)
     # reversed order computes a different function from the default order
-    y2 = irmb_forward(rand_x(8, (4, 4)), cfg.__class__(**{**cfg.__dict__, "attn_at": "pre_norm"}), params)
+    y2 = irmb_forward(rand_x(8, (4, 4)), dataclasses.replace(cfg, attn_at="pre_norm"), params)
     assert np.abs(y - y2).max() > 1e-8
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from emo import (IRMBConfig, MMBConfig, Rng, cost_meter, count_costs, irmb_forward, mmb_forward, mmb_init_params,
-                 mmb_instantiate, random_block_params)
+from emo import (IRMBConfig, MMBConfig, Rng, cost_meter, count_costs, grad_check, irmb_forward, mmb_forward,
+                 mmb_init_params, mmb_instantiate, random_block_params)
 from emo import autograd as ag, irmb, ops
 from emo.irmb import block_stages, ew_mhsa
 from emo.mmb import OPERATORS
@@ -308,13 +308,14 @@ def test_every_operator_matches_independent_primitive_chain(operator):
     np.testing.assert_allclose(mmb_forward(x, cfg, p), want, rtol=0, atol=1e-10)
 
 
-def test_bare_block_forwards_build_each_stage_list_once(monkeypatch):
-    # the list is cached per config, and an MMB's per map size as well: a repeated
-    # call builds none and gives the first call's bits
-    irmb._bare_stages.cache_clear()  # a config equal to one below may be cached already
-    built = []
-    real = irmb.block_stages
-    monkeypatch.setattr(irmb, "block_stages", lambda cfg, prefix: built.append(cfg) or real(cfg, prefix))
+def test_bare_block_forwards_build_each_stage_list_once():
+    # the list is cached per config value, and an MMB's config is equal at equal
+    # map sizes: a repeated call builds none and gives the first call's bits
+    irmb.block_stages.cache_clear()  # a config equal to one below may be cached already
+
+    def built():
+        return irmb.block_stages.cache_info().misses
+
     mcfg = MMBConfig(8, 2.0, operator="ewmhsa_dwconv", heads=2,  # one window: its size is the map's
                      pre_norm="layernorm", operator_norm="batchnorm", operator_act="silu")
     icfg = IRMBConfig(8, 8, 2.0, window=4, heads=2)
@@ -324,8 +325,13 @@ def test_bare_block_forwards_build_each_stage_list_once(monkeypatch):
              (irmb_forward, x8, icfg, random_block_params(icfg, 6)),
              (ew_mhsa, x8, IRMBConfig(8, 8, 2.0, window=2, heads=2), random_block_params(icfg, 6))]
     for forward, x, cfg, params in calls:
-        built.clear()
+        before = built()
         first = forward(x, cfg, params)
-        assert len(built) == 1, forward.__name__
+        assert built() == before + 1, forward.__name__
         assert forward(x, cfg, params).tobytes() == first.tobytes()
-        assert len(built) == 1, forward.__name__
+        assert built() == before + 1, forward.__name__
+    # the cost counter and the gradient check read the same cache
+    for analyse in (lambda: count_costs(mcfg, 8), lambda: grad_check(mcfg, input_hw=(8, 8), num_coords=2)):
+        first = analyse()
+        before = built()
+        assert analyse() == first and built() == before

@@ -166,6 +166,14 @@ def test_metered_residual_adds_match_static_count(name, resolution):
     _assert_meter_equals_static(meter, count_costs(preset(name), resolution), batch=2)
 
 
+@pytest.mark.parametrize("field, value", [("depths", [1, 1, 2, 1]), ("windows", [7, 7, 7, 7]),
+                                          ("attn_stages", {3, 4})])
+def test_an_unhashable_field_is_rejected_at_construction(field, value):
+    # the config keys the stage-list cache, so a list or set would fail only at the first forward
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(TINY, **{field: value})
+
+
 def test_lambda_dim_mismatch_names_the_stage():
     with pytest.raises(ValueError, match="stage 2"):
         EMOVariantConfig("bad", (1, 1, 1, 1), (8, 9, 16, 16), (2.0, 2.5, 2.0, 2.0))
@@ -250,7 +258,9 @@ def test_the_stage_list_is_built_once_per_config():
     cfg = dataclasses.replace(TINY, windows=(7, 7, 3, 3))
     stages = model_stages(cfg)
     assert isinstance(stages, tuple) and model_stages(cfg) is stages
-    assert model_stages(dataclasses.replace(TINY, windows=(7, 7, 3, 3))) is not stages  # a config of its own
+    assert model_stages(dataclasses.replace(TINY, windows=(7, 7, 3, 3))) is stages  # an equal config shares it
+    other = model_stages(dataclasses.replace(TINY, windows=(7, 7, 7, 3)))  # a differing config gets its own
+    assert other is not stages and [st.window for st in other if st.name.endswith(".mix")] == [7, 7, 3]
     assert stages_through(cfg, 4) == stages[:-1]
     assert stages_through(cfg, 1) == stages[:1 + sum(st.name.startswith("s1.") for st in stages)]
 
