@@ -1,4 +1,4 @@
-"""Command-line interface: the library over JSON configs.
+"""Command-line interface: the library over JSON configs (`tensor.config_from_json`).
 
     emo describe   --preset emo-5m --resolution 224
     emo count      --preset emo-1m --resolution 224
@@ -37,7 +37,7 @@ from . import analysis
 from .irmb import IRMBConfig, equivalence_check
 from .model import IN_CHANNELS, EMOVariantConfig, PRESETS, build_emo, emo_forward, model_stages, preset
 from .serialize import ContainerError, load_raw_tensor
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, config_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,69 +51,24 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # run-config parsing (strict)
 
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
-
-
-# field -> (what its value, or each entry of a list field, must be; its test; is a
-# list), as in variant_config.schema.json. The ranges are EMOVariantConfig's to check.
-_CONFIG_KEYS = {
-    "name": ("a string", lambda v: isinstance(v, str), False),
-    "depths": ("an integer", _integer, True),
-    "dims": ("an integer", _integer, True),
-    "exp_ratios": ("a finite number", lambda v: _integer(v) or (isinstance(v, float) and math.isfinite(v)), True),
-    "attn_stages": ("an integer", _integer, True),
-    "windows": ("an integer", _integer, True),
-    "num_classes": ("an integer", _integer, False),
-    "head_dim": ("an integer", _integer, False),
-}
-_CONFIG_REQUIRED = ("depths", "dims", "exp_ratios")
-
-
 def parse_variant_config(doc: dict) -> EMOVariantConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config fields: {unknown}")
-    missing = [k for k in _CONFIG_REQUIRED if k not in doc]
-    if missing:
-        raise ConfigError(f"missing config fields: {missing}")
-    for key, value in doc.items():
-        what, ok, is_list = _CONFIG_KEYS[key]
-        if is_list and not isinstance(value, list):
-            raise ConfigError(f"config field {key!r} must be a list, got {type(value).__name__}")
-        for v in value if is_list else (value,):
-            if not ok(v):
-                raise ConfigError(f"config field {key!r}: {v!r} ({type(v).__name__}) is not {what}")
-    attn_stages = doc.get("attn_stages", [3, 4])
-    if len(set(attn_stages)) != len(attn_stages):
-        raise ConfigError(f"config field 'attn_stages' repeats a stage: {attn_stages}")
-    return EMOVariantConfig(
-        name=doc.get("name", "custom"),
-        depths=tuple(doc["depths"]),
-        dims=tuple(doc["dims"]),
-        exp_ratios=tuple(float(v) for v in doc["exp_ratios"]),
-        attn_stages=frozenset(attn_stages),
-        windows=tuple(doc.get("windows", [7, 7, 7, 7])),
-        num_classes=doc.get("num_classes", 1000),
-        head_dim=doc.get("head_dim", 32),
-    )
+    """The variant a JSON config states; see `tensor.config_from_json` for what it rejects."""
+    return config_from_json(EMOVariantConfig, doc, "config", name="custom")
 
 
 def resolve_model_config(args) -> EMOVariantConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
-    if getattr(args, "preset", None):
+    if args.preset:
         return preset(args.preset)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 return parse_variant_config(json.load(fh))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror or exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+            raise ConfigError(f"config does not parse as JSON: {exc}") from exc
     raise ConfigError("one of --preset or --config is required")
 
 

@@ -14,19 +14,20 @@ This module is the MMB parameterization of the iRMB path (irmb.py): a
 config maps to one `IRMBConfig`, whose `enable_attn`/`enable_conv` say which
 operator runs and whose `attn_at`/`inner_skip` place it, and parameters,
 forward, costs and gradient checks all run through the iRMB code, so the
-leaves carry the iRMB names (`norm_dw.*` for the operator norm).
+leaves carry the iRMB names (`norm_dw.*` for the operator norm). A block's
+JSON form is its `MMBConfig` fields, read by `tensor.config_from_json`.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import val
 from .irmb import IRMBConfig, irmb_forward, irmb_init_params
-from .tensor import Rng
+from .tensor import Rng, config_from_json
 
 # operator -> the IRMBConfig fields that place it, where not the default; see irmb.block_stages
 _PLANS = {
@@ -87,40 +88,14 @@ class MMBConfig:
         )
 
 
-_CONFIG_FIELDS = (
-    "channels", "expansion_ratio", "operator", "expand_groups", "kernel",
-    "window", "heads", "pre_norm", "expand_norm", "expand_act",
-    "operator_norm", "operator_act",
-)
-
-
-# fields that mmb_config.schema.json types as integers (window: or null); a JSON
-# true or 2.0 is not one
-_INTEGER_FIELDS = ("channels", "expand_groups", "kernel", "window", "heads")
-
-
 def mmb_config_to_dict(cfg: MMBConfig) -> dict:
-    """JSON-ready form of a block config (strict field set)."""
-    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
+    """JSON-ready form of a block config: every field, as mmb_config.schema.json states it."""
+    return dataclasses.asdict(cfg)
 
 
 def mmb_config_from_dict(doc: dict) -> MMBConfig:
-    """Inverse of mmb_config_to_dict; unknown fields are rejected."""
-    if not isinstance(doc, dict):
-        raise ValueError("block config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise ValueError(f"unknown block config fields: {unknown}")
-    missing = [k for k in ("channels", "expansion_ratio") if k not in doc]
-    if missing:
-        raise ValueError(f"missing block config fields: {missing}")
-    for name, v in doc.items():
-        integer = isinstance(v, int) and not isinstance(v, bool)
-        if name in _INTEGER_FIELDS and not (integer or (name == "window" and v is None)):
-            raise ValueError(f"block config field {name!r}: {v!r} ({type(v).__name__}) is not an integer")
-        if name == "expansion_ratio" and not (integer or (isinstance(v, float) and math.isfinite(v))):
-            raise ValueError(f"block config field {name!r}: {v!r} ({type(v).__name__}) is not a finite number")
-    return MMBConfig(**doc)
+    """Inverse of mmb_config_to_dict; see `tensor.config_from_json` for what it rejects."""
+    return config_from_json(MMBConfig, doc, "block config")
 
 
 def mmb_instantiate(preset: str, channels: int, expansion_ratio: float | None = None, *,

@@ -4,7 +4,7 @@ Layout (all integers little-endian):
 
     8 bytes   magic  b"EMOWTS01"
     1 byte    container version (1)
-    1 byte    precision: 4 = float32, 8 = float64
+    1 byte    precision: the item size, 4 = float32, 8 = float64
     records until EOF, each:
         u16   name length
         ...   name (UTF-8)
@@ -13,7 +13,8 @@ Layout (all integers little-endian):
         raw little-endian scalars (ndim product * precision bytes)
 
 Records are written in sorted-name order so equal parameter sets produce
-byte-identical files. Round-trips are bit-exact.
+byte-identical files. Round-trips are bit-exact. Both writers take only
+float32 and float64 arrays; any other dtype raises `ContainerError`.
 
 This container and the raw tensor files below share one bounds-checked
 reader: a short read, a non-UTF-8 name or a shape larger than the bytes
@@ -29,11 +30,10 @@ import struct
 
 import numpy as np
 
+from .tensor import FILE_DTYPES
+
 MAGIC = b"EMOWTS01"
 VERSION = 1
-_PREC_TO_DTYPE = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
-_PRECISION_BYTE = {"f32": 4, "f64": 8}
-_BYTE_PRECISION = {4: "f32", 8: "f64"}
 
 
 class ContainerError(ValueError):
@@ -41,17 +41,16 @@ class ContainerError(ValueError):
 
 
 def save_params(path_or_file, params: dict[str, np.ndarray], precision: str) -> None:
-    if precision not in _PRECISION_BYTE:
+    if precision not in FILE_DTYPES:
         raise ContainerError(f"unknown precision {precision!r}")
-    pbyte = _PRECISION_BYTE[precision]
-    dtype = _PREC_TO_DTYPE[pbyte]
+    dtype = FILE_DTYPES[precision]
 
     with _opened(path_or_file, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<BB", VERSION, pbyte))
+        fh.write(struct.pack("<BB", VERSION, dtype.itemsize))
         for name in sorted(params):
             arr = np.ascontiguousarray(params[name])
-            if arr.dtype.itemsize != pbyte:
+            if arr.dtype.newbyteorder("<") != dtype:
                 raise ContainerError(
                     f"parameter {name!r} has dtype {arr.dtype}, container precision is {precision}"
                 )
@@ -115,10 +114,11 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
-def _dtype(pbyte: int) -> np.dtype:
-    if pbyte not in _PREC_TO_DTYPE:
-        raise ContainerError(f"unsupported precision byte {pbyte}")
-    return _PREC_TO_DTYPE[pbyte]
+def _precision(pbyte: int) -> str:
+    for precision, dtype in FILE_DTYPES.items():
+        if dtype.itemsize == pbyte:
+            return precision
+    raise ContainerError(f"unsupported precision byte {pbyte}")
 
 
 def load_params(path_or_file) -> tuple[dict[str, np.ndarray], str]:
@@ -127,17 +127,17 @@ def load_params(path_or_file) -> tuple[dict[str, np.ndarray], str]:
         version, pbyte = rd.header(MAGIC, "weight container")
         if version != VERSION:
             raise ContainerError(f"unsupported container version {version}")
-        dtype = _dtype(pbyte)
+        precision = _precision(pbyte)
         params: dict[str, np.ndarray] = {}
         while rd.left:
             name = rd.name()
             (ndim,) = rd.unpack("<B", f"record of parameter {name!r}")
-            arr = rd.array(dtype, ndim, f"parameter {name!r}")
+            arr = rd.array(FILE_DTYPES[precision], ndim, f"parameter {name!r}")
             if name in params:
                 raise ContainerError(f"duplicate parameter {name!r}")
             arr.setflags(write=False)
             params[name] = arr
-    return params, _BYTE_PRECISION[pbyte]
+    return params, precision
 
 
 def dumps_params(params: dict[str, np.ndarray], precision: str) -> bytes:
@@ -160,18 +160,18 @@ TENSOR_MAGIC = b"EMOTEN01"
 
 def save_raw_tensor(path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(array)
-    if arr.dtype.itemsize not in _PREC_TO_DTYPE:
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype not in FILE_DTYPES.values():
         raise ContainerError(f"raw tensors must be float32 or float64, got {arr.dtype}")
-    pbyte = arr.dtype.itemsize
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<BB", pbyte, arr.ndim))
+        fh.write(struct.pack("<BB", dtype.itemsize, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype(_PREC_TO_DTYPE[pbyte], copy=False).tobytes(order="C"))
+        fh.write(arr.astype(dtype, copy=False).tobytes(order="C"))
 
 
 def load_raw_tensor(path_or_file) -> np.ndarray:
     with _opened(path_or_file, "rb") as fh:
         rd = _Reader(fh)
         pbyte, ndim = rd.header(TENSOR_MAGIC, "raw tensor file")
-        return rd.array(_dtype(pbyte), ndim, "raw tensor")
+        return rd.array(FILE_DTYPES[_precision(pbyte)], ndim, "raw tensor")

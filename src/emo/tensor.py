@@ -1,7 +1,12 @@
-"""Dense NCHW tensors, precision handling, and deterministic weight streams."""
+"""Dense NCHW tensors, precision handling, deterministic weight streams, and
+`config_from_json`, the one strict reader of JSON configs (block and variant)."""
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import types
+import typing
 import zlib
 from dataclasses import dataclass
 
@@ -9,6 +14,8 @@ import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 PRECISIONS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+# precision -> its dtype in weight and raw tensor files; the item size is their precision byte
+FILE_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -101,3 +108,65 @@ class Rng:
     def uniform(self, name: str, shape, low: float = 0.0, high: float = 1.0, precision: str = "f32") -> np.ndarray:
         vals = self.stream(name).uniform(low, high, size=shape)
         return vals.astype(dtype_of(precision))
+
+
+# ---------------------------------------------------------------------------
+# JSON configs
+
+
+# annotation -> (what a JSON value must be, its test). JSON true is not 1 and 8.0 is
+# not 8; an int compares exactly with a float, so 10**400 is not a finite number
+_SCALARS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _json_type(hint, where: str) -> tuple[type | None, type, bool]:
+    """(container, entry type, takes null) of a field annotation the reader takes."""
+    origin, args = typing.get_origin(hint), set(typing.get_args(hint))
+    container = origin if origin in (tuple, frozenset) else None
+    nullable = origin in (typing.Union, types.UnionType) and type(None) in args
+    entries = args - {Ellipsis, type(None)} if container or nullable else {hint}
+    entry = entries.pop() if len(entries) == 1 else None
+    if entry not in _SCALARS:
+        raise TypeError(f"{where}: the JSON config reader takes no field annotated {hint}")
+    return container, entry, nullable
+
+
+def config_from_json(cls, doc, what: str, **defaults):
+    """Read the config dataclass `cls` from a parsed JSON document, strictly.
+
+    Its fields are the only keys; one with no default is required unless `defaults`
+    gives one. Each annotation is a JSON type: `int` an integer literal, `float` a
+    finite number, `str` a string, `int | None` an integer or null, and `tuple` or
+    `frozenset` a list of its entry type (distinct entries, for a frozenset). A
+    breach raises ValueError naming `what`, the field and the value; value ranges
+    are the dataclass's `__post_init__` to check.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+    kinds = {f.name: _json_type(hints[f.name], f"{cls.__name__}.{f.name}") for f in fields}
+    unknown = sorted(set(doc) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {unknown}")
+    missing = [f.name for f in fields if f.name not in doc and f.name not in defaults
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+    values = dict(defaults)
+    for name, value in doc.items():
+        container, entry, nullable = kinds[name]
+        where = f"{what} field {name!r}"
+        if container and not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+        kind, ok = _SCALARS[entry]
+        for v in value if container else (value,):
+            if not (ok(v) or nullable and v is None):
+                raise ValueError(f"{where}: {v!r} ({type(v).__name__}) is not {kind}{' or null' if nullable else ''}")
+        if container is frozenset and len(set(value)) != len(value):
+            raise ValueError(f"{where} repeats an entry: {value}")
+        values[name] = container(map(entry, value)) if container else value if value is None else entry(value)
+    return cls(**values)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emo import PRESETS, analysis, cli, mmb_config_from_dict, mmb_config_to_dict, mmb_instantiate
+from emo import (PRESETS, EMOVariantConfig, MMBConfig, analysis, cli, mmb_config_from_dict, mmb_config_to_dict,
+                 mmb_instantiate)
 from emo.cli import main
 from emo.serialize import save_raw_tensor
 
@@ -300,6 +302,24 @@ def test_missing_config_field_rejected(capsys, tmp_path):
     assert "missing config fields" in doc["error"]["message"]
 
 
+def test_config_path_that_cannot_be_read_is_config_error(capsys, validator, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):  # a directory opens with IsADirectoryError
+        code, doc = run_json(capsys, "count", "--config", str(path))
+        assert code == 2, doc
+        validator(doc)
+        assert doc["error"]["code"] == "config" and str(path) in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ['{"depths": [1,', "[" * 100000 + "]" * 100000], ids=["cut", "nested-too-deep"])
+def test_config_that_does_not_parse_is_config_error(capsys, validator, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, doc = run_json(capsys, "count", "--config", str(path))
+    assert code == 2, doc
+    validator(doc)
+    assert doc["error"]["code"] == "config" and "does not parse as JSON" in doc["error"]["message"]
+
+
 def test_bad_resolution_is_config_error(capsys):
     code, doc = run_json(capsys, "count", "--preset", "emo-1m", "--resolution", "100")
     assert code == 2
@@ -456,15 +476,20 @@ BAD_MMB_CONFIGS = {
     "ratio-zero": {"expansion_ratio": 0},
     "operator-unknown": {"operator": "conv"},
     "norm-int": {"pre_norm": 3},
+    "operator-int": {"operator": 3},
+    "pre-norm-null": {"pre_norm": None},
     "unknown-field": {"dropout": 0.1},
 }
+# cases the reader itself must reject, before MMBConfig checks any value
+MMB_READER_MESSAGES = {"norm-int": "is not a string", "operator-int": "is not a string",
+                       "pre-norm-null": "is not a string"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MMB_CONFIGS))
 def test_mmb_config_breaking_the_schema_raises_value_error(case):
     doc = {**MMB_DOC, **BAD_MMB_CONFIGS[case]}
     assert not _schema("mmb_config.schema.json").is_valid(doc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MMB_READER_MESSAGES.get(case)):
         mmb_config_from_dict(doc)
 
 
@@ -493,10 +518,12 @@ def test_readers_take_an_integer_literal_where_the_schema_says_integer():
         assert "integer literal" in schema.schema["$comment"]
 
 
-@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e308"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e308",
+                                   pytest.param("1" + "0" * 400, id="integer-10**400")])
 def test_readers_reject_a_non_finite_ratio(capsys, validator, tmp_path, value):
     # Python's json module reads Infinity and NaN, which JSON itself does not
-    # allow; 1e308 is a finite ratio whose width overflows
+    # allow; 1e308 is a finite ratio whose width overflows, and an integer
+    # literal past the float range is no finite number either
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(TINY_CONFIG).replace('"exp_ratios": [2.0', f'"exp_ratios": [{value}'))
     code, out = run_json(capsys, "count", "--config", str(path), "--resolution", "64")
@@ -505,3 +532,35 @@ def test_readers_reject_a_non_finite_ratio(capsys, validator, tmp_path, value):
     assert "finite" in out["error"]["message"]
     with pytest.raises(ValueError, match="finite"):
         mmb_config_from_dict({**MMB_DOC, "expansion_ratio": json.loads(value)})
+
+
+@pytest.mark.parametrize("schema_name, cls, read, full", [
+    ("variant_config.schema.json", EMOVariantConfig, cli.parse_variant_config,
+     {**TINY_CONFIG, "attn_stages": [3, 4], "windows": [7, 7, 7, 7], "head_dim": 32}),
+    ("mmb_config.schema.json", MMBConfig, mmb_config_from_dict, mmb_config_to_dict(MMBConfig(**MMB_DOC))),
+], ids=["variant", "mmb"])
+def test_schema_files_state_the_dataclass_fields(schema_name, cls, read, full):
+    # the reader takes its fields from the dataclass, and the schema is the
+    # published contract: the two must name the same fields and required ones
+    schema = _schema(schema_name).schema
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    assert sorted(schema["properties"]) == sorted(full) == names
+    read(full)
+    required = []
+    for name in names:
+        try:
+            read({k: v for k, v in full.items() if k != name})
+        except ValueError as exc:
+            if "missing" in str(exc):
+                required.append(name)
+    assert sorted(schema["required"]) == required
+
+
+def test_minimal_variant_config_takes_every_other_field_from_the_dataclass():
+    doc = {"depths": [1, 1, 1, 1], "dims": [8, 8, 8, 8], "exp_ratios": [2, 2, 2, 2]}
+    cfg = cli.parse_variant_config(doc)
+    assert cfg == EMOVariantConfig("custom", (1, 1, 1, 1), (8, 8, 8, 8), (2.0, 2.0, 2.0, 2.0))
+    assert all(type(r) is float for r in cfg.exp_ratios)
+    for f in dataclasses.fields(EMOVariantConfig):
+        if f.name not in doc and f.name != "name":
+            assert getattr(cfg, f.name) == f.default, f.name

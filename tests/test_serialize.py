@@ -51,6 +51,18 @@ def test_container_rejects_wrong_dtype():
         dumps_params({"w": np.zeros(3, dtype=np.float32)}, "f64")
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.int32, np.int64, np.bool_])
+def test_writers_reject_a_non_float_array(tmp_path, dtype):
+    # complex64 and int64 share float64's item size, int32 float32's
+    arr = np.ones((1, 3, 2, 2), dtype=dtype)
+    for precision in ("f32", "f64"):
+        with pytest.raises(ContainerError, match="precision"):
+            dumps_params({"w": arr}, precision)
+    with pytest.raises(ContainerError, match="float32 or float64"):
+        save_raw_tensor(tmp_path / "t.bin", arr)
+    assert not (tmp_path / "t.bin").exists()
+
+
 def test_container_rejects_truncation():
     blob = dumps_params(sample_params(np.float32), "f32")
     with pytest.raises(ContainerError, match="truncated"):

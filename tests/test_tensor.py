@@ -51,3 +51,17 @@ def test_rng_stream_order_independent():
     late = r.normal("probe", (8,))
     fresh = Rng(3).normal("probe", (8,))
     assert late.tobytes() == fresh.tobytes()
+
+
+def test_config_reader_refuses_a_field_annotation_it_has_no_json_type_for():
+    import dataclasses
+
+    from emo.tensor import config_from_json
+
+    @dataclasses.dataclass(frozen=True)
+    class Config:
+        size: int
+        shape: tuple[int, str]
+
+    with pytest.raises(TypeError, match=r"Config\.shape"):
+        config_from_json(Config, {"size": 1}, "test config")
