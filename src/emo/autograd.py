@@ -27,7 +27,13 @@ arrays that this `need` makes it read, as PyTorch's save_for_backward does:
 
 `backward` walks the nodes in reverse topological order, accumulates
 gradients, and drops each interior cotangent as soon as its node's VJP has
-consumed it, so the dict it returns holds the leaves' cotangents only. No
+consumed it, so the dict it returns holds the leaves' cotangents only. The
+walk consumes the graph: it takes each interior node's VJP off the node as
+it reaches it, so the arrays that VJP kept are freed once its cotangents are
+out, and the backward's cotangents replace the tape instead of piling up on
+top of it (PyTorch frees saved tensors the same way unless asked to retain
+the graph). A spent graph cannot be walked again: a second `backward` that
+reaches one of its nodes raises, and the forward must run again. No
 VJP writes into its incoming cotangent: add's VJP hands one array to both
 parents, and the reshape and transpose VJPs, like the window maps' adjoints,
 may return views of it. So backward owns only the fan-in sums it allocates
@@ -96,6 +102,14 @@ def val(x):
     return x.value if isinstance(x, Var) else x
 
 
+_SPENT = "this graph's backward has run and freed what its VJPs kept: run the forward again"
+
+
+def _consumed(g):
+    """The VJP of a node that a backward has walked."""
+    raise RuntimeError(_SPENT)
+
+
 def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
     """Accumulate d(sum(seed * root))/d(leaf) for every leaf Var in root's graph.
 
@@ -104,8 +118,13 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
     cotangents are freed as they are used. Each returned array is the
     caller's to write: a leaf gets a fan-in sum that backward allocated as
     it is, and a copy of any other cotangent. Use `grad_of(grads, var)` to
-    read it. The graph is not changed, so a second call gives the same
-    result.
+    read it.
+
+    The walk consumes the graph: each interior node it visits gives up its
+    VJP, and with it the arrays the VJP kept, so the request peaks at its
+    forward tape rather than the tape plus the backward's cotangents. Leaf
+    nodes stay as they are. A second call that reaches a spent node raises
+    RuntimeError before it does any work; run the forward again instead.
     """
     if not isinstance(root, Var):
         raise TypeError("backward expects a Var root")
@@ -114,6 +133,8 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
     seed = np.asarray(seed)
     if seed.shape != root.shape:
         raise ValueError(f"cotangent shaped {seed.shape}, output is {root.shape}")
+    if not np.can_cast(seed.dtype, root.dtype, "same_kind"):
+        raise ValueError(f"cotangent of dtype {seed.dtype} does not cast into the output's {root.dtype}")
 
     order: list[_Node] = []
     seen: set[int] = set()
@@ -125,6 +146,8 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
             continue
         if id(node) in seen:
             continue
+        if node.vjp is _consumed:
+            raise RuntimeError(_SPENT)
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -143,14 +166,19 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
         g = grads.pop(id(node), None)
         owned = id(node) in summed
         summed.discard(id(node))
+        # spend every interior node visited, reached by a cotangent or not: the
+        # closure and what it kept go once vjp is rebound on the next node
+        vjp = node.vjp
+        if vjp is not None:
+            node.vjp = _consumed
         if g is None:
             continue
-        if node.vjp is None:
+        if vjp is None:
             var = node.leaf()
             if var is not None:  # a leaf nobody holds has no gradient to read
                 leaves[id(var)] = g if owned else g.copy()
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(node.parents, vjp(g)):
             if parent is None or pg is None:
                 continue
             key = id(parent)
@@ -167,6 +195,9 @@ def backward(root: Var, seed=None) -> dict[int, np.ndarray]:
 
 
 def grad_of(grads: dict, var: Var) -> np.ndarray:
+    """var's cotangent in the dict `backward` returned, zeros if none reached it."""
+    if var.node.leaf is None:
+        raise ValueError("only leaf Vars have gradients: backward returns no interior cotangent")
     g = grads.get(id(var))
     return g if g is not None else np.zeros_like(var.value)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -129,20 +130,72 @@ def test_backward_shape_mismatch_rejected():
 
 
 def test_backward_returns_leaf_cotangents_only_and_repeats():
+    # backward consumes its graph: a second walk of it raises, and a second
+    # forward from the same leaves gives the same cotangents bit for bit
     spec = ConvSpec(2, 3, kernel=3, padding=1)
     rng = np.random.default_rng(4)
     x = T.Var(rng.normal(size=(1, 2, 4, 4)))
     w = T.Var(rng.normal(size=spec.weight_shape()))
     b = rng.normal(size=3)  # a plain array: no gradient, no entry
-    h = T.silu(T.conv2d(x, w, spec, b))
-    y = T.mean_hw(T.add(h, T.scale(h, 0.5)))
+
+    def forward():
+        h = T.silu(T.conv2d(x, w, spec, b))
+        return T.mean_hw(T.add(h, T.scale(h, 0.5)))
+
     cot = rng.normal(size=(1, 3))
+    y = forward()
     first = T.backward(y, cot)
     assert set(first) == {id(x), id(w)}
-    second = T.backward(y, cot)
+    with pytest.raises(RuntimeError, match="run the forward again"):
+        T.backward(y, cot)
+    second = T.backward(forward(), cot)
     assert set(second) == set(first)
     for key, g in first.items():
         assert g.tobytes() == second[key].tobytes()
+
+
+def test_a_second_backward_over_a_spent_node_raises():
+    # two roots over one shared node: the first walk spends it, so the second
+    # raises before it runs any VJP, and so does a node no cotangent reached
+    x = T.Var(np.arange(6.0).reshape(2, 3))
+    h = T.silu(x)
+    y1, y2 = T.scale(h, 2.0), T.scale(h, 3.0)
+    T.backward(y1)
+    with pytest.raises(RuntimeError, match="run the forward again"):
+        T.backward(y2)
+    assert y2.node.vjp is not T._consumed  # a raising walk spends nothing
+
+    h = T.silu(x)
+    blocked = T._record(h.value.copy(), (h,), lambda need: lambda g: (None,))
+    assert T.grad_of(T.backward(blocked), x).tobytes() == np.zeros_like(x.value).tobytes()
+    with pytest.raises(RuntimeError, match="run the forward again"):
+        T.backward(T.scale(h, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_backward_rejects_a_seed_that_does_not_cast_into_the_output(dtype):
+    x = T.Var(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=rf"{np.dtype(dtype)}.*float64"):
+        T.backward(T.scale(x, 2.0), np.ones((2, 3), dtype) * 1j)
+
+
+def test_backward_casts_a_same_kind_seed_into_the_output():
+    x32 = T.Var(np.ones((2, 3), np.float32))
+    seed = np.linspace(0.1, 0.6, 6).reshape(2, 3)
+    g = T.grad_of(T.backward(T.scale(x32, 2.0), seed), x32)
+    assert g.dtype == np.float32 and g.tobytes() == (seed.astype(np.float32) * 2.0).tobytes()
+    x = T.Var(np.ones((2, 3)))
+    g = T.grad_of(T.backward(T.scale(x, 2.0), np.arange(6).reshape(2, 3)), x)
+    assert g.dtype == np.float64 and g.tobytes() == (np.arange(6.0).reshape(2, 3) * 2.0).tobytes()
+
+
+def test_grad_of_refuses_an_interior_var():
+    x = T.Var(np.ones((2, 3)))
+    y = T.scale(x, 2.0)
+    grads = T.backward(T.scale(y, 3.0))
+    np.testing.assert_array_equal(T.grad_of(grads, x), np.full((2, 3), 6.0))
+    with pytest.raises(ValueError, match="only leaf Vars have gradients"):
+        T.grad_of(grads, y)
 
 
 def test_leaf_cotangents_are_the_callers_to_write():
@@ -213,31 +266,40 @@ def _kept_bytes(root: T.Var) -> int:
     return sum(kept.values())
 
 
-def _tiny_input_gradient_bytes(all_var: bool) -> tuple[int, int, int]:
-    """(tape after the forward, extra peak of the backward) in traced bytes,
-    and the bytes that the tape's VJPs keep (`_kept_bytes`).
+_TINY = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
 
-    One input gradient of the tiny variant at 64 px, f64, batch 2; with
-    `all_var` every weight is a Var too.
+
+class _TracedRequest(NamedTuple):
+    """Traced bytes of one input-gradient request, each above the base before its forward."""
+    tape: int           # held once the forward has returned
+    forward_peak: int
+    backward_peak: int
+    kept: int           # `_kept_bytes` of the tape, taken before the backward spends it
+
+
+def _tiny_input_gradient_bytes(all_var: bool) -> _TracedRequest:
+    """One input gradient of the tiny variant at 64 px, f64, batch 2, traced.
+
+    With `all_var` every weight is a Var too.
     """
-    cfg = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
-    model = build_emo(cfg, seed=0, precision="f64")
+    model = build_emo(_TINY, seed=0, precision="f64")
     if all_var:
         model = dataclasses.replace(model, params=_all_var_params(model))
     rng = np.random.default_rng(7)
     x = T.Var(rng.normal(size=(2, 3, 64, 64)))
-    cot = rng.normal(size=(2, cfg.num_classes))
+    cot = rng.normal(size=(2, _TINY.num_classes))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         logits = emo_forward(model, x)
-        tape = tracemalloc.get_traced_memory()[0] - base
+        tape, forward_peak = tracemalloc.get_traced_memory()
+        kept = _kept_bytes(logits)
         tracemalloc.reset_peak()
         T.backward(logits, cot)
-        extra = tracemalloc.get_traced_memory()[1] - base - tape
+        backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return tape, extra, _kept_bytes(logits)
+    return _TracedRequest(tape - base, forward_peak - base, backward_peak - base, kept)
 
 
 def test_input_only_tape_keeps_only_what_its_vjps_read():
@@ -245,8 +307,8 @@ def test_input_only_tape_keeps_only_what_its_vjps_read():
     # tape holds well under what the all-Var forward must keep (a tape keeping
     # every forward value measured the same for both)
     _tiny_input_gradient_bytes(all_var=False)  # the first call makes one-time allocations
-    tape, *_ = _tiny_input_gradient_bytes(all_var=False)
-    all_var_tape, *_ = _tiny_input_gradient_bytes(all_var=True)
+    tape = _tiny_input_gradient_bytes(all_var=False).tape
+    all_var_tape = _tiny_input_gradient_bytes(all_var=True).tape
     assert tape < 0.6 * all_var_tape, tape / all_var_tape
 
 
@@ -271,15 +333,38 @@ def _keep_input_activations(monkeypatch):
 
 def test_derivative_keeping_tape_is_no_larger_than_an_input_keeping_one(monkeypatch):
     # an f64 node keeps dy/dx of x's size in place of x, which is then freed: the
-    # arrays the tape keeps must not grow, and the backward no longer evaluates
-    # sigmoid or erf. The tape is measured by those arrays' bytes: tracemalloc's
-    # total also counts small allocations that move with the hash seed
-    _tiny_input_gradient_bytes(all_var=False)  # the first call makes one-time allocations
-    _, extra, kept = _tiny_input_gradient_bytes(all_var=False)
+    # arrays the tape keeps must not grow. The tape is measured by those arrays'
+    # bytes: tracemalloc's total also counts small allocations that move with the hash seed
+    kept = _tiny_input_gradient_bytes(all_var=False).kept
     _keep_input_activations(monkeypatch)
-    _, keep_input_extra, keep_input_kept = _tiny_input_gradient_bytes(all_var=False)
+    keep_input_kept = _tiny_input_gradient_bytes(all_var=False).kept
     assert kept <= keep_input_kept, (kept, keep_input_kept)
-    assert extra < keep_input_extra, (extra, keep_input_extra)
+
+
+@pytest.mark.parametrize("name", ["silu", "gelu"])
+def test_derivative_keeping_vjp_evaluates_no_sigmoid_or_erf(name, monkeypatch):
+    # the VJP only multiplies g by the kept dy/dx, so its traced peak is the
+    # cotangent it returns; one that keeps x evaluates sigmoid or erf and dy/dx
+    # first. A whole backward does not tell the two apart: with each node freeing
+    # what it kept, both peak at the same large-map cotangent
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(2, 16, 32, 32))
+    g = rng.normal(size=x.shape)
+
+    def vjp_peak():
+        y = getattr(T, name)(T.Var(x))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y.node.vjp(g)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    derivative_keeping = vjp_peak()
+    _keep_input_activations(monkeypatch)
+    input_keeping = vjp_peak()
+    assert derivative_keeping < 1.5 * x.nbytes <= input_keeping, (derivative_keeping, input_keeping)
 
 
 @pytest.mark.parametrize("name", ["silu", "gelu"])
@@ -339,9 +424,33 @@ def test_backward_frees_interior_cotangents():
     # took 1.4x the all-Var tape here. The base is the all-Var tape, which holds the
     # operands of every VJP and so does not shrink with what an input-only tape keeps.
     _tiny_input_gradient_bytes(all_var=False)  # the first call makes one-time allocations
-    _, extra, _ = _tiny_input_gradient_bytes(all_var=False)
-    all_var_tape, *_ = _tiny_input_gradient_bytes(all_var=True)
+    request = _tiny_input_gradient_bytes(all_var=False)
+    extra = request.backward_peak - request.tape
+    all_var_tape = _tiny_input_gradient_bytes(all_var=True).tape
     assert extra < 0.5 * all_var_tape, extra / all_var_tape
+
+
+def test_backward_peaks_within_its_forward():
+    # each node frees what its VJP kept once its cotangents are out, so the
+    # backward's cotangents replace the tape instead of piling on top of it;
+    # holding the whole tape through the walk peaked about 20% above the forward
+    _tiny_input_gradient_bytes(all_var=False)  # the first call makes one-time allocations
+    request = _tiny_input_gradient_bytes(all_var=False)
+    assert request.backward_peak <= request.forward_peak, request
+
+
+def test_backward_spends_the_tape_and_leaves_the_model():
+    model = build_emo(_TINY, seed=0, precision="f64")
+    params = {k: v.copy() for k, v in model.params.items()}
+    rng = np.random.default_rng(7)
+    x = T.Var(rng.normal(size=(2, 3, 64, 64)))
+    logits = emo_forward(model, x)
+    assert _kept_bytes(logits) > 0
+    T.backward(logits, rng.normal(size=logits.shape))
+    assert _kept_bytes(logits) == 0
+    assert model.params.keys() == params.keys()
+    for k, v in params.items():
+        assert model.params[k].tobytes() == v.tobytes(), k
 
 
 def _out_of_place_backward(root, seed):
@@ -371,16 +480,16 @@ def _out_of_place_backward(root, seed):
 
 
 def test_in_place_fan_in_sums_are_bit_identical_to_out_of_place():
-    cfg = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
     for precision, all_var in (("f64", False), ("f64", True), ("f32", True)):
-        model = build_emo(cfg, seed=3, precision=precision)
+        model = build_emo(_TINY, seed=3, precision=precision)
         if all_var:
             model = dataclasses.replace(model, params=_all_var_params(model))
         rng = np.random.default_rng(8)
         x = T.Var(rng.normal(size=(2, 3, 64, 64)).astype(np.float32 if precision == "f32" else np.float64))
         logits = emo_forward(model, x)
         cot = rng.normal(size=logits.shape).astype(logits.dtype)
-        got, want = T.backward(logits, cot), _out_of_place_backward(logits, cot)
+        # backward spends its graph, so the reference walks a second forward's
+        got, want = T.backward(logits, cot), _out_of_place_backward(emo_forward(model, x), cot)
         assert set(got) == set(want) and (len(got) > 1) == all_var
         for key, g in want.items():
             assert got[key].dtype == g.dtype and got[key].tobytes() == g.tobytes()
@@ -390,8 +499,7 @@ def test_every_leaf_cotangent_owns_its_memory():
     # the stem VJP crops the input gradient out of its padded buffer, and add hands
     # one array to both parents: a leaf gets a fan-in sum backward allocated as it
     # is and a copy of anything else, so no returned array is a view or shared
-    cfg = EMOVariantConfig("tiny", (1, 1, 2, 1), (8, 8, 16, 16), (2.0, 2.0, 2.0, 2.0))
-    model = build_emo(cfg, seed=3, precision="f64")
+    model = build_emo(_TINY, seed=3, precision="f64")
     model = dataclasses.replace(model, params=_all_var_params(model))
     x = T.Var(np.random.default_rng(8).normal(size=(1, 3, 64, 64)))
     logits = emo_forward(model, x)
