@@ -9,6 +9,11 @@ agree exactly (biases included) on every map shape, not just divisible ones.
 Partition maps (N, C, H, W) straight to per-head tokens (N * num_windows,
 heads, l, C/heads), each head a contiguous block of channels, and merge maps
 them back, so the attention core reads the head count from the token shape.
+Merge copies a map of several window columns once, from the tokens straight
+into NCHW. A single window (or one column of windows) keeps the channels-last
+view of its head-merged tokens instead: a grouped 1x1 conv reading the map
+rounds differently on a C-contiguous copy, so that layout is part of the
+model's bits.
 
 All functions work on plain arrays and on tape Vars alike. The attention
 core goes through the autograd wrappers. Partition and merge are linear and
@@ -81,12 +86,24 @@ def _partition(x: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
 
 
 def _merge(tokens: np.ndarray, layout: WindowLayout, batch: int) -> np.ndarray:
-    """Untile per-head tokens (N * num_windows, heads, l, C/heads) into (N, C, H, W), dropping the padding."""
-    w = layout.window
-    c = tokens.shape[1] * tokens.shape[3]
-    t = tokens.transpose(0, 2, 1, 3).reshape(batch, layout.grid_h, layout.grid_w, w, w, c)
-    t = t.transpose(0, 5, 1, 3, 2, 4)  # (N, C, gh, w, gw, w)
-    t = t.reshape(batch, c, layout.grid_h * w, layout.grid_w * w)
+    """Untile per-head tokens (N * num_windows, heads, l, C/heads) into (N, C, H, W), dropping the padding.
+
+    A map of several window columns is copied once, from the tokens straight
+    into a C-contiguous padded NCHW map. On one window column (a single
+    window among them) or 1x1 windows, untiling the heads-merged tokens is a
+    view, so the map keeps that channels-last view of the one head-merge
+    copy: a grouped 1x1 conv reading it rounds differently on a C-contiguous
+    copy.
+    """
+    w, gh, gw = layout.window, layout.grid_h, layout.grid_w
+    heads, d = tokens.shape[1], tokens.shape[3]
+    if gw > 1 and w > 1:
+        t = tokens.reshape(batch, gh, gw, heads, w, w, d)
+        t = t.transpose(0, 3, 6, 1, 4, 2, 5)  # (N, heads, d, gh, w, gw, w)
+    else:
+        t = tokens.transpose(0, 2, 1, 3).reshape(batch, gh, gw, w, w, heads * d)
+        t = t.transpose(0, 5, 1, 3, 2, 4)  # (N, C, gh, w, gw, w)
+    t = t.reshape(batch, heads * d, gh * w, gw * w)
     return t[:, :, :layout.height, :layout.width]
 
 
@@ -125,7 +142,9 @@ def attention_weights(q_tokens, k_tokens, key_bias=None):
     are pushed to -inf before the softmax.
     """
     scale = 1.0 / math.sqrt(T.val(q_tokens).shape[-1])
-    logits = T.scale(T.matmul(q_tokens, T.transpose(k_tokens, (0, 1, 3, 2))), scale)
+    logits = T.matmul(q_tokens, T.transpose(k_tokens, (0, 1, 3, 2)))
+    del q_tokens, k_tokens  # where the caller handed over its only references, the tokens die here
+    logits = T.scale(logits, scale)
     if key_bias is not None:
         logits = T.add(logits, key_bias)
     return T.softmax_lastdim(logits)

@@ -298,7 +298,11 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
     their mapping argument, so a caller that logs the reads learns which
     stage first reads a leaf. A fold drops each state when the next one is
     made, so norm_e and the activation are two stages: as one, the
-    expansion's output would stay alive through the activation.
+    expansion's output would stay alive through the activation. Inside mix,
+    by the same rule, no name holds a token copy or the attention matrix: the
+    Q/K tokens die once the logits are made, attn and the V tokens once
+    their product is, so the merge runs beside the mixed tokens only. A taped
+    fold keeps the same nodes either way.
 
     With `enable_attn`, the qk + mix pair follows the stage that
     `cfg.attn_at` names. With `cfg.inner_skip` at stride 1, the depth-wise
@@ -338,14 +342,17 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
         x, u, v = state
         return x, conv("q", u, params), conv("k", u, params), v
 
+    def tokens(t):
+        return window_partition(t, cfg.window, cfg.num_heads)[0]
+
     def mix(state, params):
         x, q, k, v = state
-        n = T.val(q).shape[0]
-        qt, layout = window_partition(q, cfg.window, cfg.num_heads)
-        kt, _ = window_partition(k, cfg.window, cfg.num_heads)
-        attn = attention_weights(qt, kt, key_padding_bias(layout, n, T.val(q).dtype))
-        vt, _ = window_partition(v, cfg.window, cfg.num_heads)
-        return x, q, k, window_merge(mix_values(attn, vt), layout, n)
+        n, _, h, w = T.val(q).shape
+        layout = WindowLayout(h, w, cfg.window)
+        # unnamed, the tokens and attn belong to the callees, which drop them once read
+        mixed = mix_values(attention_weights(tokens(q), tokens(k), key_padding_bias(layout, n, T.val(q).dtype)),
+                           tokens(v))
+        return x, q, k, window_merge(mixed, layout, n)
 
     def depthwise(state, params):
         *rest, v = state

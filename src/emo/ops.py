@@ -560,16 +560,29 @@ def batchnorm_inference_vjp(g, x, gamma, mean, var, *, need, dtype):
 
     No gradient reads beta, and only ggamma reads x, so x may be None when
     gamma is unflagged. `dtype` is x's.
+
+    The VJP holds one map-sized scratch array at a time. ggamma comes first:
+    xhat = (x - mean) * inv is built in one buffer and multiplied by g in
+    it, then summed and dropped before gx is allocated. A step runs in place
+    only where the buffer already has the dtype that step produces, and the
+    product with g only where g has the buffer's memory order, since the
+    sum's order follows the product's layout. So each gradient is
+    bit-identical to its out-of-place expression, g * xhat summed included.
     """
     g = np.asarray(g)
     need_x, need_gamma, need_beta = need
     inv = 1.0 / np.sqrt(np.asarray(var) + NORM_EPS)
     gx = ggamma = gbeta = None
+    if need_gamma:
+        t = np.subtract(np.asarray(x), np.asarray(mean).reshape(1, -1, 1, 1))
+        inv4 = inv.reshape(1, -1, 1, 1)
+        t = np.multiply(t, inv4, out=t if t.dtype == np.result_type(t, inv4) else None)
+        same_order = [s * t.itemsize for s in g.strides] == [s * g.itemsize for s in t.strides]
+        t = np.multiply(g, t, out=t if same_order and t.dtype == np.result_type(g, t) else None)
+        ggamma = t.sum(axis=(0, 2, 3)).astype(dtype, copy=False)
+        del t
     if need_x:
         gx = (g * (np.asarray(gamma) * inv).reshape(1, -1, 1, 1)).astype(dtype, copy=False)
-    if need_gamma:
-        xhat = (np.asarray(x) - np.asarray(mean).reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)).astype(dtype, copy=False)
     if need_beta:
         gbeta = g.sum(axis=(0, 2, 3)).astype(dtype, copy=False)
     return gx, ggamma, gbeta

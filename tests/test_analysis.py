@@ -773,6 +773,28 @@ def test_grad_check_frees_its_tape_before_the_finite_differences():
     assert peak(20) <= 1.02 * analytic_only
 
 
+def test_grad_check_of_the_gradcheck_workload_mmb_peaks_under_eleven_v_maps():
+    # a V-map is the 256-channel expanded map at 28x28. The request peaked at 13.07:
+    # in the batchnorm VJP, which held three maps, and in the resumed mix, which held
+    # its token copies, attention matrix and two merge copies until it returned
+    cfg = MMBConfig(64, 4.0, operator="ewmhsa_dwconv", window=7, heads=4, pre_norm="layernorm",
+                    expand_act="gelu", operator_norm="batchnorm", operator_act="silu")
+    v_bytes = 256 * 28 * 28 * 8
+
+    def request():
+        grad_check(cfg, seed=0, input_hw=(28, 28), num_coords=20)
+
+    request()  # the first call makes one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        request()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * v_bytes, peak / v_bytes
+
+
 def test_every_leaf_of_emo_1m_at_its_real_widths_passes_the_gradient_oracle():
     # one coordinate of each of the 201 leaves, f64, 64 px; with windows of 3 in
     # stages 3 and 4, stage 3's 4x4 map has four windows, three of them padded,

@@ -6,8 +6,10 @@ import pytest
 
 from emo import (
     IRMBConfig,
+    MMBConfig,
     PRESETS,
     Rng,
+    WindowLayout,
     count_costs,
     default_heads,
     equivalence_check,
@@ -21,7 +23,9 @@ from emo import (
 )
 from emo import ops
 from emo.attention import attention_weights, key_padding_bias
+from emo.irmb import block_stages, run_stages
 from emo.ops import ConvSpec
+from test_ops import _peak_bytes
 
 
 def rand_x(c, hw, seed=1):
@@ -127,6 +131,30 @@ def test_window_maps_keep_the_tile_then_split_layout(hw, w):
         merged = window_merge(t, layout, 2)
         want = _merge_heads_then_untile(t, layout, 2)
         assert merged.tobytes() == want.tobytes() and merged.strides == want.strides
+
+
+def test_multi_window_merge_copies_once():
+    # the tokens go straight into the NCHW map: merging the heads into a copy and
+    # untiling that into another read 2.00 outputs
+    tokens = np.random.default_rng(9).normal(size=(16, 4, 49, 64))
+    out_bytes = tokens.nbytes  # 28x28 is a multiple of the window: no padding
+    peak = _peak_bytes(lambda: window_merge(tokens, WindowLayout(28, 28, 7), 1))
+    assert peak < 1.5 * out_bytes, peak / out_bytes
+
+
+def test_untaped_mix_frees_its_temporaries_once_read():
+    # the gradcheck workload's MMB at 28x28: the Q/K tokens go once the logits are
+    # made, attn and the V tokens once the product is; holding every token copy, the
+    # attention matrix and two merge copies until the stage returned read 5.27 V-maps
+    cfg = MMBConfig(64, 4.0, operator="ewmhsa_dwconv", window=7, heads=4, pre_norm="layernorm",
+                    expand_act="gelu", operator_norm="batchnorm", operator_act="silu")._as_irmb(28, 28)
+    stages = block_stages(cfg, "")
+    at = [st.name for st in stages].index("mix")
+    params = random_block_params(cfg, 3)
+    state = run_stages(stages[:at], rand_x(64, (28, 28)), params)
+    v_bytes = state[-1].nbytes
+    peak = _peak_bytes(lambda: stages[at](state, params))
+    assert peak < 3 * v_bytes, peak / v_bytes
 
 
 def test_attention_rows_sum_to_one_even_with_padding():

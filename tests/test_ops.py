@@ -473,6 +473,45 @@ def test_batchnorm_peak_is_one_output_map(dtype):
     assert peak <= x.nbytes + (64 << 10), peak / x.nbytes
 
 
+def _channels_last(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("g_layout", ["nchw", "channels-last"])
+@pytest.mark.parametrize("x_layout", ["nchw", "channels-last"])
+@pytest.mark.parametrize("x_dt, stat_dt", [(np.float32, np.float32), (np.float32, np.float64),
+                                            (np.float64, np.float32), (np.float64, np.float64)])
+def test_batchnorm_vjp_in_place_is_bit_identical_to_the_out_of_place_formulas(x_dt, stat_dt, x_layout, g_layout):
+    # the sum that makes ggamma runs in the product's memory order, so both layouts
+    # of x and of g are covered; the map is large enough for that order to show
+    rng = np.random.default_rng(19)
+    x = (rng.normal(size=(2, 8, 24, 24)) * 3).astype(x_dt)
+    g = rng.normal(size=x.shape).astype(x_dt)
+    x, g = (_channels_last(a) if layout == "channels-last" else a for a, layout in ((x, x_layout), (g, g_layout)))
+    gamma, mean = (rng.normal(size=8).astype(stat_dt) for _ in range(2))
+    var = rng.uniform(0.5, 1.5, size=8).astype(stat_dt)
+    inv = 1.0 / np.sqrt(var + ops.NORM_EPS)
+    xhat = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+    want = ((g * (gamma * inv).reshape(1, -1, 1, 1)).astype(x_dt, copy=False),
+            (g * xhat).sum(axis=(0, 2, 3)).astype(x_dt, copy=False),
+            g.sum(axis=(0, 2, 3)).astype(x_dt, copy=False))
+    got = ops.batchnorm_inference_vjp(g, x, gamma, mean, var, need=(True, True, True), dtype=x_dt)
+    for name, a, b in zip(("gx", "ggamma", "gbeta"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_batchnorm_vjp_holds_one_scratch_map():
+    # ggamma's xhat is built and multiplied by g in one buffer, dropped before gx is
+    # allocated: gx, xhat and g * xhat alive together read 3.07 maps
+    rng = np.random.default_rng(20)
+    x, g = rng.normal(size=(2, 2, 64, 32, 32))
+    gamma, mean = rng.normal(size=(2, 64))
+    var = rng.uniform(0.5, 1.5, size=64)
+    peak = _peak_bytes(lambda: ops.batchnorm_inference_vjp(g, x, gamma, mean, var, need=(True, True, True),
+                                                           dtype=x.dtype))
+    assert peak < 1.5 * x.nbytes, peak / x.nbytes
+
+
 def test_layernorm_constant_channels_give_zero():
     x = np.full((1, 4, 3, 3), 2.7)
     y = ops.layernorm_channels(x, np.ones(4), np.zeros(4))
