@@ -6,6 +6,10 @@ inverted residual block (depth-wise conv operator), a transformer FFN
 (identity operator, 4x expansion), or a windowed attention block (attention
 operator at 1x). The iRMB then cascades attention and conv behind two
 switches.
+
+A cost report counts in the fields of `emo.CostMeter`, the same record a
+metered forward fills; its `macs` are contraction MACs, and the MACs printed
+here are the paper's, flops / 2.
 """
 
 import numpy as np
@@ -24,7 +28,7 @@ for name, preset_args in [("irb", dict(expansion_ratio=4.0)),
     cfg = mmb_instantiate(name, 16, **preset_args)
     rep = count_costs(cfg, resolution=8)
     print(f"{name:5s} operator={cfg.operator:13s} mid={cfg.mid_channels:3d} "
-          f"params={rep.params:6,} macs@8x8={rep.macs:10,.0f}")
+          f"params={rep.params:6,} macs@8x8={rep.flops / 2:10,.0f}")
 
 print()
 print("=== the residual makes a zeroed shrink MLP an exact identity ===")

@@ -6,7 +6,12 @@ forward folds over (`model.model_stages`, `irmb.block_stages`), so a trace
 under `ops.cost_meter()` reproduces the static numbers exactly: MACs count the
 contractions of conv/matmul calls, softmax is itemized per attention-matrix
 element (3 flops each), and bias adds / normalization / activation elements
-are reported separately so any FLOP convention can be reconstructed.
+are reported separately so any FLOP convention can be reconstructed. A
+`CostReport` is one record with the meter's fields (a `CostLine` named after
+its target), so `rep.macs` are contraction MACs, like a meter's. The paper's
+MACs, flops / 2, are the `macs` of its JSON form and of its rollups.
+`contraction_macs` is the benchmark's name for `rep.macs`, kept until the
+benchmark reads `macs`.
 
 The structural analyses fold over the same stages. One reach rule serves
 influence masks, path lengths and gradient checking's crops: a box of the map
@@ -24,7 +29,7 @@ import itertools
 import math
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from . import autograd as ag
 from .irmb import IRMBConfig, Stage, block_stages, random_block_params, run_stages
 from .mmb import MMBConfig
 from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stages_through
-from .ops import ConvSpec, CostLine
+from .ops import ConvSpec, CostLine, CostMeter
 from .tensor import Rng
 
 CATEGORIES = ("stem", "mlp", "attention", "dwconv", "norm", "head")
@@ -44,62 +49,41 @@ _PRIMITIVE_COORDS = 60  # the coordinates check_primitives draws from each leaf
 # cost report
 
 
-@dataclass
-class CostReport:
-    target: str
+def _paper_costs(params: int, flops: int) -> dict[str, float]:
+    """params, MACs and FLOPs in the paper's convention: its MACs are flops / 2."""
+    return {"params": params, "macs": flops / 2, "flops": flops}
+
+
+@dataclass(kw_only=True)
+class CostReport(CostLine):
+    """A target's total cost line (named after the target), its resolution and the lines it sums.
+
+    Its `macs` are contraction MACs, as on a meter. The `macs` of `as_dict`,
+    `by_category` and `by_block` are the paper's, flops / 2, which count each
+    softmax element as 1.5.
+    """
+
     resolution: int
     lines: list[CostLine] = field(default_factory=list)
 
-    def _sum(self, attr, pred=lambda ln: True):
-        return sum(getattr(ln, attr) for ln in self.lines if pred(ln))
+    contraction_macs = property(lambda self: self.macs)  # perfbench's name for `macs`
 
-    @property
-    def params(self) -> int:
-        return self._sum("params")
-
-    @property
-    def macs(self) -> float:
-        return self.flops / 2
-
-    @property
-    def contraction_macs(self) -> int:
-        return self._sum("macs")
-
-    @property
-    def softmax_elems(self) -> int:
-        return self._sum("softmax_elems")
-
-    @property
-    def flops(self) -> int:
-        return self._sum("flops")
-
-    @property
-    def bias_adds(self) -> int:
-        return self._sum("bias_adds")
-
-    @property
-    def norm_elems(self) -> int:
-        return self._sum("norm_elems")
-
-    @property
-    def act_elems(self) -> int:
-        return self._sum("act_elems")
-
-    @property
-    def other_adds(self) -> int:
-        return self._sum("other_adds")
+    def _rollup(self, key, keys=()) -> dict[str, dict[str, float]]:
+        """`_paper_costs` of the lines grouped by key(line), starting with `keys` at zero."""
+        sums = {k: [0, 0] for k in keys}
+        for ln in self.lines:
+            rec = sums.setdefault(key(ln), [0, 0])
+            rec[0] += ln.params
+            rec[1] += ln.flops
+        return {k: _paper_costs(*rec) for k, rec in sums.items()}
 
     def by_category(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for cat in CATEGORIES:
-            pred = lambda ln, c=cat: ln.category == c
-            flops = self._sum("flops", pred)
-            out[cat] = {"params": self._sum("params", pred), "macs": flops / 2, "flops": flops}
-        return out
+        cats = self._rollup(lambda ln: ln.category, CATEGORIES)
+        return {cat: cats[cat] for cat in CATEGORIES}
 
     def fractions(self) -> dict[str, dict[str, float]]:
         cats = self.by_category()
-        tp, tm = self.params, self.macs
+        tp, tm = self.params, self.flops / 2
         return {
             cat: {
                 "params": (v["params"] / tp) if tp else 0.0,
@@ -109,36 +93,21 @@ class CostReport:
         }
 
     def by_block(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for ln in self.lines:
-            block = ln.name.rsplit(".", 1)[0] if "." in ln.name else ln.name
-            rec = out.setdefault(block, {"params": 0, "macs": 0.0, "flops": 0})
-            rec["params"] += ln.params
-            rec["flops"] += ln.flops
-            rec["macs"] = rec["flops"] / 2
-        return out
+        return self._rollup(lambda ln: ln.name.rsplit(".", 1)[0])
 
     def as_dict(self) -> dict:
+        counts = {f.name: getattr(self, f.name) for f in fields(CostMeter) if f.name != "macs"}
         return {
-            "target": self.target,
+            "target": self.name,
             "resolution": self.resolution,
-            "totals": {
-                "params": self.params,
-                "macs": self.macs,
-                "flops": self.flops,
-                "softmax_elems": self.softmax_elems,
-                "bias_adds": self.bias_adds,
-                "norm_elems": self.norm_elems,
-                "act_elems": self.act_elems,
-                "other_adds": self.other_adds,
-            },
+            "totals": _paper_costs(self.params, self.flops) | counts,
             "by_category": self.by_category(),
             "fractions": self.fractions(),
             "by_block": self.by_block(),
         }
 
     def as_text(self) -> str:
-        rows = [f"{self.target} @ {self.resolution}"]
+        rows = [f"{self.name} @ {self.resolution}"]
         rows.append(f"{'category':<10} {'params':>12} {'MACs':>16} {'FLOPs (2x)':>16} {'%P':>7} {'%M':>7}")
         fr = self.fractions()
         for cat, rec in self.by_category().items():
@@ -148,7 +117,7 @@ class CostReport:
                 f"{cat:<10} {rec['params']:>12,} {rec['macs']:>16,.1f} {rec['flops']:>16,} "
                 f"{fr[cat]['params'] * 100:>6.2f}% {fr[cat]['macs'] * 100:>6.2f}%"
             )
-        rows.append(f"{'total':<10} {self.params:>12,} {self.macs:>16,.1f} {self.flops:>16,}")
+        rows.append(f"{'total':<10} {self.params:>12,} {self.flops / 2:>16,.1f} {self.flops:>16,}")
         return "\n".join(rows)
 
 
@@ -166,29 +135,31 @@ def _block_of(target, h: int, w: int) -> tuple[str, IRMBConfig]:
 def count_costs(target, resolution: int = 224) -> CostReport:
     """Exact parameter and work counts for a model, block, or bare conv.
 
-    A model or block sums the lines of its stage list. MACs are counted for one batch item.
+    A model or block sums the lines of its stage list, field by field. Work is counted for one batch item.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if isinstance(target, EMOModel):
         target = target.cfg
-    if isinstance(target, EMOVariantConfig):
-        check_resolution(resolution, resolution)
-        name, stages = target.name, model_stages(target)
-    elif isinstance(target, (IRMBConfig, MMBConfig)):
-        name, cfg = _block_of(target, resolution, resolution)
-        stages = block_stages(cfg, "block.")
-    elif isinstance(target, ConvSpec):
-        category = "dwconv" if target.depthwise else "mlp"
-        return CostReport("conv", resolution, [target.cost_line("conv", category, resolution, resolution)])
+    if isinstance(target, ConvSpec):
+        name = "conv"
+        lines = [target.cost_line(name, "dwconv" if target.depthwise else "mlp", resolution, resolution)]
     else:
-        raise TypeError(f"cannot count costs of {type(target).__name__}")
-    rep = CostReport(name, resolution)
-    h = w = resolution
-    for stage in stages:
-        rep.lines.extend(stage.lines(h, w))
-        h, w = stage.out_hw(h, w)
-    return rep
+        if isinstance(target, EMOVariantConfig):
+            check_resolution(resolution, resolution)
+            name, stages = target.name, model_stages(target)
+        elif isinstance(target, (IRMBConfig, MMBConfig)):
+            name, cfg = _block_of(target, resolution, resolution)
+            stages = block_stages(cfg, "block.")
+        else:
+            raise TypeError(f"cannot count costs of {type(target).__name__}")
+        lines, h, w = [], resolution, resolution
+        for stage in stages:
+            lines.extend(stage.lines(h, w))
+            h, w = stage.out_hw(h, w)
+    counted = ("params", *(f.name for f in fields(CostMeter)))
+    totals = {f: sum(getattr(ln, f) for ln in lines) for f in counted}
+    return CostReport(name, "total", resolution=resolution, lines=lines, **totals)
 
 
 # ---------------------------------------------------------------------------

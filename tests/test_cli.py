@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emo import (PRESETS, EMOVariantConfig, MMBConfig, analysis, cli, mmb_config_from_dict, mmb_config_to_dict,
-                 mmb_instantiate)
+from emo import (PRESETS, CostMeter, EMOVariantConfig, MMBConfig, analysis, cli, mmb_config_from_dict,
+                 mmb_config_to_dict, mmb_instantiate)
 from emo.cli import main
 from emo.serialize import save_raw_tensor
 
@@ -554,6 +554,14 @@ def test_schema_files_state_the_dataclass_fields(schema_name, cls, read, full):
             if "missing" in str(exc):
                 required.append(name)
     assert sorted(schema["required"]) == required
+
+
+def test_reports_schema_totals_state_the_count_record():
+    # a report's totals are params, flops and every field of the count record
+    totals = _schema("reports.schema.json").schema["$defs"]["totals"]
+    names = sorted(["params", "flops", *(f.name for f in dataclasses.fields(CostMeter))])
+    assert sorted(totals["properties"]) == sorted(totals["required"]) == names
+    assert sorted(analysis.count_costs(PRESETS["emo-1m"], 224).as_dict()["totals"]) == names
 
 
 def test_minimal_variant_config_takes_every_other_field_from_the_dataclass():

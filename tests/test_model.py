@@ -122,11 +122,7 @@ def test_forward_trace_matches_static_count_exactly():
     with cost_meter() as meter:
         emo_forward(model, x)
     rep = count_costs(TINY, 96)
-    assert meter.macs == rep.contraction_macs
-    assert meter.softmax_elems == rep.softmax_elems
-    assert meter.bias_adds == rep.bias_adds
-    assert meter.norm_elems == rep.norm_elems
-    assert meter.act_elems == rep.act_elems
+    _assert_meter_equals_static(meter, rep, batch=1)
     assert meter.flops == rep.flops
 
 
@@ -147,14 +143,9 @@ def test_forward_trace_matches_static_count_every_preset_at_224(name, fold_meter
 
 
 def _assert_meter_equals_static(meter, rep, batch):
-    """Every CostMeter field against batch x the report's count of the same name.
-
-    The report's `macs` is flops / 2, so the meter's contraction MACs meet
-    its `contraction_macs`.
-    """
+    """Every CostMeter field against batch x the report's count of the same name."""
     for field in dataclasses.fields(meter):
-        static = rep.contraction_macs if field.name == "macs" else getattr(rep, field.name)
-        assert getattr(meter, field.name) == batch * static, field.name
+        assert getattr(meter, field.name) == batch * getattr(rep, field.name), field.name
 
 
 @pytest.mark.parametrize("name, resolution", [(n, 224) for n in sorted(PRESETS)] + [("emo-1m", 160)])
