@@ -28,15 +28,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import ChainMap
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .irmb import IRMBConfig, Stage, block_stages, random_block_params, run_stages
+from .irmb import IRMBConfig, Stage, block_stages, conv_leaves, random_block_params, run_stages
 from .mmb import MMBConfig
-from .model import IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stages_through
+from .model import (IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stage_features,
+                    stages_through)
 from .ops import ConvSpec, CostLine, CostMeter
 from .tensor import Rng
 
@@ -365,8 +365,6 @@ def diag_similarity_of_features(features: np.ndarray) -> np.ndarray:
 
 def diag_similarity(model: EMOModel, stage: int, x) -> np.ndarray:
     """Diagonal cosine-similarity profile of one stage's output features."""
-    from .model import stage_features
-
     return diag_similarity_of_features(stage_features(model, x, stage))
 
 
@@ -394,8 +392,8 @@ class GradCheckReport:
     """The worst relative error over the checked coordinates, and where it was.
 
     `worst_leaf`, `worst_index` and `worst_stage` name the worst coordinate:
-    its leaf, its flat index in that leaf, and the stage that first reads the
-    leaf (e.g. "s3.b1.expand" in a model; None if no stage reads it). All
+    its leaf, its flat index in that leaf, and the first stage that declares
+    (reads) the leaf (e.g. "s3.b1.expand" in a model; None if none does). All
     three are None when no coordinate was checked.
     """
 
@@ -424,45 +422,22 @@ def _tape_gradients(stages, leaves: dict, rng: Rng, cot_name: str):
     return {k: ag.grad_of(grads, v) for k, v in vars_.items()}, cot
 
 
-class _Reads(Mapping):
-    """Leaves, read-only, noting for each key every stage that reads it by [] or get.
-
-    `stage` is the index of the stage running; `readers` maps each key read
-    so far to the indices of the stages that read it, in order. A membership
-    test is not a read.
-    """
-
-    def __init__(self, leaves: dict):
-        self.leaves, self.stage, self.readers = leaves, 0, {}
-
-    def __getitem__(self, key):
-        value = self.leaves[key]
-        seen = self.readers.setdefault(key, [])
-        if not seen or seen[-1] != self.stage:
-            seen.append(self.stage)
-        return value
-
-    def __contains__(self, key):
-        return key in self.leaves
-
-    def __iter__(self):
-        return iter(self.leaves)
-
-    def __len__(self):
-        return len(self.leaves)
+def _plain_pass(stages, leaves: dict) -> list:
+    """The states of one plain (untaped) fold of `stages` on `leaves`:
+    states[i] is stage i's input state, from None, and states[-1] the output."""
+    states = [None]
+    for stage in stages:
+        states.append(stage(states[-1], leaves))
+    return states
 
 
-def _plain_pass(stages, leaves: dict) -> tuple[list, dict]:
-    """(states, readers) of one plain (untaped) fold of `stages` on `leaves`.
-
-    states[i] is stage i's input state, from None, and states[-1] the
-    output; readers is what `_Reads` logged.
-    """
-    reads, states = _Reads(leaves), [None]
+def _readers(stages) -> dict[str, list[int]]:
+    """Each leaf a stage declares -> the indices of the stages that declare it, in order."""
+    readers: dict[str, list[int]] = {}
     for i, stage in enumerate(stages):
-        reads.stage = i
-        states.append(stage(states[-1], reads))
-    return states, reads.readers
+        for key in stage.leaves:
+            readers.setdefault(key, []).append(i)
+    return readers
 
 
 def _rerun_elementwise(stage, state, leafs, base_in, base_out):
@@ -548,9 +523,10 @@ def _rerun_local(stage, state, leafs, base_in, base_out):
 def _run_from(stages, i: int, states: list, leafs, readers):
     """Fold states[i] through stages[i:] like `run_stages`, where `states`
     is what a plain pass gave each stage (`_plain_pass`) and `readers` the
-    stages that read the perturbed leaf. A reader runs whole: its parameters
-    changed everywhere. Every other elementwise or local stage reruns only
-    where its input differs from its plain-pass input."""
+    stages that declare the perturbed leaf (`_readers`), so read it. A
+    reader runs whole: its parameters changed everywhere. Every other
+    elementwise or local stage reruns only where its input differs from its
+    plain-pass input."""
     state = states[i]
     for j in range(i, len(stages)):
         stage = stages[j]
@@ -567,11 +543,12 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: f
     """(worst relative error of the tape gradients of `stages` against central differences, where).
 
     `stages` is a list of `Stage` records, folded from the state None to the
-    output, that read every parameter from the one mapping `leaves`;
-    `_tape_gradients` gives the analytic side. Each (key, flat index) in
-    `coords` is then moved by +-step in a copy of its leaf, and each
-    difference resumes at the first stage that reads the key (a key that no
-    stage reads, at the output), from the list of states of one plain pass
+    output, that read every parameter from the one mapping `leaves`, each
+    exactly the `leaves` it declares; `_tape_gradients` gives the analytic
+    side. Each (key, flat index) in `coords` is then moved by +-step in a
+    copy of its leaf, and each difference resumes at the first stage that
+    declares the key (`_readers`; a key that no stage declares, at the
+    output), from the list of states of one plain pass
     (`_plain_pass`): the stages before it would recompute that state
     unchanged. On the way, an elementwise stage (the blocks' activations)
     recomputes only the entries whose input differs in its bits from that
@@ -585,11 +562,11 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: f
     The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
     |analytic| entry), which keeps finite-difference roundoff on near-zero
     coordinates from dominating. "Where" is (key, flat index, name of the
-    stage that first reads the key, or None) of the first worst coordinate,
+    first stage that declares the key, or None) of the first worst coordinate,
     or None for no coordinates.
     """
     analytic, cot = _tape_gradients(stages, leaves, rng, cot_name)
-    states, readers = _plain_pass(stages, leaves)
+    states, readers = _plain_pass(stages, leaves), _readers(stages)
 
     def loss(key, leafs):
         reads = readers.get(key, [len(stages)])
@@ -629,7 +606,7 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
         picker = rng.stream(f"prim.{name}.coords")
         coords = [(k, flat) for k, a in leaves.items()
                   for flat in picker.choice(a.size, size=min(_PRIMITIVE_COORDS, a.size), replace=False)]
-        stages = [Stage(name, lambda _, v: fwd(v))]
+        stages = [Stage(name, lambda _, v: fwd(v), leaves={k: a.shape for k, a in leaves.items()})]
         results[name] = _tape_rel_err(stages, leaves, rng, f"prim.{name}.cot", coords, _FD_STEP)[0]
 
     # conv2d: plain, grouped, strided+padded, depth-wise
@@ -674,8 +651,9 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
     The leaves are one mapping: "__input__" and every parameter, the
     batchnorm buffers (`_is_buffer`) included. The stages are an input stage
     that reads "__input__", then the target's stage list: `model.model_stages`
-    itself, `irmb.block_stages`, or one conv stage. Each stage reads its
-    parameters from the mapping it is called with, as in the forward.
+    itself, `irmb.block_stages`, or one conv stage, whose declared leaves the
+    conv's weights are drawn for. Each stage reads the leaves it declares
+    from the mapping it is called with, as in the forward.
     Every leaf is f64; a model's parameters are upcast (its f64 twin).
     """
     if isinstance(target, EMOModel):
@@ -687,16 +665,14 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
         params, body, cin = random_block_params(cfg, seed), block_stages(cfg, ""), cfg.in_channels
     elif isinstance(target, ConvSpec):
         name, cin = "conv2d", target.in_channels
-        params = {
-            "w": rng.normal("gradcheck.w", target.weight_shape(), std=0.5, precision="f64"),
-        }
-        if target.bias:
-            params["b"] = rng.normal("gradcheck.b", (target.out_channels,), std=0.5, precision="f64")
-        body = [Stage("conv2d", lambda x, p: ag.conv2d(x, p["w"], target, p.get("b")))]
+        body = [Stage("conv2d", lambda x, p: ag.conv2d(x, p["w"], target, p.get("b")), leaves=conv_leaves("", target))]
+        params = {k: rng.normal(f"gradcheck.{k}", shape, std=0.5, precision="f64")
+                  for k, shape in body[0].leaves.items()}
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
     x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision="f64")
-    return name, [Stage("input", lambda _, p: p["__input__"]), *body], {"__input__": x0, **params}
+    stage0 = Stage("input", lambda _, p: p["__input__"], leaves={"__input__": x0.shape})
+    return name, [stage0, *body], {"__input__": x0, **params}
 
 
 def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
@@ -708,17 +684,18 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     Relative error uses max(|analytic|, |numeric|, 1e-4 * max-gradient) as
     the denominator (see `_tape_rel_err`). Coordinates are drawn from every
     leaf of the one mapping the stages read (`_check_target`) but the
-    batchnorm buffers. Each difference resumes at the first stage that reads
-    the perturbed leaf, from the list of states of one plain forward, so a
-    model's or block's differences skip the stages before it. After it,
-    each block's activation recomputes only the entries whose input
-    changed, and each windowed mix and stride-1 depth-wise stage that does
-    not read the leaf only the windows or conv footprints those entries
-    reach; the rest comes from that plain forward. Every difference is
-    bit-identical to one over the whole forward. The report names the worst
-    coordinate and the stage that first reads its leaf. A step that is not
-    a finite number > 0, a negative `num_coords` and an `input_hw` that is
-    not a positive (height, width) raise ValueError.
+    batchnorm buffers. Each stage declares the leaves it reads, and each
+    difference resumes at the first stage that declares the perturbed leaf,
+    from the list of states of one plain forward, so a model's or block's
+    differences skip the stages before it. After it, each block's
+    activation recomputes only the entries whose input changed, and each
+    windowed mix and stride-1 depth-wise stage that does not read the leaf
+    only the windows or conv footprints those entries reach; the rest comes
+    from that plain forward. Every difference is bit-identical to one over
+    the whole forward. The report names the worst coordinate and the first
+    stage that declares its leaf. A step that is not a finite number > 0, a
+    negative `num_coords` and an `input_hw` that is not a positive (height,
+    width) raise ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")

@@ -486,7 +486,7 @@ def main(argv=None) -> int:
             emit({"error": {"code": "config", "message": str(exc)}}, fh)
             return EXIT_CONFIG
         except Exception as exc:  # invariant breaches
-            emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+            emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}, fh)
             return EXIT_INTERNAL
     return EXIT_OK
 

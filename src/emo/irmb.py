@@ -17,9 +17,10 @@ input back. So one config states this block and every meta mobile block
 
 `irmb_forward` is the one block core: it folds the input through
 `block_stages`, the block as an ordered list of named stages, each carrying
-the cost lines it executes, cached by config value: the model's stage list,
-the cost counter and gradient checking read the same list. EW-MHSA runs
-only as its qk + mix stage pair, which `ew_mhsa` folds too.
+the cost lines it executes and the leaves it reads, cached by config value:
+the model's stage list, the parameter table, the cost counter and gradient
+checking read the same list. EW-MHSA runs only as its qk + mix stage pair,
+which `ew_mhsa` folds too.
 
 The two multiplication orders provably coincide when the expansion MLP's
 group count equals the head count (`orders_equivalent`); `equivalence_check`
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -159,27 +160,20 @@ class IRMBConfig:
             )
         return specs
 
-    def norm_slots(self) -> dict[str, tuple[str, int]]:
-        """name -> (kind, width) for every materialized normalization."""
-        slots = {}
-        if self.pre_norm_kind != "none":
-            slots["norm_pre"] = (self.pre_norm_kind, self.in_channels)
-        if self.expand_norm_kind != "none":
-            slots["norm_e"] = (self.expand_norm_kind, self.mid)
-        if self.enable_conv and self.conv_norm != "none":
-            slots["norm_dw"] = (self.conv_norm, self.mid)
-        return slots
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Leaf name -> shape of every parameter: conv weights and biases, then norms."""
-        shapes: dict[str, tuple[int, ...]] = {}
-        for name, spec in self.conv_specs().items():
-            shapes[f"{name}.w"] = spec.weight_shape()
-            shapes[f"{name}.b"] = (spec.out_channels,)
-        for slot, (kind, width) in self.norm_slots().items():
-            leaves = ("g", "b", "mean", "var") if kind == "batchnorm" else ("g", "b")
-            shapes.update({f"{slot}.{leaf}": (width,) for leaf in leaves})
-        return shapes
+        """Leaf name -> shape of every parameter, in stage order: the leaves `block_stages` declare."""
+        return {leaf: shape for st in block_stages(self, "") for leaf, shape in st.leaves.items()}
+
+
+def conv_leaves(prefix: str, spec: ConvSpec) -> dict[str, tuple[int, ...]]:
+    """The leaves a conv reads, named `prefix` + w (its weight) and + b (its bias, if it has one)."""
+    return {prefix + "w": spec.weight_shape(), **({prefix + "b": (spec.out_channels,)} if spec.bias else {})}
+
+
+def norm_leaves(prefix: str, kind: str, width: int) -> dict[str, tuple[int, ...]]:
+    """The leaves a norm of this kind reads (`_norm`): the affine g and b, a batchnorm's mean and var too."""
+    names = {"none": (), "layernorm": ("g", "b"), "batchnorm": ("g", "b", "mean", "var")}[kind]
+    return {prefix + name: (width,) for name in names}
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
@@ -240,6 +234,13 @@ class Stage:
     window of a stage that mixes positions (an EW-MHSA mix); None where there
     is none. The structural analyses read only these two.
 
+    `leaves` maps each leaf the stage reads from its mapping argument, under
+    its full name, to its shape, batchnorm buffers included; the library
+    states it with the stage, and no caller sets it. The parameter tables
+    (`IRMBConfig.param_shapes`, `EMOVariantConfig.param_shapes`) are the
+    union of a stage list's leaves, and a gradient check resumes each
+    difference at the first stage that declares the perturbed leaf.
+
     An `elementwise` stage reads no parameter and maps the last entry of its
     tuple state entry by entry, so that entry's value at one position depends
     only on the entry's input at that position, and it passes the other
@@ -271,6 +272,7 @@ class Stage:
     conv: ConvSpec | None = None
     window: int | None = None
     elementwise: bool = False
+    leaves: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __call__(self, state, params):
         return self.fn(state, params)
@@ -294,9 +296,10 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
     output: u is the pre-normed input that Q/K read, v the running
     features. EW-MHSA is the pair qk, which replaces u by its projections
     (q, k), and mix, which multiplies their windowed attention into v; the
-    stages after it pass q and k on. Stages read parameters only through
-    their mapping argument, so a caller that logs the reads learns which
-    stage first reads a leaf. A fold drops each state when the next one is
+    stages after it pass q and k on. Each stage reads parameters only
+    through its mapping argument, and exactly the `leaves` it declares: the
+    .w/.b of its convs (`conv_leaves`) and its norm's g/b, plus mean/var for
+    a batchnorm (`norm_leaves`). A fold drops each state when the next one is
     made, so norm_e and the activation are two stages: as one, the
     expansion's output would stay alive through the activation. Inside mix,
     by the same rule, no name holds a token copy or the attention matrix: the
@@ -392,17 +395,28 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
         return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
                                           other_adds=cout * h * w if keep_residual else 0)]
 
+    def conv_params(name):
+        return conv_leaves(f"{prefix}{name}.", specs[name])
+
+    def norm_params(slot, kind, width):
+        return norm_leaves(f"{prefix}{slot}.", kind, width)
+
     stages = [
-        Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w)),
-        Stage(prefix + "expand", expand, lambda h, w: [specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)]),
-        Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w)),
+        Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w),
+              leaves=norm_params("norm_pre", cfg.pre_norm_kind, cin)),
+        Stage(prefix + "expand", expand, lambda h, w: [specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)],
+              leaves=conv_params("expand")),
+        Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w),
+              leaves=norm_params("norm_e", cfg.expand_norm_kind, mid)),
         Stage(prefix + "act", act, act_lines, elementwise=True),
-        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"])] if cfg.enable_conv else []),
-        Stage(prefix + "shrink", shrink, shrink_lines),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"],
+                 leaves=conv_params("dw") | norm_params("norm_dw", cfg.conv_norm, mid))] if cfg.enable_conv else []),
+        Stage(prefix + "shrink", shrink, shrink_lines, leaves=conv_params("shrink")),
     ]
     if cfg.enable_attn:
         at = 1 + [st.name for st in stages].index(prefix + cfg.attn_at)
-        stages[at:at] = [Stage(prefix + "qk", qk, qk_lines), Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
+        stages[at:at] = [Stage(prefix + "qk", qk, qk_lines, leaves=conv_params("q") | conv_params("k")),
+                         Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
     return tuple(stages)
 
 
@@ -442,9 +456,10 @@ def random_block_params(cfg: IRMBConfig, seed: int, precision: str = "f64",
                         prefix: str = "") -> dict[str, np.ndarray]:
     """Generic random weights for every leaf (biases and norms included).
 
-    The leaves are those of `irmb_init_params`, in the same order; each is
-    drawn from its own named stream, N(0, 0.5^2) except the batchnorm
-    variances, which are uniform in [0.5, 1.5).
+    The leaves are those the block's stages declare (`IRMBConfig.param_shapes`),
+    in stage order, as `irmb_init_params` makes them; each is drawn from
+    its own named stream, N(0, 0.5^2) except the batchnorm variances, which
+    are uniform in [0.5, 1.5).
     """
     rng = Rng(seed)
     out = {}

@@ -21,8 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import autograd as T
-from .irmb import IRMBConfig, Stage, block_stages, default_heads, init_params, run_stages
+from .irmb import IRMBConfig, Stage, block_stages, conv_leaves, default_heads, init_params, norm_leaves, run_stages
 from .ops import ConvSpec, CostLine
+from .serialize import ContainerError, load_params, save_params
 from .tensor import Rng, as_nchw, dtype_of
 
 STEM_KERNEL = 3
@@ -95,15 +96,8 @@ class EMOVariantConfig:
         return ConvSpec(self.dims[3], self.num_classes, kernel=1)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Leaf name -> shape of every parameter: the stem, each block under its name, the head."""
-        stem, c0 = self.stem_spec(), self.dims[0]
-        shapes = {"stem.conv.w": stem.weight_shape(), "stem.conv.b": (c0,)}
-        shapes.update({f"stem.bn.{leaf}": (c0,) for leaf in ("g", "b", "mean", "var")})
-        for name, _stage, bcfg in self.blocks:
-            shapes.update({f"{name}.{leaf}": shape for leaf, shape in bcfg.param_shapes().items()})
-        head = self.head_spec()
-        shapes.update({"head.w": head.weight_shape(), "head.b": (head.out_channels,)})
-        return shapes
+        """Leaf name -> shape of every parameter, in stage order: the leaves `model_stages` declare."""
+        return {leaf: shape for st in model_stages(self) for leaf, shape in st.leaves.items()}
 
 
 PRESETS: dict[str, EMOVariantConfig] = {
@@ -188,10 +182,11 @@ def model_stages(cfg: EMOVariantConfig) -> tuple[Stage, ...]:
     def head_lines(h, w):  # the classifier runs on the pooled 1 x 1 map
         return [head.cost_line("head", "head", 1, 1, other_adds=head.in_channels * h * w)]
 
-    stages = [Stage("stem", stem_fn, stem_lines, stem)]
+    stem_leaves = conv_leaves("stem.conv.", stem) | norm_leaves("stem.bn.", "batchnorm", stem.out_channels)
+    stages = [Stage("stem", stem_fn, stem_lines, stem, leaves=stem_leaves)]
     for name, _stage, bcfg in cfg.blocks:
         stages += block_stages(bcfg, name + ".")
-    return (*stages, Stage("head", head_fn, head_lines))
+    return (*stages, Stage("head", head_fn, head_lines, leaves=conv_leaves("head.", head)))
 
 
 def emo_forward(model: EMOModel, x):
@@ -213,8 +208,6 @@ def stage_features(model: EMOModel, x, stage: int) -> np.ndarray:
 
 
 def save_model(model: EMOModel, path) -> None:
-    from .serialize import save_params
-
     save_params(path, model.params, model.precision)
 
 
@@ -224,8 +217,6 @@ def load_model(cfg: EMOVariantConfig | str, path) -> EMOModel:
     The model's `seed` is None: the container does not record which seed, if
     any, drew the weights.
     """
-    from .serialize import ContainerError, load_params
-
     if isinstance(cfg, str):
         cfg = preset(cfg)
     params, precision = load_params(path)

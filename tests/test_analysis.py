@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from collections.abc import Mapping
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from emo import (
     grad_check,
     influence_mask,
     max_path_length,
+    PRESETS,
     preset,
 )
 from emo import analysis, cost_meter
@@ -568,7 +571,7 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
     target = _CHECK_TARGETS[name]()
     hw = (32, 32) if isinstance(target, EMOModel) else _CROP_HW.get(name, (6, 6))
     _, stages, leaves = analysis._check_target(target, 0, Rng(0), *hw)
-    states, readers = analysis._plain_pass(stages, leaves)
+    states, readers = analysis._plain_pass(stages, leaves), analysis._readers(stages)
     # an input stage, then the model's, the block's or the conv's stages
     last = {EMOModel: "head.w", ConvSpec: "w"}.get(type(target), "shrink.w")
     assert readers["__input__"] == [0] and readers[last] == [len(stages) - 1]
@@ -605,7 +608,7 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
     assert reran > 0 or not any(st.elementwise for st in stages)  # some activation reran only its changed entries
     assert cropped > 0 or name not in _CROP_HW  # some local stage reran on a crop
     # no resumed forward wrote into a plain-pass state
-    assert all(map(_same_state, states, analysis._plain_pass(stages, leaves)[0]))
+    assert all(map(_same_state, states, analysis._plain_pass(stages, leaves)))
 
 
 @pytest.mark.parametrize("name", _CHECK_TARGETS)
@@ -713,15 +716,15 @@ def test_plain_pass_lists_states_and_readers_and_an_unread_leaf_resumes_from_the
     def stage(name, fn, **kwargs):
         return Stage(name, lambda s, p: calls.append(name) or fn(s, p), **kwargs)
 
-    stages = [stage("a", lambda _, p: (ag.scale(p["a"], 3.0),)),
+    stages = [stage("a", lambda _, p: (ag.scale(p["a"], 3.0),), leaves={"a": (2,)}),
               stage("neg", lambda s, p: (ag.scale(s[-1], -1.0),), elementwise=True),
-              stage("b", lambda s, p: ag.add(s[-1], ag.add(p.get("b"), p["a"])))]
-    states, readers = analysis._plain_pass(stages, leaves)
-    assert readers == {"a": [0, 2], "b": [2]}  # [] and get read, once per stage; nothing reads c
+              stage("b", lambda s, p: ag.add(s[-1], ag.add(p.get("b"), p["a"])), leaves={"b": (2,), "a": (2,)})]
+    states, readers = analysis._plain_pass(stages, leaves), analysis._readers(stages)
+    assert readers == {"a": [0, 2], "b": [2]}  # the stages that declare each leaf; none declares c
     assert states[0] is None and states[1][0].tolist() == [3.0, 3.0] and states[2][0].tolist() == [-3.0, -3.0]
     assert states[3].tolist() == [2.0, 2.0]  # the output
     # after the taped and the plain pass, each difference runs the stages from
-    # the key's first reader on: an unread key's none, from the output
+    # the key's first reader on: an undeclared key's none, from the output
     for key, ran, reader in (("c", [], None), ("b", ["b"], "b"), ("a", ["a", "neg", "b"], "a")):
         calls.clear()
         worst, where = analysis._tape_rel_err(stages, leaves, Rng(0), "cot", [(key, 1)], 1e-5)
@@ -733,14 +736,16 @@ def test_grad_check_names_the_worst_coordinate_and_its_first_reader():
     # the leaf b gets a VJP 3x too large, so its coordinates are the worst; the
     # report names b, a checked index of it, and "bad", the first stage reading b
     leaves = {"x": np.linspace(-1.0, 1.0, 6), "b": np.linspace(0.5, 1.0, 6)}
-    stages = [Stage("input", lambda _, p: p["x"]),
+    stages = [Stage("input", lambda _, p: p["x"], leaves={"x": (6,)}),
               Stage("act", lambda s, p: (ag.silu(s),)),
-              Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: 3.0 * g)))]
+              Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: 3.0 * g)),
+                    leaves={"b": (6,)})]
     worst, (leaf, index, stage) = analysis._tape_rel_err(
         stages, leaves, Rng(0), "cot", [("x", 1), ("b", 4), ("x", 5), ("b", 2)], 1e-5)
     assert worst > 0.5 and (leaf, stage) == ("b", "bad") and index in (2, 4)
     # a NaN error is the worst, after a finite one too (max(0.1, nan) is 0.1)
-    stages[2] = Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: g * np.nan)))
+    stages[2] = Stage("bad", lambda s, p: ag.add(s[0], ag.linear(p["b"], ag.val(p["b"]), lambda g: g * np.nan)),
+                      leaves={"b": (6,)})
     worst, (leaf, index, stage) = analysis._tape_rel_err(
         stages, leaves, Rng(0), "cot", [("x", 1), ("b", 4), ("x", 5)], 1e-5)
     assert math.isnan(worst) and (leaf, index, stage) == ("b", 4, "bad")
@@ -750,6 +755,78 @@ def test_grad_check_names_the_worst_coordinate_and_its_first_reader():
     assert isinstance(rep.worst_index, int)
     rep = grad_check(ConvSpec(4, 6, kernel=1), num_coords=0)
     assert (rep.max_rel_err, rep.worst_leaf, rep.worst_index, rep.worst_stage) == (0.0, None, None, None)
+
+
+class _LoggedReads(Mapping):
+    """Leaves, read-only, noting every key read by [] or get. A membership test is not a read."""
+
+    def __init__(self, leaves: dict):
+        self.leaves, self.read = leaves, set()
+
+    def __getitem__(self, key):
+        value = self.leaves[key]
+        self.read.add(key)
+        return value
+
+    def __contains__(self, key):
+        return key in self.leaves
+
+    def __iter__(self):
+        return iter(self.leaves)
+
+    def __len__(self):
+        return len(self.leaves)
+
+
+def _irmb_matrix():
+    # every valid (enable_attn, enable_conv, attn_at, inner_skip, stride), with
+    # the default norm bindings and with swapped or absent ones
+    bindings = ({}, dict(pre_norm="batchnorm", expand_norm="layernorm", expand_act="none", conv_norm="none",
+                         conv_act="none"))
+    for attn, conv, at, skip, stride, bind in itertools.product(
+            (True, False), (True, False), ("pre_norm", "expand", "act", "depthwise"), (True, False), (1, 2), bindings):
+        try:
+            yield IRMBConfig(8, 8, 2.0, window=4, heads=2, stride=stride, enable_attn=attn, enable_conv=conv,
+                             attn_at=at, inner_skip=skip, **bind)
+        except ValueError:
+            continue
+
+
+def _primitive_stage_lists(monkeypatch):
+    seen = []
+    monkeypatch.setattr(analysis, "_tape_rel_err",
+                        lambda stages, leaves, *_: seen.append((stages, leaves)) or (0.0, None))
+    analysis.check_primitives(0)
+    return seen
+
+
+_DECLARATION_TARGETS = {
+    "presets": lambda mp: [analysis._check_target(build_emo(p, seed=0), 0, Rng(0), 64, 64)[1:] for p in PRESETS],
+    "irmb-matrix": lambda mp: [analysis._check_target(cfg, 0, Rng(0), 8, 8)[1:] for cfg in _irmb_matrix()],
+    "mmb-operators": lambda mp: [analysis._check_target(MMBConfig(8, 2.0, operator=op, window=3, **bind),
+                                                        0, Rng(0), 6, 6)[1:]
+                                 for op in OPERATORS for bind in (_MMB_BINDINGS, {"expand_norm": "batchnorm"})],
+    "conv": lambda mp: [analysis._check_target(ConvSpec(4, 6, kernel=3, padding=1, bias=bias), 0, Rng(0), 6, 6)[1:]
+                        for bias in (True, False)],
+    "primitives": _primitive_stage_lists,
+}
+
+
+@pytest.mark.parametrize("name", _DECLARATION_TARGETS)
+def test_each_stage_declares_exactly_the_leaves_it_reads(name, monkeypatch):
+    # the reference for the declarations: a fold that logs each stage's reads,
+    # by [] or get, finds exactly the leaves the stage declares, at their shapes
+    checked, wrong = 0, []
+    for stages, leaves in _DECLARATION_TARGETS[name](monkeypatch):
+        state = None
+        for stage in stages:
+            reads = _LoggedReads(leaves)
+            state = stage(state, reads)
+            if {k: np.shape(leaves[k]) for k in reads.read} != stage.leaves:
+                wrong.append((stage.name, sorted(reads.read), stage.leaves))
+            checked += 1
+    assert not wrong, wrong[:4]
+    assert checked >= {"presets": 500, "irmb-matrix": 600, "mmb-operators": 70}.get(name, 2)
 
 
 def test_grad_check_frees_its_tape_before_the_finite_differences():

@@ -172,6 +172,16 @@ def test_gradcheck_nan_error_fails_and_exits_internal(capsys, validator, monkeyp
     assert doc["error"]["code"] == "internal" and "non-finite" in doc["error"]["message"]
 
 
+def test_out_flag_writes_the_internal_error_document_too(capsys, validator, monkeypatch, tmp_path):
+    # an invariant breach reaches --out like a config error does, not only stdout
+    monkeypatch.setattr(cli.analysis, "check_primitives", lambda seed=0: {"conv2d": math.nan})
+    out = tmp_path / "r.json"
+    code, doc = run_json(capsys, "gradcheck", "--target", "primitives", "--out", str(out))
+    assert code == 3
+    validator(doc)
+    assert doc["error"]["code"] == "internal" and json.loads(out.read_text()) == doc
+
+
 def test_similarity_command(capsys, validator, tiny_config):
     code, doc = run_json(capsys, "similarity", "--config", tiny_config,
                          "--resolution", "224", "--stage", "3", "--seed", "1")

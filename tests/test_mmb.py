@@ -318,15 +318,17 @@ def test_bare_block_forwards_build_each_stage_list_once():
                      pre_norm="layernorm", operator_norm="batchnorm", operator_act="silu")
     icfg = IRMBConfig(8, 8, 2.0, window=4, heads=2)
     x8, x4 = rand_x(mcfg, (8, 8)), rand_x(mcfg, (4, 4))
-    calls = [(mmb_forward, x8, mcfg, random_block_params(mcfg._as_irmb(8, 8), 5)),
-             (mmb_forward, x4, mcfg, random_block_params(mcfg._as_irmb(4, 4), 5)),
-             (irmb_forward, x8, icfg, random_block_params(icfg, 6)),
-             (ew_mhsa, x8, IRMBConfig(8, 8, 2.0, window=2, heads=2), random_block_params(icfg, 6))]
-    for forward, x, cfg, params in calls:
+    # random_block_params reads the parameter table, which builds the list of
+    # the config it is given; the forward then reuses it. ew_mhsa's config
+    # differs from its parameters' (icfg), whose list is built already
+    calls = [(mmb_forward, x8, mcfg, mcfg._as_irmb(8, 8), 5), (mmb_forward, x4, mcfg, mcfg._as_irmb(4, 4), 5),
+             (irmb_forward, x8, icfg, icfg, 6), (ew_mhsa, x8, IRMBConfig(8, 8, 2.0, window=2, heads=2), icfg, 6)]
+    for forward, x, cfg, params_cfg, seed in calls:
         before = built()
+        params = random_block_params(params_cfg, seed)
         first = forward(x, cfg, params)
         assert built() == before + 1, forward.__name__
-        assert forward(x, cfg, params).tobytes() == first.tobytes()
+        assert forward(x, cfg, random_block_params(params_cfg, seed)).tobytes() == first.tobytes()
         assert built() == before + 1, forward.__name__
     # the cost counter and the gradient check read the same cache
     for analyse in (lambda: count_costs(mcfg, 8), lambda: grad_check(mcfg, input_hw=(8, 8), num_coords=2)):
