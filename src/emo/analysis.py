@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autograd as ag
-from .irmb import IRMBConfig, Stage, block_stages, conv_leaves, random_block_params, run_stages
+from .irmb import IRMBConfig, Layer, Stage, block_stages, is_buffer, random_block_params, run_stages
 from .mmb import MMBConfig
 from .model import (IN_CHANNELS, EMOModel, EMOVariantConfig, check_resolution, model_stages, stage_features,
                     stages_through)
@@ -125,6 +125,11 @@ class CostReport(CostLine):
 # static counting
 
 
+def _bare_conv(name: str, spec: ConvSpec) -> Layer:
+    """A bare conv target as a layer named `name`: a depth-wise one counts as dwconv, any other as mlp."""
+    return Layer(name, spec, "dwconv" if spec.depthwise else "mlp")
+
+
 def _block_of(target, h: int, w: int) -> tuple[str, IRMBConfig]:
     """(report name, iRMB config) of an IRMB or MMB target on an h x w input."""
     if isinstance(target, IRMBConfig):
@@ -142,8 +147,7 @@ def count_costs(target, resolution: int = 224) -> CostReport:
     if isinstance(target, EMOModel):
         target = target.cfg
     if isinstance(target, ConvSpec):
-        name = "conv"
-        lines = [target.cost_line(name, "dwconv" if target.depthwise else "mlp", resolution, resolution)]
+        name, lines = "conv", _bare_conv("conv", target).lines(resolution, resolution)
     else:
         if isinstance(target, EMOVariantConfig):
             check_resolution(resolution, resolution)
@@ -640,16 +644,11 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def _is_buffer(name: str) -> bool:
-    """Whether a leaf is a batchnorm buffer, which the stages read but no gradient flows to."""
-    return name.endswith((".mean", ".var"))
-
-
 def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, list[Stage], dict]:
     """(report name, stages, leaves) that `grad_check` checks for `target` on an h x w input.
 
     The leaves are one mapping: "__input__" and every parameter, the
-    batchnorm buffers (`_is_buffer`) included. The stages are an input stage
+    batchnorm buffers (`irmb.is_buffer`) included. The stages are an input stage
     that reads "__input__", then the target's stage list: `model.model_stages`
     itself, `irmb.block_stages`, or one conv stage, whose declared leaves the
     conv's weights are drawn for. Each stage reads the leaves it declares
@@ -664,10 +663,9 @@ def _check_target(target, seed: int, rng: Rng, h: int, w: int) -> tuple[str, lis
         name, cfg = _block_of(target, h, w)
         params, body, cin = random_block_params(cfg, seed), block_stages(cfg, ""), cfg.in_channels
     elif isinstance(target, ConvSpec):
-        name, cin = "conv2d", target.in_channels
-        body = [Stage("conv2d", lambda x, p: ag.conv2d(x, p["w"], target, p.get("b")), leaves=conv_leaves("", target))]
-        params = {k: rng.normal(f"gradcheck.{k}", shape, std=0.5, precision="f64")
-                  for k, shape in body[0].leaves.items()}
+        name, cin, conv = "conv2d", target.in_channels, _bare_conv("", target)
+        body = [Stage("conv2d", conv, leaves=conv.leaves)]
+        params = {k: rng.normal(f"gradcheck.{k}", shape, std=0.5, precision="f64") for k, shape in conv.leaves.items()}
     else:
         raise TypeError(f"cannot gradient-check {type(target).__name__}")
     x0 = rng.normal("gradcheck.x", (1, cin, h, w), precision="f64")
@@ -708,7 +706,7 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     name, stages, leaves = _check_target(target, seed, rng, h, w)
 
     # coordinate sample
-    names = sorted(k for k in leaves if not _is_buffer(k))
+    names = sorted(k for k in leaves if not is_buffer(k))
     sizes = np.array([leaves[k].size for k in names])
     total = int(sizes.sum())
     picker = rng.stream("gradcheck.coords")

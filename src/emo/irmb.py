@@ -165,15 +165,57 @@ class IRMBConfig:
         return {leaf: shape for st in block_stages(self, "") for leaf, shape in st.leaves.items()}
 
 
-def conv_leaves(prefix: str, spec: ConvSpec) -> dict[str, tuple[int, ...]]:
-    """The leaves a conv reads, named `prefix` + w (its weight) and + b (its bias, if it has one)."""
-    return {prefix + "w": spec.weight_shape(), **({prefix + "b": (spec.out_channels,)} if spec.bias else {})}
+def is_buffer(name: str) -> bool:
+    """Whether a leaf is a batchnorm buffer, which the stages read but no gradient flows to."""
+    return name.endswith((".mean", ".var"))
 
 
-def norm_leaves(prefix: str, kind: str, width: int) -> dict[str, tuple[int, ...]]:
-    """The leaves a norm of this kind reads (`_norm`): the affine g and b, a batchnorm's mean and var too."""
-    names = {"none": (), "layernorm": ("g", "b"), "batchnorm": ("g", "b", "mean", "var")}[kind]
-    return {prefix + name: (width,) for name in names}
+_NORM_LEAVES = {"none": (), "layernorm": ("g", "b"), "batchnorm": ("g", "b", "mean", "var")}
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One conv over a `ConvSpec`, or one norm of a kind in `_NORMS[1:]` and a width, named `name`.
+
+    Its `leaves` are `name` + ".w" and ".b" (if the spec has a bias) for a
+    conv, ".g" and ".b" for a layernorm, those and ".mean" and ".var" for a
+    batchnorm; an empty name leaves them bare. layer(x, params) reads exactly
+    those leaves, and `lines(h, w, **counts)` is its cost line in `category`
+    on an h x w input (none for a "none" norm), `counts` adding the work fused
+    into it; its params count the leaves but the buffers (`is_buffer`).
+    """
+
+    name: str
+    spec: ConvSpec | str  # a conv's shape, or a norm's kind
+    category: str = "norm"  # a conv states its own
+    width: int = 0  # a norm's channel count
+
+    @functools.cached_property
+    def leaves(self) -> dict[str, tuple[int, ...]]:
+        prefix = self.name + "." if self.name else ""
+        if isinstance(self.spec, ConvSpec):
+            return {prefix + "w": self.spec.weight_shape(),
+                    **({prefix + "b": (self.spec.out_channels,)} if self.spec.bias else {})}
+        return {prefix + leaf: (self.width,) for leaf in _NORM_LEAVES[self.spec]}
+
+    def __call__(self, x, params):
+        args = [params[key] for key in self.leaves]
+        if isinstance(self.spec, ConvSpec):
+            return T.conv2d(x, args[0], self.spec, *args[1:])
+        if self.spec == "layernorm":
+            return T.layernorm_channels(x, *args)
+        return T.batchnorm_inference(x, *args) if self.spec == "batchnorm" else x
+
+    def lines(self, h: int, w: int, **counts) -> list[CostLine]:
+        if isinstance(self.spec, ConvSpec):
+            ho, wo = self.spec.out_hw(h, w)
+            counts |= {"macs": self.spec.macs(h, w), "bias_adds": self.spec.out_channels * ho * wo * self.spec.bias}
+        elif self.spec == "none":
+            return []
+        else:
+            counts["norm_elems"] = self.width * h * w
+        params = sum(math.prod(shape) for key, shape in self.leaves.items() if not is_buffer(key))
+        return [CostLine(self.name, self.category, params=params, **counts)]
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
@@ -193,15 +235,6 @@ def init_params(shapes: dict[str, tuple[int, ...]], rng: Rng, precision: str = "
 
 def irmb_init_params(cfg: IRMBConfig, rng: Rng, precision: str = "f32") -> dict[str, np.ndarray]:
     return init_params(cfg.param_shapes(), rng, precision)
-
-
-def _norm(x, kind, params, key):
-    if kind == "none":
-        return x
-    g, b = params[key + ".g"], params[key + ".b"]
-    if kind == "layernorm":
-        return T.layernorm_channels(x, g, b)
-    return T.batchnorm_inference(x, g, b, params[key + ".mean"], params[key + ".var"])
 
 
 def ew_mhsa(x, cfg: IRMBConfig, params):
@@ -236,7 +269,8 @@ class Stage:
 
     `leaves` maps each leaf the stage reads from its mapping argument, under
     its full name, to its shape, batchnorm buffers included; the library
-    states it with the stage, and no caller sets it. The parameter tables
+    states it with the stage, and no caller sets it. A model's or block's
+    stage declares the union of its `Layer` records' leaves. The parameter tables
     (`IRMBConfig.param_shapes`, `EMOVariantConfig.param_shapes`) are the
     union of a stage list's leaves, and a gradient check resumes each
     difference at the first stage that declares the perturbed leaf.
@@ -296,16 +330,17 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
     output: u is the pre-normed input that Q/K read, v the running
     features. EW-MHSA is the pair qk, which replaces u by its projections
     (q, k), and mix, which multiplies their windowed attention into v; the
-    stages after it pass q and k on. Each stage reads parameters only
-    through its mapping argument, and exactly the `leaves` it declares: the
-    .w/.b of its convs (`conv_leaves`) and its norm's g/b, plus mean/var for
-    a batchnorm (`norm_leaves`). A fold drops each state when the next one is
-    made, so norm_e and the activation are two stages: as one, the
-    expansion's output would stay alive through the activation. Inside mix,
-    by the same rule, no name holds a token copy or the attention matrix: the
-    Q/K tokens die once the logits are made, attn and the V tokens once
-    their product is, so the merge runs beside the mixed tokens only. A taped
-    fold keeps the same nodes either way.
+    stages after it pass q and k on. Each conv and norm is one `Layer`
+    record, named `prefix` + expand, q, k, dw, shrink, norm_pre, norm_e or
+    norm_dw: a stage calls its layers, declares their leaves as its own and
+    lists their cost lines, so it reads parameters only through its mapping
+    argument, and exactly the `leaves` it declares. A fold drops each state
+    when the next one is made, so norm_e and the activation are two stages:
+    as one, the expansion's output would stay alive through the activation.
+    Inside mix, by the same rule, no name holds a token copy or the
+    attention matrix: the Q/K tokens die once the logits are made, attn and
+    the V tokens once their product is, so the merge runs beside the mixed
+    tokens only. A taped fold keeps the same nodes either way.
 
     With `enable_attn`, the qk + mix pair follows the stage that
     `cfg.attn_at` names. With `cfg.inner_skip` at stride 1, the depth-wise
@@ -315,27 +350,28 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
     value keys the cache, and the bound keeps a process that makes many
     configs from holding every list.
     """
-    specs = cfg.conv_specs()
     cin, cout, mid = cfg.in_channels, cfg.out_channels, cfg.mid
     keep_residual = cfg.stride == 1 and cin == cout
     inner_skip = cfg.inner_skip and cfg.stride == 1
     # with attention as the only operator, expand and shrink are its V/O projections
     mlp_cat = "attention" if cfg.enable_attn and not cfg.enable_conv else "mlp"
-
-    def conv(name, t, params):
-        return T.conv2d(t, params[prefix + name + ".w"], specs[name], params[prefix + name + ".b"])
+    cats = {"q": "attention", "k": "attention", "dw": "dwconv"}
+    layer = {name: Layer(prefix + name, spec, cats.get(name, mlp_cat)) for name, spec in cfg.conv_specs().items()}
+    for slot, kind, width in (("norm_pre", cfg.pre_norm_kind, cin), ("norm_e", cfg.expand_norm_kind, mid),
+                              ("norm_dw", cfg.conv_norm, mid)):
+        layer[slot] = Layer(prefix + slot, kind, width=width)
 
     def pre_norm(x, params):
-        u = _norm(x, cfg.pre_norm_kind, params, prefix + "norm_pre")
+        u = layer["norm_pre"](x, params)
         return x, u, u
 
     def expand(state, params):
         *rest, v = state
-        return (*rest, conv("expand", v, params))
+        return (*rest, layer["expand"](v, params))
 
     def norm_e(state, params):
         *rest, v = state
-        return (*rest, _norm(v, cfg.expand_norm_kind, params, prefix + "norm_e"))
+        return (*rest, layer["norm_e"](v, params))
 
     def act(state, params):
         *rest, v = state
@@ -343,7 +379,7 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
 
     def qk(state, params):
         x, u, v = state
-        return x, conv("q", u, params), conv("k", u, params), v
+        return x, layer["q"](u, params), layer["k"](u, params), v
 
     def tokens(t):
         return window_partition(t, cfg.window, cfg.num_heads)[0]
@@ -359,21 +395,17 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
 
     def depthwise(state, params):
         *rest, v = state
-        t = conv("dw", v, params)
-        t = _norm(t, cfg.conv_norm, params, prefix + "norm_dw")
+        t = layer["norm_dw"](layer["dw"](v, params), params)
         t = T.activate(t, cfg.conv_act)
         return (*rest, T.residual_add(v, t) if inner_skip else t)
 
     def shrink(state, params):
         x, *_, v = state
-        y = conv("shrink", v, params)
+        y = layer["shrink"](v, params)
         return T.residual_add(x, y) if keep_residual else y
 
-    def norm_line(slot, kind, width, pixels):
-        return [CostLine(prefix + slot, "norm", params=2 * width, norm_elems=width * pixels)] if kind != "none" else []
-
     def qk_lines(h, w):
-        return [specs[p].cost_line(prefix + p, "attention", h, w) for p in ("q", "k")]
+        return [*layer["q"].lines(h, w), *layer["k"].lines(h, w)]
 
     def attn_lines(h, w):
         layout = WindowLayout(h, w, cfg.window)
@@ -385,37 +417,29 @@ def block_stages(cfg: IRMBConfig, prefix: str) -> tuple[Stage, ...]:
         return [CostLine(prefix + "act", mlp_cat, act_elems=mid * h * w)] if cfg.expand_act_kind != "none" else []
 
     def depthwise_lines(h, w):
-        lo = math.prod(specs["dw"].out_hw(h, w))
-        act_elems = mid * lo if cfg.conv_act != "none" else 0
-        return [specs["dw"].cost_line(prefix + "dw", "dwconv", h, w, act_elems=act_elems,
-                                      other_adds=mid * lo if inner_skip else 0),
-                *norm_line("norm_dw", cfg.conv_norm, mid, lo)]
+        ho, wo = layer["dw"].spec.out_hw(h, w)
+        act_elems = mid * ho * wo if cfg.conv_act != "none" else 0
+        return [*layer["dw"].lines(h, w, act_elems=act_elems, other_adds=mid * ho * wo if inner_skip else 0),
+                *layer["norm_dw"].lines(ho, wo)]
 
     def shrink_lines(h, w):
-        return [specs["shrink"].cost_line(prefix + "shrink", mlp_cat, h, w,
-                                          other_adds=cout * h * w if keep_residual else 0)]
+        return layer["shrink"].lines(h, w, other_adds=cout * h * w if keep_residual else 0)
 
-    def conv_params(name):
-        return conv_leaves(f"{prefix}{name}.", specs[name])
-
-    def norm_params(slot, kind, width):
-        return norm_leaves(f"{prefix}{slot}.", kind, width)
+    def leaves(*names):
+        return {leaf: shape for name in names for leaf, shape in layer[name].leaves.items()}
 
     stages = [
-        Stage(prefix + "pre_norm", pre_norm, lambda h, w: norm_line("norm_pre", cfg.pre_norm_kind, cin, h * w),
-              leaves=norm_params("norm_pre", cfg.pre_norm_kind, cin)),
-        Stage(prefix + "expand", expand, lambda h, w: [specs["expand"].cost_line(prefix + "expand", mlp_cat, h, w)],
-              leaves=conv_params("expand")),
-        Stage(prefix + "norm_e", norm_e, lambda h, w: norm_line("norm_e", cfg.expand_norm_kind, mid, h * w),
-              leaves=norm_params("norm_e", cfg.expand_norm_kind, mid)),
+        Stage(prefix + "pre_norm", pre_norm, layer["norm_pre"].lines, leaves=leaves("norm_pre")),
+        Stage(prefix + "expand", expand, layer["expand"].lines, leaves=leaves("expand")),
+        Stage(prefix + "norm_e", norm_e, layer["norm_e"].lines, leaves=leaves("norm_e")),
         Stage(prefix + "act", act, act_lines, elementwise=True),
-        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, specs["dw"],
-                 leaves=conv_params("dw") | norm_params("norm_dw", cfg.conv_norm, mid))] if cfg.enable_conv else []),
-        Stage(prefix + "shrink", shrink, shrink_lines, leaves=conv_params("shrink")),
+        *([Stage(prefix + "depthwise", depthwise, depthwise_lines, layer["dw"].spec, leaves=leaves("dw", "norm_dw"))]
+          if cfg.enable_conv else []),
+        Stage(prefix + "shrink", shrink, shrink_lines, leaves=leaves("shrink")),
     ]
     if cfg.enable_attn:
         at = 1 + [st.name for st in stages].index(prefix + cfg.attn_at)
-        stages[at:at] = [Stage(prefix + "qk", qk, qk_lines, leaves=conv_params("q") | conv_params("k")),
+        stages[at:at] = [Stage(prefix + "qk", qk, qk_lines, leaves=leaves("q", "k")),
                          Stage(prefix + "mix", mix, attn_lines, window=cfg.window)]
     return tuple(stages)
 

@@ -74,7 +74,7 @@ class MMBConfig:
         return IRMBConfig(
             self.channels, self.channels, self.expansion_ratio,
             kernel=self.kernel if conv else 3,  # only the conv operators read the kernel
-            window=self.window if self.window is not None and attn else max(h, w),
+            window=self.window if self.window is not None else max(h, w),  # checked, though only attention reads it
             heads=self.heads,
             enable_attn=attn,
             enable_conv=conv,

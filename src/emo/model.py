@@ -14,15 +14,14 @@ resolution before the depth-wise downsampling.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import autograd as T
-from .irmb import IRMBConfig, Stage, block_stages, conv_leaves, default_heads, init_params, norm_leaves, run_stages
-from .ops import ConvSpec, CostLine
+from .irmb import IRMBConfig, Layer, Stage, block_stages, default_heads, init_params, run_stages
+from .ops import ConvSpec
 from .serialize import ContainerError, load_params, save_params
 from .tensor import Rng, as_nchw, dtype_of
 
@@ -33,7 +32,11 @@ MIN_INPUT_MULTIPLE = 32
 
 @dataclass(frozen=True)
 class EMOVariantConfig:
-    """Macro configuration: per-stage depths, widths, expansions, attention."""
+    """Macro configuration: per-stage depths, widths, expansions, attention.
+
+    `blocks` is (name, stage, config) for every block, in forward order, built
+    at construction: every block's `IRMBConfig` checks run there, naming the stage.
+    """
 
     name: str
     depths: tuple[int, int, int, int]
@@ -49,44 +52,26 @@ class EMOVariantConfig:
                           (self.exp_ratios, "exp_ratios"), (self.windows, "windows")):
             if not isinstance(seq, tuple) or len(seq) != 4:  # a tuple: the config keys `model_stages`' cache
                 raise ValueError(f"{what} must be a tuple of 4 entries, got {seq!r}")
-        if any(d < 1 for d in self.depths) or any(c < 1 for c in self.dims):
-            raise ValueError("depths and dims must be positive")
+        if any(d < 1 for d in self.depths):  # a stage without blocks would have no widths checked
+            raise ValueError(f"depths must be positive, got {self.depths}")
         if self.num_classes < 1 or self.head_dim < 1:
             raise ValueError(f"num_classes and head_dim must be positive, got {self.num_classes} and {self.head_dim}")
         if not isinstance(self.attn_stages, frozenset) or not self.attn_stages <= {1, 2, 3, 4}:
             raise ValueError(f"attn_stages must be a frozenset within 1..4, got {self.attn_stages!r}")
-        for si in range(4):
-            mid = self.exp_ratios[si] * self.dims[si]
-            if not math.isfinite(mid) or abs(mid - round(mid)) > 1e-6:
-                raise ValueError(
-                    f"stage {si + 1}: exp_ratios * dims = {self.exp_ratios[si]} * {self.dims[si]} "
-                    f"is not a finite integer (block s{si + 1} rejects this width)"
-                )
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[str, int, IRMBConfig], ...]:
-        """(name, stage, config) for every block, in forward order; built once per config."""
-        out = []
-        cin = self.dims[0]  # stem output width
+        blocks, cin = [], self.dims[0]  # the stem's output width
         for si in range(4):
             cout = self.dims[si]
             for b in range(self.depths[si]):
-                attn = (si + 1) in self.attn_stages
                 c_in = cin if b == 0 else cout
-                mid = round(self.exp_ratios[si] * cout)
-                cfg = IRMBConfig(
-                    in_channels=c_in,
-                    out_channels=cout,
-                    expansion_ratio=self.exp_ratios[si],
-                    window=self.windows[si],
-                    heads=default_heads(c_in, mid, self.head_dim),
-                    stride=2 if b == 0 else 1,
-                    enable_attn=attn,
-                    enable_conv=True,
-                )
-                out.append((f"s{si + 1}.b{b}", si + 1, cfg))
+                try:
+                    cfg = IRMBConfig(c_in, cout, self.exp_ratios[si], window=self.windows[si],
+                                     stride=2 if b == 0 else 1, enable_attn=(si + 1) in self.attn_stages)
+                except ValueError as exc:
+                    raise ValueError(f"stage {si + 1}: {exc}") from None
+                cfg = replace(cfg, heads=default_heads(c_in, cfg.mid, self.head_dim))
+                blocks.append((f"s{si + 1}.b{b}", si + 1, cfg))
             cin = cout
-        return tuple(out)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def stem_spec(self) -> ConvSpec:
         return ConvSpec(IN_CHANNELS, self.dims[0], kernel=STEM_KERNEL, stride=2, padding=1)
@@ -160,33 +145,29 @@ def model_stages(cfg: EMOVariantConfig) -> tuple[Stage, ...]:
     (conv + batchnorm + SiLU), each block's `block_stages` under the block's
     name, the head (pool + classifier). Blocks pass on the bare feature map.
     The tuple is built once per config value, like `block_stages`."""
-    stem, head = cfg.stem_spec(), cfg.head_spec()
+    stem = Layer("stem.conv", cfg.stem_spec(), "stem")
+    stem_bn = Layer("stem.bn", "batchnorm", width=stem.spec.out_channels)
+    head = Layer("head", cfg.head_spec(), "head")
 
     def stem_fn(x, p):
-        v = T.conv2d(x, p["stem.conv.w"], stem, p["stem.conv.b"])
-        v = T.batchnorm_inference(v, p["stem.bn.g"], p["stem.bn.b"], p["stem.bn.mean"], p["stem.bn.var"])
-        return T.silu(v)
+        return T.silu(stem_bn(stem(x, p), p))
 
     def head_fn(v, p):
         pooled = T.mean_hw(v)  # (N, C4)
         n_items, c4 = T.val(pooled).shape
-        logits = T.conv2d(T.reshape(pooled, (n_items, c4, 1, 1)), p["head.w"], head, p["head.b"])
-        return T.reshape(logits, (n_items, cfg.num_classes))
+        return T.reshape(head(T.reshape(pooled, (n_items, c4, 1, 1)), p), (n_items, cfg.num_classes))
 
     def stem_lines(h, w):
-        ho, wo = stem.out_hw(h, w)
-        c0 = stem.out_channels
-        return [stem.cost_line("stem.conv", "stem", h, w, act_elems=c0 * ho * wo),
-                CostLine("stem.bn", "norm", params=2 * c0, norm_elems=c0 * ho * wo)]
+        ho, wo = stem.spec.out_hw(h, w)
+        return [*stem.lines(h, w, act_elems=stem.spec.out_channels * ho * wo), *stem_bn.lines(ho, wo)]
 
     def head_lines(h, w):  # the classifier runs on the pooled 1 x 1 map
-        return [head.cost_line("head", "head", 1, 1, other_adds=head.in_channels * h * w)]
+        return head.lines(1, 1, other_adds=head.spec.in_channels * h * w)
 
-    stem_leaves = conv_leaves("stem.conv.", stem) | norm_leaves("stem.bn.", "batchnorm", stem.out_channels)
-    stages = [Stage("stem", stem_fn, stem_lines, stem, leaves=stem_leaves)]
+    stages = [Stage("stem", stem_fn, stem_lines, stem.spec, leaves=stem.leaves | stem_bn.leaves)]
     for name, _stage, bcfg in cfg.blocks:
         stages += block_stages(bcfg, name + ".")
-    return (*stages, Stage("head", head_fn, head_lines, leaves=conv_leaves("head.", head)))
+    return (*stages, Stage("head", head_fn, head_lines, leaves=head.leaves))
 
 
 def emo_forward(model: EMOModel, x):

@@ -203,16 +203,6 @@ class ConvSpec:
         ho, wo = self.out_hw(h, w)
         return batch * (self.out_channels * (self.in_channels // self.groups) * self.kernel ** 2) * ho * wo
 
-    def param_count(self) -> int:
-        n = self.out_channels * (self.in_channels // self.groups) * self.kernel ** 2
-        return n + (self.out_channels if self.bias else 0)
-
-    def cost_line(self, name: str, category: str, h: int, w: int, **counts) -> CostLine:
-        """This conv's cost line on an h x w input; `counts` adds the work fused into it."""
-        ho, wo = self.out_hw(h, w)
-        return CostLine(name, category, params=self.param_count(), macs=self.macs(h, w),
-                        bias_adds=self.out_channels * ho * wo if self.bias else 0, **counts)
-
 
 # Tile of the depth-wise kernels and the activation maps, in elements: 1 << 15
 # f64 values are 256 KiB, so a tile, the input rows it reads and its temporaries
@@ -539,7 +529,7 @@ def batchnorm_inference(x, gamma, beta, mean, var) -> np.ndarray:
     """
     x = np.asarray(x)
     var = np.asarray(var)
-    if np.any(var <= 0):
+    if not np.all(var > 0):  # a NaN fails this test too
         raise ValueError("batchnorm running variance must be positive")
     scale = (np.asarray(gamma) / np.sqrt(var + NORM_EPS)).reshape(1, -1, 1, 1)
     shift = (np.asarray(beta) - np.asarray(mean) * scale.reshape(-1)).reshape(1, -1, 1, 1)

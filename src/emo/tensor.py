@@ -30,7 +30,8 @@ class Tensor:
 
     This is the boundary type for model inputs/outputs. Entries are validated
     to be finite at construction; internal kernels work on plain ndarrays and
-    do not re-validate.
+    do not re-validate. It holds its own read-only array: where no cast or
+    contiguous copy made one, it copies the caller's, which stays writeable.
     """
 
     __slots__ = ("data",)
@@ -46,6 +47,8 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ValueError("Tensor entries must be finite (found NaN or Inf)")
         arr = np.ascontiguousarray(arr)
+        if arr is data or not arr.flags.owndata:  # still the caller's memory: freeze a copy, not theirs
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -28,7 +28,7 @@ from emo import (
 from emo import analysis, cost_meter
 from emo import autograd as ag
 from emo.attention import window_merge, window_partition
-from emo.irmb import Stage, block_stages, run_stages
+from emo.irmb import Stage, block_stages, is_buffer, run_stages
 from emo.mmb import OPERATORS
 from emo.ops import ConvSpec, CostMeter
 from emo.tensor import Rng
@@ -582,7 +582,7 @@ def test_resumed_differences_are_the_full_forward_ones_bit_for_bit(name):
         a.setflags(write=False)  # no resumed forward may write into a plain-pass state
     sample = Rng(1).normal("cot", np.shape(states[-1]), precision="f64")
     window = getattr(target, "window", None)
-    coords = [(key, 0) for key in leaves if not analysis._is_buffer(key)]
+    coords = [(key, 0) for key in leaves if not is_buffer(key)]
     coords += [("__input__", c * hw[0] * hw[1] % leaves["__input__"].size + p)
                for c, p in enumerate(_edge_positions(*hw, window))]
     reran = cropped = 0
@@ -878,7 +878,7 @@ def test_every_leaf_of_emo_1m_at_its_real_widths_passes_the_gradient_oracle():
     rng = Rng(4)
     _, stages, leaves = analysis._check_target(model, 4, rng, 64, 64)
     pick = np.random.default_rng(4)
-    coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items() if not analysis._is_buffer(key)]
+    coords = [(key, int(pick.integers(leaf.size))) for key, leaf in leaves.items() if not is_buffer(key)]
     assert len(coords) == 201  # the input and every parameter but the 20 batchnorms' mean and var
     worst, (leaf, index, stage) = analysis._tape_rel_err(stages, leaves, rng, "cot", coords, 1e-5)
     assert worst < 1e-4, f"{leaf}[{index}], first read by stage {stage}: rel err {worst:.3g}"

@@ -256,6 +256,10 @@ def test_bad_kernel_and_heads_rejected_at_construction():
     for heads in (0, -2):
         with pytest.raises(ValueError, match="heads"):
             MMBConfig(4, 2.0, operator="ewmhsa", heads=heads)
+    for op in OPERATORS:  # the schema's window >= 1 holds whether or not the operator reads it
+        for window in (0, -1):
+            with pytest.raises(ValueError, match="window"):
+                MMBConfig(8, 2.0, operator=op, window=window)
 
 
 def _global_attention(u, v, params, heads):

@@ -22,6 +22,7 @@ from emo import (
     stage_features,
 )
 from emo import autograd as ag
+from emo import cli
 from emo.autograd import conv2d, mean_hw
 from emo.irmb import block_stages, run_stages
 from emo.model import model_stages, stages_through
@@ -60,20 +61,28 @@ def test_attention_only_in_stages_3_and_4():
             assert bcfg.enable_conv
 
 
+def _conv_params(spec):
+    """out * in/groups * k^2 weights, plus a bias per output channel if it has one."""
+    return spec.out_channels * spec.in_channels // spec.groups * spec.kernel ** 2 + spec.out_channels * spec.bias
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_costs_and_parameters_walk_the_one_block_list(name):
     cfg = preset(name)
     rep = count_costs(cfg)
     assert list(rep.by_block()) == ["stem", *(block for block, _s, _c in cfg.blocks), "head"]
-    trainable: dict[str, int] = {}
-    for leaf, shape in cfg.param_shapes().items():
-        if not leaf.endswith((".mean", ".var")):
-            slot = leaf.rsplit(".", 1)[0]
-            trainable[slot] = trainable.get(slot, 0) + math.prod(shape)
+    # each line's params against the closed forms: a conv's formula, 2 * width for a norm's affine
+    expected = {"stem.conv": _conv_params(cfg.stem_spec()), "stem.bn": 2 * cfg.dims[0],
+                "head": _conv_params(cfg.head_spec())}
+    for block, _s, bcfg in cfg.blocks:
+        expected |= {f"{block}.{conv}": _conv_params(spec) for conv, spec in bcfg.conv_specs().items()}
+        widths = {"norm_pre": bcfg.in_channels, "norm_e": bcfg.mid, "norm_dw": bcfg.mid}
+        expected |= {f"{block}.{norm}": 2 * width for norm, width in widths.items()}
     for line in rep.lines:
         if line.params:
-            assert line.params == trainable[line.name], line.name
-    assert rep.params == sum(trainable.values())
+            assert line.params == expected[line.name], line.name
+    trainable = [math.prod(shape) for leaf, shape in cfg.param_shapes().items() if not leaf.endswith((".mean", ".var"))]
+    assert rep.params == sum(trainable)
 
 
 def test_stage_monotonicity_of_presets():
@@ -162,6 +171,18 @@ def test_metered_residual_adds_match_static_count(name, resolution):
 def test_an_unhashable_field_is_rejected_at_construction(field, value):
     # the config keys the stage-list cache, so a list or set would fail only at the first forward
     with pytest.raises(ValueError, match=field):
+        dataclasses.replace(TINY, **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("windows", (0, 7, 7, 7), "stage 1: window"),
+    ("exp_ratios", (2.0, 0.0, 2.0, 2.0), "stage 2: expansion_ratio"),
+    ("exp_ratios", (2.0, 2.0, -1.0, 2.0), "stage 3: expansion_ratio"),
+    ("dims", (8, 8, 16, 0), "stage 4: channel counts"),
+])
+def test_a_block_field_out_of_range_is_rejected_at_construction(field, value, message):
+    # every block's IRMBConfig is made with the variant, so its checks name the stage before any forward
+    with pytest.raises(ValueError, match=message):
         dataclasses.replace(TINY, **{field: value})
 
 
@@ -282,18 +303,29 @@ def test_concurrent_forwards_share_the_model_safely():
 
 # sha256 of bytes that a change of structure must keep: emo-1m (seed 0) at 64 px,
 # batch 2, on the input stream "pin.x" of Rng(7); the saliency cotangent picks
-# classes 3 and 517; the costs are every preset's `as_dict()` at 224 and 320
+# classes 3 and 517; the costs are every preset's `as_dict()` at 224 and 320;
+# describe is the stdout of `emo describe` for every preset at 224, in name
+# order, and gradcheck that of `emo gradcheck --target all --seed 0`
 PINNED_SHA256 = {
     "logits-f32": "abb3f8f2afa74369146ad5f5105353b8e50cf290fe928974d51d774390535ca4",
     "logits-f64": "ff861fccde356bbb3362e816c6068ec5800cdfa614f72490710085ca352d4a88",
     "saliency-f64": "5eeae4528a450e1977fa05ec4b72e8a8e94b6ccad42feb4fba0d0ba54134d2b2",
     "costs": "888981b8d10f7fd09bb0f033cf66822da6363f14a2970336611ce51c05723645",
+    "describe": "9bf0870f2d0ce6a705e02fcd184201d2187d687c3b65e6f3b9a8699939c4646d",
+    "gradcheck": "22fef6d7a06ccd5146037646bd3406ed557009731aac5925a1ea252796c97683",
+}
+_PINNED_ARGV = {
+    "describe": [["describe", "--preset", n, "--resolution", "224"] for n in sorted(PRESETS)],
+    "gradcheck": [["gradcheck", "--target", "all", "--seed", "0"]],
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
-def test_output_bits_are_pinned(case):
-    if case == "costs":
+def test_output_bits_are_pinned(case, capsys):
+    if case in _PINNED_ARGV:
+        assert all(cli.main(argv) == 0 for argv in _PINNED_ARGV[case])
+        data = capsys.readouterr().out.encode()
+    elif case == "costs":
         doc = {f"{n}@{r}": count_costs(preset(n), r).as_dict() for n in sorted(PRESETS) for r in (224, 320)}
         data = json.dumps(doc).encode()
     else:

@@ -446,9 +446,10 @@ def test_batchnorm_default_stats_is_near_identity():
 
 
 def test_batchnorm_rejects_nonpositive_variance():
-    x = np.zeros((1, 2, 2, 2))
-    with pytest.raises(ValueError, match="variance"):
-        ops.batchnorm_inference(x, np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+    for dtype, bad in itertools.product((np.float32, np.float64), (0.0, -1.0, np.nan)):  # NaN > 0 is False too
+        x, ones, zeros = np.zeros((1, 2, 2, 2), dtype=dtype), np.ones(2, dtype=dtype), np.zeros(2, dtype=dtype)
+        with pytest.raises(ValueError, match="variance"):
+            ops.batchnorm_inference(x, ones, zeros, zeros, np.array([1.0, bad], dtype=dtype))
 
 
 @pytest.mark.parametrize("x_dt, stat_dt", [(np.float32, np.float32), (np.float32, np.float64),

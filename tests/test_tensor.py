@@ -27,6 +27,15 @@ def test_tensor_immutable():
         t.data = np.zeros((1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("precision", [None, "f32"])
+def test_tensor_copies_an_array_it_would_alias_and_leaves_it_writeable(precision):
+    a = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    t = Tensor(a, precision=precision)
+    assert a.flags.writeable and t.data is not a and not t.data.flags.writeable
+    a[0, 0, 0, 0] = 1.0
+    assert t.data[0, 0, 0, 0] == 0.0
+
+
 def test_tensor_precision_roundtrip():
     t32 = Tensor.full((1, 1, 2, 2), 0.1, precision="f32")
     t64 = Tensor.full((1, 1, 2, 2), 0.1, precision="f64")
