@@ -365,12 +365,24 @@ def cmd_bench(args) -> dict:
             "max": float(arr[-1]),
         },
         "page_faults_per_forward": float(np.median(faults)) if faults else None,
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
 def _minor_faults() -> int | None:
     """This process's minor page faults so far, or None without `resource`."""
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, or None without `resource`.
+
+    `ru_maxrss` is in KiB on Linux and in bytes on macOS.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
 
 
 # ---------------------------------------------------------------------------

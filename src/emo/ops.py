@@ -38,7 +38,8 @@ from the same sigmoid or erf that gives y. silu_vjp and gelu_vjp take that
 array, never x, and only multiply g by it: the forward kernel is the one
 place a derivative is evaluated. silu's dydx has x's dtype, gelu's is f64
 (its VJP multiplies in f64 and casts into x's dtype), and a plain call
-without dydx computes no derivative.
+without dydx computes no derivative. gelu's erf is scipy's ufunc, loaded
+from its own extension module without scipy.special's package init.
 
 The VJPs of primitives with several inputs take `need=`, one flag per
 differentiable input (required). An unflagged gradient is returned as None
@@ -62,10 +63,45 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+
+# ---------------------------------------------------------------------------
+# erf
+
+
+def _load_erf_module():
+    """The module that holds scipy's erf ufunc, loaded without scipy.special.
+
+    scipy.special's package init imports every special function and scipy's
+    own OpenBLAS, about 24 MB of resident memory; gelu needs only erf. The erf
+    ufunc lives in the extension module `scipy/special/_special_ufuncs`, which
+    is loaded here from its file under its real name: the same compiled kernel,
+    so the same bits. Finding scipy's directory imports nothing. A scipy
+    whose layout has no such file, or no erf in it, gets `scipy.special`.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None:
+        base = os.path.join(spec.submodule_search_locations[0], "special", "_special_ufuncs")
+        path = next((base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader("scipy.special._special_ufuncs", path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module
+    import scipy.special
+
+    return scipy.special
+
+
+# held here so that nothing erf refers to depends on garbage collection
+_ERF_MODULE = _load_erf_module()
+erf = _ERF_MODULE.erf
 
 # ---------------------------------------------------------------------------
 # process heap

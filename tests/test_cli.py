@@ -200,6 +200,9 @@ def test_bench_command(capsys, validator, tiny_config):
     faults = doc["page_faults_per_forward"]
     assert (faults is None) == (cli.resource is None)
     assert faults is None or faults >= 0
+    peak = doc["peak_rss_mb"]
+    assert (peak is None) == (cli.resource is None)
+    assert peak is None or peak > 0
 
 
 def test_byte_stability_of_outputs(capsys, tiny_config):

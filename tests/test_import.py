@@ -1,4 +1,9 @@
-"""`import emo` loads only what the library runs on."""
+"""`import emo` loads only what the library runs on.
+
+Of scipy it loads only the extension module that holds erf, which gelu needs:
+scipy.special's package init would load every special function plus scipy's
+own OpenBLAS into every process.
+"""
 
 import os
 import subprocess
@@ -9,10 +14,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_import_leaves_out_unused_heavy_modules():
-    # scipy.ndimage (no library code uses it) and jsonschema (a test-only
-    # dependency) would each add to every process's resident memory
+    # each would add to every process's resident memory: scipy.ndimage (no
+    # library code uses it), jsonschema (a test-only dependency), and
+    # scipy.special and scipy.linalg (every special function and scipy's
+    # OpenBLAS, where gelu needs only erf)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, emo; print(' '.join(m for m in ('scipy.ndimage', 'jsonschema') if m in sys.modules))"
+    heavy = ("scipy.ndimage", "jsonschema", "scipy.special", "scipy.linalg")
+    code = f"import sys, emo; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.split() == []

@@ -552,6 +552,24 @@ def test_gelu_matches_independent_erf():
     assert abs(got - 0.8413447) < 1e-7
 
 
+def test_erf_is_scipys_kernel_bit_for_bit():
+    sub = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, sub, -sub, 1e3 * sub, -1e3 * sub,
+                      1.0, -1.0, 6.0, -6.0])
+    rng = np.random.default_rng(34)
+    signs = rng.choice([-1.0, 1.0], size=500_000)
+    sweep = np.concatenate([rng.uniform(-1.0, 1.0, size=500_000), signs * rng.uniform(1.0, 7.0, size=500_000)])
+    for x in (edges, sweep):
+        assert ops.erf(x).tobytes() == erf(x).tobytes()
+
+
+def test_erf_falls_back_to_scipy_special_without_the_extension_file(monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".no-such-extension"])
+    assert ops._load_erf_module() is scipy.special
+
+
 def _two_branch_sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
