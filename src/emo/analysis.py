@@ -14,13 +14,15 @@ MACs, flops / 2, are the `macs` of its JSON form and of its rollups.
 benchmark reads `macs`.
 
 The structural analyses fold over the same stages. One reach rule serves
-influence masks, path lengths and gradient checking's crops: a box of the map
-snaps out to each stage's attention `window` grid and grows by each spatial
-`conv`'s radius (`_reach`). Each starts from one box (a pixel, a corner, the
-bounding box of a change), and a window or a conv takes a box to a box, so
-the fold is exact and costs a few integer operations per stage, whatever the
-map size. `conv_receptive_radius` folds the convs of `model.stages_through` a
-stage.
+influence masks, path lengths and gradient checking's resumed folds: a box of
+the map snaps out to each stage's attention `window` grid and goes to the
+outputs whose footprint meets it through each spatial `conv`, strided or not
+(`_reach`). Each starts from one box (a pixel, a corner, the bounding box of
+a change), and a window or a conv takes a box to a box, so the fold is exact
+and costs a few integer operations per stage, whatever the map size. A
+resumed fold carries its box from stage to stage and reruns each
+elementwise or local stage on the box's crop (`_run_from`).
+`conv_receptive_radius` folds the convs of `model.stages_through` a stage.
 """
 
 from __future__ import annotations
@@ -225,18 +227,24 @@ class InfluenceMask:
 
 def _reach(box, stages, h: int, w: int) -> tuple[int, int, int, int]:
     """Fold the box (y0, y1, x0, x1), rows y0:y1 and columns x0:x1 of an
-    h x w map, through `stages` (stride 1), in the order given: each
-    `window` snaps it out to the attention windows that hold it, tiled from
-    the top-left as the forward pads, and each `conv` grows it by the conv's
-    radius. Both clip to the map. What a box reaches through a window or a
-    conv is a box, so this is the exact reach, not a bound on it."""
+    h x w map, through `stages`, in the order given: each `window` snaps it
+    out to the attention windows that hold it, tiled from the top-left as
+    the forward pads, and each `conv` takes it to the outputs whose k x k
+    footprint meets it, on the conv's `out_hw` map, so a stride-1 conv with
+    "same" padding grows it by its radius. Both clip to the map, and an empty
+    box reaches nothing. What a box reaches through a window or a conv is a
+    box, so this is the exact reach, not a bound on it."""
     y0, y1, x0, x1 = box
     for stage in stages:
+        if y0 >= y1 or x0 >= x1:
+            break
         if win := stage.window:
             y0, y1, x0, x1 = y0 - y0 % win, min(y1 + -y1 % win, h), x0 - x0 % win, min(x1 + -x1 % win, w)
-        if stage.conv:  # the kernel is odd: a square of side kernel is a radius of (kernel - 1) // 2
-            r = (stage.conv.kernel - 1) // 2
-            y0, y1, x0, x1 = max(y0 - r, 0), min(y1 + r, h), max(x0 - r, 0), min(x1 + r, w)
+        if conv := stage.conv:  # output o reads the inputs o * stride - padding + (0 .. kernel - 1)
+            h, w = conv.out_hw(h, w)
+            k, s, p = conv.kernel, conv.stride, conv.padding
+            y0, y1 = max(-((k - 1 - p - y0) // s), 0), min((y1 - 1 + p) // s + 1, h)
+            x0, x1 = max(-((k - 1 - p - x0) // s), 0), min((x1 - 1 + p) // s + 1, w)
     return y0, y1, x0, x1
 
 
@@ -444,103 +452,71 @@ def _readers(stages) -> dict[str, list[int]]:
     return readers
 
 
-def _rerun_elementwise(stage, state, leafs, base_in, base_out):
-    """stage(state, leafs) for an elementwise stage that mapped base_in to base_out before.
-
-    Only the entries of the state's last entry whose bits differ from
-    base_in are run through the stage, gathered; a copy of base_out, in
-    base_out's memory order, takes their results. Comparing bits rather than
-    values counts a flipped signed zero and a NaN with new bits as changed.
-    When more than half the entries changed, the copy and the gather cost
-    more than they save, and the stage just runs. Either way the result is
-    bit-identical to stage(state, leafs), and neither base array is written.
-    """
-    *rest, v = state
-    uint = f"u{v.itemsize}"
-    changed = v.view(uint) != base_in.view(uint)
-    if 2 * np.count_nonzero(changed) > v.size:
-        return stage(state, leafs)
-    out = base_out.copy(order="K")
-    out[changed] = stage((*rest, v[changed]), leafs)[-1]
-    return (*rest, out)
-
-
-def _crop_boxes(stage, changed: np.ndarray):
-    """((y0, y1, x0, x1), (cy0, cy1, cx0, cx1)), or None if no position changed.
-
-    The first box holds the outputs of `stage` that the True positions of
-    the map `changed` reach: the `_reach` of their bounding box through the
-    stage. The second is that box plus the conv's halo, clipped to the map:
-    the crop of the input that computes it.
-
-    A padded crop one window column wide tiles into a view, where a map of
-    several window columns tiles into a copy, and on a view the value
-    product can round differently. So on such a map, such a box takes the
-    next window column, or at the right edge the previous one.
-    """
-    ys, xs = np.nonzero(changed)
-    if not ys.size:
-        return None
-    (h, w), win = changed.shape, stage.window
-    y0, y1, x0, x1 = _reach((ys[0], ys[-1] + 1, xs.min(), xs.max() + 1), [stage], h, w)
-    if win and x1 - x0 <= win < w and ((y1 - y0) % win or (x1 - x0) % win):
-        x0, x1 = (x0 - win, x1) if x1 == w else (x0, min(x1 + win, w))
-    halo = (stage.conv.kernel - 1) // 2 if stage.conv else 0
-    return (y0, y1, x0, x1), (max(y0 - halo, 0), min(y1 + halo, h), max(x0 - halo, 0), min(x1 + halo, w))
-
-
-def _rerun_local(stage, state, leafs, base_in, base_out):
-    """stage(state, leafs) for a local stage that mapped the state base_in to base_out (its last entry) before.
-
-    Every array of the state is compared by bit pattern with base_in's. The
-    bounding box of the positions changed in any of them, snapped to the
-    stage's windows or grown by its conv radius (`_crop_boxes`), holds every
-    output that can change. The stage runs on views of that box plus the
-    conv's halo, and a copy of base_out, in base_out's memory order, takes
-    the box's results. When that crop covers more than half the map the
-    stage just runs; the last entry, which a change reaches most widely, is
-    compared first, so that such a change needs no further comparing. Either
-    way the result is bit-identical to stage(state, leafs), and neither base
-    is written.
-    """
-    *rest, _ = state
-    h, w = base_out.shape[-2:]
-    changed, boxes = np.zeros((h, w), dtype=bool), None
-    for a, b in zip(reversed(state), reversed(base_in)):
+def _changed_box(state, base) -> tuple[int, int, int, int]:
+    """The bounding box of the positions where a map of the tuple `state` differs from `base`'s in its bits
+    (so a flipped signed zero or a NaN with new bits counts as changed), or (0, 0, 0, 0)."""
+    changed = np.zeros(state[-1].shape[-2:], dtype=bool)
+    for a, b in zip(state, base):
         if a is not b:
-            uint = f"u{a.itemsize}"
-            changed |= (a.view(uint) != b.view(uint)).any(axis=(0, 1))
-            boxes = _crop_boxes(stage, changed)
-            if boxes:
-                cy0, cy1, cx0, cx1 = boxes[1]
-                if 2 * (cy1 - cy0) * (cx1 - cx0) > h * w:
-                    return stage(state, leafs)
-    if boxes is None:
-        return (*rest, base_out.copy(order="K"))
-    (y0, y1, x0, x1), (cy0, cy1, cx0, cx1) = boxes
-    sub = stage(tuple(a[..., cy0:cy1, cx0:cx1] for a in state), leafs)[-1]
-    out = base_out.copy(order="K")
-    out[..., y0:y1, x0:x1] = sub[..., y0 - cy0 : y1 - cy0, x0 - cx0 : x1 - cx0]
-    return (*rest, out)
+            changed |= (a.view(f"u{a.itemsize}") != b.view(f"u{a.itemsize}")).any(axis=(0, 1))
+    rows, cols = np.flatnonzero(changed.any(axis=1)), np.flatnonzero(changed.any(axis=0))
+    return (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1) if rows.size else (0, 0, 0, 0)
 
 
 def _run_from(stages, i: int, states: list, leafs, readers):
-    """Fold states[i] through stages[i:] like `run_stages`, where `states`
-    is what a plain pass gave each stage (`_plain_pass`) and `readers` the
-    stages that declare the perturbed leaf (`_readers`), so read it. A
-    reader runs whole: its parameters changed everywhere. Every other
-    elementwise or local stage reruns only where its input differs from its
-    plain-pass input."""
-    state = states[i]
-    for j in range(i, len(stages)):
+    """Fold states[i] through stages[i:] like `run_stages`, bit for bit,
+    where `states` is what a plain pass gave each stage (`_plain_pass`) and
+    `readers` the stages that declare the perturbed leaf (`_readers`).
+
+    Readers run whole, and so does each stage up to the first elementwise
+    or local one that is not a reader. There the state is compared once
+    with the plain pass's (`_changed_box`), and the box of what changed is
+    carried through each later stage's `_reach`. An elementwise or local
+    stage reruns on views of its reach plus the conv's halo, pasted into a
+    copy of its plain output; a padded box one window column wide takes a
+    neighbouring column into the crop, since on a view of one padded
+    column the value product can round differently. A crop over half the
+    map and every other stage run whole. An empty box passes the plain
+    states on. A later reader, a box of the whole map and an output that
+    is not a 4-D map (the head's) end the carry. The result is never a
+    plain-pass state.
+    """
+    n = len(stages)
+    start = next((j for j in range(i + 1, n) if j not in readers and (stages[j].elementwise or stages[j].local)), n)
+    state, box = states[i], None  # None: no box is carried, and the stage runs whole
+    for j in range(i, n):
         stage = stages[j]
-        if j in readers or not (stage.elementwise or stage.local):
+        if j == start and np.ndim(state[-1]) == 4:  # the one comparison
+            box, (h, w) = _changed_box(state, states[j]), state[-1].shape[-2:]
+        if box is not None and (j in readers or box == (0, h, 0, w)):
+            box = None
+        if box is None:
             state = stage(state, leafs)
-        elif stage.local:
-            state = _rerun_local(stage, state, leafs, states[j], states[j + 1][-1])
+            continue
+        if box[0] >= box[1] or box[2] >= box[3]:
+            state = states[j + 1]
+            continue
+        reach = y0, y1, x0, x1 = _reach(box, [stage], h, w)
+        if stage.elementwise or stage.local:
+            if (win := stage.window) and x1 - x0 <= win < w and ((y1 - y0) % win or (x1 - x0) % win):
+                x0, x1 = (x0 - win, x1) if x1 == w else (x0, min(x1 + win, w))
+            r = (stage.conv.kernel - 1) // 2 if stage.conv else 0
+            y0, y1, x0, x1 = max(y0 - r, 0), min(y1 + r, h), max(x0 - r, 0), min(x1 + r, w)
+            if 2 * (y1 - y0) * (x1 - x0) > h * w:
+                state = stage(state, leafs)
+            else:
+                sub = stage(tuple(a[..., y0:y1, x0:x1] for a in state), leafs)[-1]
+                out = states[j + 1][-1].copy(order="K")
+                b0, b1, a0, a1 = reach
+                out[..., b0:b1, a0:a1] = sub[..., b0 - y0 : b1 - y0, a0 - x0 : a1 - x0]
+                del sub  # the crop's output dies here, not at the next crop
+                state = (*state[:-1], out)
         else:
-            state = _rerun_elementwise(stage, state, leafs, states[j][-1], states[j + 1][-1])
-    return state
+            state = stage(state, leafs)
+            if np.ndim(state[-1] if isinstance(state, tuple) else state) != 4:  # the head pools the map
+                reach = None
+        box, (h, w) = reach, stage.out_hw(h, w)
+    return state.copy(order="K") if state is states[-1] else state
 
 
 def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: float):
@@ -554,15 +530,12 @@ def _tape_rel_err(stages, leaves: dict, rng: Rng, cot_name: str, coords, step: f
     declares the key (`_readers`; a key that no stage declares, at the
     output), from the list of states of one plain pass
     (`_plain_pass`): the stages before it would recompute that state
-    unchanged. On the way, an elementwise stage (the blocks' activations)
-    recomputes only the entries whose input differs in its bits from that
-    pass's (`_rerun_elementwise`), and a local stage (a windowed mix, a
-    stride-1 depth-wise stage) that does not read the key only the crop of
-    windows, or of conv footprints, that such entries reach (`_rerun_local`).
-    The contractions over channels rerun whole, since on a crop their bits
-    can differ. So every difference is bit-identical to one over the whole
-    forward. The states come from that plain pass, never from the tape
-    being checked, and no difference writes into them.
+    unchanged. On the way, `_run_from` reruns each elementwise or local
+    stage that does not read the key only on the crop that the changed box
+    reaches, and the contractions over channels whole, since on a crop
+    their bits can differ, so every difference is bit-identical to one over
+    the whole forward. The states come from that plain pass, never from the
+    tape being checked, and no difference writes into them.
     The denominator is max(|analytic|, |numeric|, 1e-4 * the largest
     |analytic| entry), which keeps finite-difference roundoff on near-zero
     coordinates from dominating. "Where" is (key, flat index, name of the
@@ -685,15 +658,14 @@ def grad_check(target, seed: int = 0, input_hw: tuple[int, int] = (8, 8),
     batchnorm buffers. Each stage declares the leaves it reads, and each
     difference resumes at the first stage that declares the perturbed leaf,
     from the list of states of one plain forward, so a model's or block's
-    differences skip the stages before it. After it, each block's
-    activation recomputes only the entries whose input changed, and each
+    differences skip the stages before it. After it, each activation,
     windowed mix and stride-1 depth-wise stage that does not read the leaf
-    only the windows or conv footprints those entries reach; the rest comes
-    from that plain forward. Every difference is bit-identical to one over
-    the whole forward. The report names the worst coordinate and the first
-    stage that declares its leaf. A step that is not a finite number > 0, a
-    negative `num_coords` and an `input_hw` that is not a positive (height,
-    width) raise ValueError.
+    reruns only on the crop that the changed box reaches (`_run_from`).
+    Every difference is bit-identical to one over the whole forward. The
+    report names the worst coordinate and the first stage that declares its
+    leaf. A step that is not a finite number > 0, a negative `num_coords`
+    and an `input_hw` that is not a positive (height, width) raise
+    ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")

@@ -278,10 +278,9 @@ class Stage:
     An `elementwise` stage reads no parameter and maps the last entry of its
     tuple state entry by entry, so that entry's value at one position depends
     only on the entry's input at that position, and it passes the other
-    entries on as they are. Its call on a state whose last entry holds any
-    subset of those inputs, gathered into a 1-D array, gives that subset's
-    outputs bit for bit, which lets a caller that kept an earlier call's
-    input and output recompute only the entries whose input changed.
+    entries on as they are: a local stage whose footprint is the position
+    itself. Its call on views of any crop of the state's maps gives the
+    crop's outputs bit for bit.
 
     A `local` stage, one with a window or a stride-1 depth-wise conv, too,
     writes only the last entry of its tuple state. It computes each position
@@ -292,12 +291,13 @@ class Stage:
     product per window and head, each of one window's shape. So its call on
     views of any crop of the state that contains a position's footprint
     (whole windows, or the conv's halo) gives that position's bits, bar one
-    padded crop that `analysis._crop_boxes` avoids, and a caller that kept
-    an earlier call's input state and output can rerun only the crop that a
-    change reaches. Contractions over channels (the 1x1 expand, shrink and
-    Q/K projections, the stem) are never local: BLAS blocks such a product
-    by the shape of the whole map, so one pixel's output computed on a crop
-    can differ in its last bits from the same pixel's on the whole map.
+    padded crop one window column wide, which `analysis._run_from` widens,
+    and a caller that kept an earlier call's input state and output can
+    rerun only the crop that a change reaches. Contractions over channels
+    (the 1x1 expand, shrink and Q/K projections, the stem) are never local:
+    BLAS blocks such a product by the shape of the whole map, so one
+    pixel's output computed on a crop can differ in its last bits from the
+    same pixel's on the whole map.
     """
 
     name: str

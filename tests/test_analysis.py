@@ -240,29 +240,45 @@ def test_conv_radius_grows_exactly_per_block(k):
 
 def _mask_reach(mask, stages):
     """Reference reach as a boolean map: each window closes it over the attention
-    windows the forward tiles, each conv dilates it by a kernel-sided square."""
+    windows the forward tiles, each stride-1 conv dilates it by a kernel-sided
+    square, and a strided conv marks each output whose k x k footprint holds a
+    marked input."""
     for stage in stages:
         if stage.window:
             tokens, layout = window_partition(mask[None, None], stage.window, 1)
             mask = window_merge(np.broadcast_to(tokens.any(axis=2, keepdims=True), tokens.shape), layout, 1)[0, 0]
-        if stage.conv:
+        if stage.conv and stage.conv.stride == 1:
             mask = binary_dilation(mask, structure=np.ones((stage.conv.kernel,) * 2, dtype=bool))
+        elif stage.conv:
+            k, s, p = stage.conv.kernel, stage.conv.stride, stage.conv.padding
+            ho, wo = stage.conv.out_hw(*mask.shape)
+            mask = np.array([[mask[max(o * s - p, 0):o * s - p + k, max(q * s - p, 0):q * s - p + k].any()
+                              for q in range(wo)] for o in range(ho)])
     return mask
 
 
 @pytest.mark.parametrize("h, w", [(1, 5), (2, 2), (7, 7), (9, 12), (14, 20), (23, 30)])
 def test_box_reach_equals_the_mask_fold(h, w):
-    # a box stays a box through window snapping and conv growth, so the box
+    # a box stays a box through window snapping and conv footprints, so the box
     # fold draws exactly the mask fold's map, from a pixel or a small box,
-    # through stacks of 1-3 window and conv stages, on square and oblong maps
+    # through stacks of 1-3 window, stride-1 conv and stride-2 conv stages
+    # (k 1, 3 or 5, padding 0..k//2), on square and oblong maps; a strided conv
+    # shrinks the map, and one with k < stride or without padding can miss the
+    # box, which then reaches nothing
     gen = np.random.default_rng([h, w])
-    for case in range(120):
-        stages = []
+    strided = 0
+    for case in range(160):
+        stages, oh, ow = [], h, w
         for _ in range(gen.integers(1, 4)):
-            if gen.random() < 0.5:
+            kind, k = gen.random(), int(gen.choice([1, 3, 5, 7]))
+            pad = int(gen.integers(k // 2 + 1))
+            if kind < 0.4:
                 stages.append(Stage("mix", None, window=int(gen.integers(1, 8))))
+            elif kind < 0.7 and k < 7 and min(oh, ow) + 2 * pad >= k:
+                stages.append(Stage("dw", None, conv=ConvSpec(1, 1, kernel=k, stride=2, padding=pad)))
+                oh, ow = stages[-1].out_hw(oh, ow)
+                strided += 1
             else:
-                k = int(gen.choice([1, 3, 5, 7]))
                 stages.append(Stage("dw", None, conv=ConvSpec(1, 1, kernel=k, padding=(k - 1) // 2, groups=1)))
         y0, x0 = int(gen.integers(h)), int(gen.integers(w))
         y1, x1 = (y0 + 1, x0 + 1) if case % 2 else (y0 + 1 + int(gen.integers(min(h - y0, 4))),
@@ -270,9 +286,11 @@ def test_box_reach_equals_the_mask_fold(h, w):
         mask = np.zeros((h, w), dtype=bool)
         mask[y0:y1, x0:x1] = True
         box, want = analysis._reach((y0, y1, x0, x1), stages, h, w), _mask_reach(mask, stages)
-        drawn = np.zeros((h, w), dtype=bool)
+        drawn = np.zeros((oh, ow), dtype=bool)
         drawn[box[0]:box[1], box[2]:box[3]] = True
-        assert box == _box(want) and np.array_equal(drawn, want), (case, (y0, y1, x0, x1), stages)
+        assert np.array_equal(drawn, want), (case, (y0, y1, x0, x1), stages)
+        assert not want.any() or box == _box(want), (case, (y0, y1, x0, x1), stages)
+    assert strided >= 40
 
 
 def test_executed_work_matches_static_count_across_block_matrix(fold_metered):
@@ -632,17 +650,23 @@ def _box(mask):
 
 @pytest.mark.parametrize("window, kernel", [(w, None) for w in (1, 2, 3, 7)] + [(None, k) for k in (1, 3, 5)])
 def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
-    # a probe stage marks the positions it ran on; _rerun_local pastes exactly
-    # the bounding box of the reach of the changed positions, unless its crop
-    # (that box plus the conv's halo) covers more than half the map, when the
-    # stage runs whole. A window box one window column wide that needs padding
-    # takes the next window column, or the previous one at the right edge
+    # a probe stage marks the positions it ran on and logs its input's map; the
+    # resumed fold runs it on the reach of the changed positions' bounding box
+    # plus the conv's halo and pastes exactly that reach, unless the crop covers
+    # more than half the map, when the stage runs whole. A window box one window
+    # column wide that needs padding takes the next window column into the
+    # crop, or the previous one at the right edge
     h, w, c = 23, 30, 3
     conv = ConvSpec(c, c, kernel=kernel, padding=(kernel - 1) // 2, groups=c) if kernel else None
-    probe = Stage("probe", lambda s, p: (*s[:-1], np.ones_like(s[-1])), conv=conv, window=window)
+    crops = []
+    probe = Stage("probe", lambda s, p: crops.append(s[-1].shape[-2:]) or (*s[:-1], np.ones_like(s[-1])),
+                  conv=conv, window=window)
     assert probe.local
+    stages = [Stage("input", lambda _, p: (p["x"],), leaves={"x": (1, c, h, w)}), probe,
+              Stage("output", lambda s, p: s[-1])]
     halo = (kernel - 1) // 2 if kernel else 0
     base_in, base_out = np.zeros((1, c, h, w)), np.zeros((1, c, h, w))
+    states = [None, (base_in,), (base_out,), base_out]  # a plain pass that mapped zeros to zeros
     gen = np.random.default_rng([window or 0, kernel or 0])
     cropped = widened = 0
     for _ in range(60):
@@ -654,24 +678,27 @@ def test_local_rerun_box_is_the_bounding_box_of_the_reach(window, kernel):
         x = base_in.copy()
         rows, cols = np.nonzero(mask)
         x[0, gen.integers(c, size=rows.size), rows, cols] = 1.0  # each changed position in one channel
-        out = analysis._rerun_local(probe, (x,), {}, (base_in,), base_out)[-1]
+        out = analysis._run_from(stages, 0, states, {"x": x}, [0])
         assert out.shape == base_out.shape and not base_out.any()
         b0, b1, a0, a1 = analysis._reach(_box(mask), [probe], h, w)
+        crop_x0, crop_x1 = a0, a1
         if window and a1 - a0 <= window < w and ((b1 - b0) % window or (a1 - a0) % window):
-            a0, a1 = (a0 - window, a1) if a1 == w else (a0, min(a1 + window, w))
+            crop_x0, crop_x1 = (a0 - window, a1) if a1 == w else (a0, min(a1 + window, w))
             widened += 1
-        crop = (min(b1 + halo, h) - max(b0 - halo, 0)) * (min(a1 + halo, w) - max(a0 - halo, 0))
-        if 2 * crop > h * w:
-            assert out.all()
+        crop = (min(b1 + halo, h) - max(b0 - halo, 0), min(crop_x1 + halo, w) - max(crop_x0 - halo, 0))
+        if 2 * crop[0] * crop[1] > h * w:
+            assert out.all() and crops[-1] == (h, w)
             continue
         cropped += 1
+        assert crops[-1] == crop
         assert _box(out.any(axis=(0, 1))) == (b0, b1, a0, a1)
         assert out[..., b0:b1, a0:a1].all() and out.sum() == c * (b1 - b0) * (a1 - a0)
     assert cropped >= 30
     assert widened > 0 or window in (None, 1)  # the map's 23 rows pad under windows of 2, 3 and 7
-    # no change: the kept output, copied
-    out = analysis._rerun_local(probe, (base_in.copy(),), {}, (base_in,), base_out)[-1]
-    assert out is not base_out and not out.any()
+    # no change: the plain output, copied, and the probe does not run
+    crops.clear()
+    out = analysis._run_from(stages, 0, states, {"x": base_in.copy()}, [0])
+    assert out is not base_out and not out.any() and not crops
 
 
 @pytest.mark.parametrize("kwargs, argument", [
@@ -687,26 +714,59 @@ def test_grad_check_rejects_bad_arguments(kwargs, argument):
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 @pytest.mark.parametrize("kind", ["gelu", "silu"])
 def test_elementwise_rerun_counts_flipped_zeros_and_nans_as_changed(kind, precision):
+    # the one comparison counts bits: a -0.0 where +0.0 was and a NaN where a
+    # number was are changes, and the activation reruns on their box
     cfg = IRMBConfig(4, 4, 2.0, enable_attn=False, expand_act=kind)
     (act,) = [st for st in block_stages(cfg, "") if st.elementwise]
-    x, u = object(), object()
+    x, u = np.zeros((1, 4, 5, 5)), np.zeros((1, 4, 5, 5))
+    stages = [Stage("input", lambda _, p: (x, u, p["v"]), leaves={"v": (1, 8, 5, 5)}), act]
     base_in = Rng(0).normal("v", (1, 8, 5, 5), precision=precision)
     base_in.reshape(-1)[:2] = 0.0
-    base_out = act((x, u, base_in), {})[-1]
-    base_in.setflags(write=False)
-    base_out.setflags(write=False)
+    states = analysis._plain_pass(stages, {"v": base_in})
+    for a in (base_in, states[-1][-1]):
+        a.setflags(write=False)
     v = base_in.copy()
     v.reshape(-1)[:3] = (-0.0, np.nan, 3.5)  # -0.0 == +0.0 as values, not as bits
     with cost_meter() as m:
-        got = analysis._rerun_elementwise(act, (x, u, v), {}, base_in, base_out)
-    assert m.act_elems == 3  # only the changed entries ran
+        got = analysis._run_from(stages, 0, states, {"v": v}, [0])
+    assert m.act_elems == 8 * 1 * 3  # only the box of the changed entries ran: row 0, columns 0..2
     assert got[0] is x and got[1] is u
     assert got[2].tobytes() == act((x, u, v), {})[-1].tobytes()
     assert np.signbit(got[2].reshape(-1)[0]) and np.isnan(got[2].reshape(-1)[1])
     with cost_meter() as m:  # a dense change set just runs the stage
-        got = analysis._rerun_elementwise(act, (x, u, -base_in), {}, base_in, base_out)
+        got = analysis._run_from(stages, 0, states, {"v": -base_in}, [0])
     assert m.act_elems == base_in.size
     assert got[2].tobytes() == act((x, u, -base_in), {})[-1].tobytes()
+
+
+def test_a_later_reader_reruns_after_an_unchanged_first_one_and_no_change_gives_a_copy():
+    # "lim" is read by clamp and by scale, "cap" by clamp alone; both clamp far
+    # above the map, so moving either leaves clamp's output bit-identical. The
+    # compared box is then empty: the activation reuses its plain output, and
+    # scale, which reads lim, still reruns; a cap move returns a copy of the
+    # plain output, running nothing after clamp
+    leaves = {"x": Rng(0).normal("x", (1, 2, 5, 6), precision="f64"), "lim": np.array([1e9]),
+              "cap": np.array([2e9])}
+    calls = []
+
+    def stage(name, fn, **kwargs):
+        return Stage(name, lambda s, p: calls.append(name) or fn(s, p), **kwargs)
+
+    stages = [stage("input", lambda _, p: p["x"], leaves={"x": (1, 2, 5, 6)}),
+              stage("clamp", lambda s, p: (np.minimum(np.minimum(s, p["lim"]), p["cap"]),),
+                    leaves={"lim": (1,), "cap": (1,)}),
+              stage("act", lambda s, p: (np.tanh(s[-1]),), elementwise=True),
+              stage("scale", lambda s, p: s[-1] * (p["lim"] * 1e-9), leaves={"lim": (1,)})]
+    states, readers = analysis._plain_pass(stages, leaves), analysis._readers(stages)
+    assert readers["lim"] == [1, 3] and readers["cap"] == [1]
+    for key, ran in (("lim", ["clamp", "scale"]), ("cap", ["clamp"])):
+        pert = dict(leaves)
+        pert[key] = leaves[key] + 1e-5 * leaves[key]
+        calls.clear()
+        out = analysis._run_from(stages, 1, states, pert, readers[key])
+        assert calls == ran, key
+        assert out is not states[-1] and out.tobytes() == run_stages(stages, None, pert).tobytes(), key
+    assert out.tobytes() == states[-1].tobytes()  # the cap move changed nothing
 
 
 def test_plain_pass_lists_states_and_readers_and_an_unread_leaf_resumes_from_the_output():
